@@ -111,7 +111,8 @@ def optimal_alpha(
         alpha_opt = 2.0 * zeta / ((zeta + 1.0) * trace)
     else:
         raise AnalysisDomainError(f"optimal alpha is not defined in phase {phase.value}")
-    assert alpha_opt < alpha_max
+    if not alpha_opt < alpha_max:
+        raise AnalysisDomainError(f"optimal alpha {alpha_opt!r} is not below alpha_max {alpha_max!r}")
     return alpha_opt, alpha_max
 
 
@@ -275,7 +276,9 @@ def blowup_time(ctx: GenFuncContext, fit: PowerLawFit) -> BlowupReport:
         if hi > 1e6:
             raise AnalysisDomainError("failed to bracket the crossover equation from above")
     a_star = bisect_monotone(log_gap, lo, hi)
-    assert abs(lead * a_star**-zeta - math.exp(a_star)) <= 1e-10
+    residual = lead * a_star**-zeta - math.exp(a_star)
+    if not abs(residual) <= 1e-10:
+        raise AnalysisDomainError(f"crossover residual {residual!r} out of tolerance 1e-10")
 
     eps_star = (
         (gamma_fn(2.0 - 1.0 / nu) * gamma_fn(1.0 / nu - 1.0) / (4.0 * nu))

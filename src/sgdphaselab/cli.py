@@ -46,12 +46,13 @@ from .spectrum import (
     load_spectrum_csv,
 )
 
+_STEPS_DEFAULT = 10_000  # stability-map resolves its own horizon when --steps is not given
 COMMANDS = ("simulate", "stability-map", "asymptotics", "divergence", "phase-diagram", "fit", "se-error")
 REGIMES = ("se", "noiseless", "mc", "moments")
 
 _DEFAULTS = dict(
     Lambda=1.0, K=1.0, modes=200, c0_mode="differenced",
-    alpha=0.5, beta=0.0, tau1=1.0, tau2=1.0, steps=10_000, runs=1000, seed=0,
+    alpha=0.5, beta=0.0, tau1=1.0, tau2=1.0, steps=None, runs=1000, seed=0,
     regime="se", out="out", tail_start=None, kernel_scale=0.35, plot=False,
     full_scale=False, grid_alpha=None, grid_beta=None, batch_list=None,
 )
@@ -79,7 +80,7 @@ class ExperimentConfig:
     dataset_size: float | None = None
     tau1: float = 1.0
     tau2: float = 1.0
-    steps: int = 10_000
+    steps: int | None = None
     runs: int = 1000
     seed: int = 0
     regime: str = "se"
@@ -101,6 +102,8 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         d = {k: v for k, v in self.__dict__.items()}
+        if d["steps"] is None:
+            d["steps"] = _STEPS_DEFAULT
         return json_ready(d)
 
 
@@ -210,6 +213,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if command not in COMMANDS:
         raise ValidationError(f"missing or unknown command {command!r}; choose from {COMMANDS}")
     merged.pop("command", None)
+    if merged["steps"] is None and command != "stability-map":
+        merged["steps"] = _STEPS_DEFAULT
 
     if isinstance(merged.get("grid_alpha"), str):
         merged["grid_alpha"] = _parse_grid(merged["grid_alpha"])
@@ -242,7 +247,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         raise ValidationError(f"alpha = {cfg.alpha} out of range: alpha must be positive")
     if cfg.gamma is not None and not (0.0 <= cfg.gamma <= 1.0):
         raise ValidationError(f"gamma = {cfg.gamma} out of range: gamma must lie in [0, 1]")
-    if cfg.steps < 1 or cfg.runs < 1 or cfg.modes < 2:
+    if (cfg.steps is not None and cfg.steps < 1) or cfg.runs < 1 or cfg.modes < 2:
         raise ValidationError("steps, runs and modes must be positive (modes >= 2)")
     for r in cfg.regime.split(","):
         if r not in REGIMES:
@@ -299,9 +304,9 @@ def _feature_problem_for(cfg: ExperimentConfig) -> FeatureProblem:
     raise ValidationError("this command needs an explicit feature problem: --torus or --random-features")
 
 
-def _resolved_gamma(cfg: ExperimentConfig, spectrum: Spectrum) -> float:
+def _resolved_gamma(cfg: ExperimentConfig, spectrum: Spectrum, steps: int | None = None) -> float:
     n = cfg.dataset_size if cfg.dataset_size is not None else spectrum.dataset_size
-    return cfg.sgd_params().resolve_gamma(n)
+    return cfg.sgd_params(steps).resolve_gamma(n)
 
 
 def _thread_count() -> int:
@@ -434,15 +439,16 @@ def _simulate_batch_sweep(cfg: ExperimentConfig, em: _Emitter, spectrum: Spectru
 
 
 def _stability_grids(cfg: ExperimentConfig):
-    explicit_steps = cfg.steps if cfg.steps != _DEFAULTS["steps"] else None
     if cfg.full_scale:
         ga = cfg.grid_alpha or (0.04, 4.0, 100)
         gb = cfg.grid_beta or (0.0, 0.98, 50)
-        steps = explicit_steps or 10_000
+        steps = _STEPS_DEFAULT
     else:
         ga = cfg.grid_alpha or (0.1, 4.0, 40)
         gb = cfg.grid_beta or (0.0, 0.95, 20)
-        steps = explicit_steps or 1000
+        steps = 1000
+    if cfg.steps is not None:
+        steps = cfg.steps
     alphas = np.linspace(ga[0], ga[1], ga[2])
     betas = np.linspace(gb[0], gb[1], gb[2])
     return alphas, betas, steps
@@ -450,22 +456,25 @@ def _stability_grids(cfg: ExperimentConfig):
 
 def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
     spectrum = _spectrum_from_config(cfg)
-    gamma = _resolved_gamma(cfg, spectrum)
     alphas, betas, steps = _stability_grids(cfg)
+    gamma = _resolved_gamma(cfg, spectrum, steps)
 
-    workers = _thread_count()
-    chunks = np.array_split(np.arange(alphas.size), min(workers, alphas.size))
+    # interleaved alpha rows: diverging (large-alpha) cells leave every thread's batch alike
+    workers = min(_thread_count(), alphas.size)
+    chunks = [np.arange(k, alphas.size, workers) for k in range(workers)]
 
     def sweep(idx):
         return run_se_grid(spectrum, alphas[idx], betas, gamma, cfg.tau1, cfg.tau2, steps)
 
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(sweep, chunks))
     else:
         parts = [sweep(idx) for idx in chunks]
-    final = np.concatenate([p["final_loss"] for p in parts], axis=0)
-    diverged = np.concatenate([p["diverged_at"] for p in parts], axis=0)
+    final = np.empty((alphas.size, betas.size))
+    diverged = np.empty((alphas.size, betas.size), dtype=int)
+    for idx, part in zip(chunks, parts):
+        final[idx], diverged[idx] = part["final_loss"], part["diverged_at"]
 
     u1 = np.full((alphas.size, betas.size), math.nan)
     boundary = np.empty(betas.size)

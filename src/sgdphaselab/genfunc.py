@@ -6,7 +6,7 @@ generating functions U~, V~ are sums of per-mode rational terms sharing a
 cubic denominator S in z. This module evaluates those sums and their
 analytic derivatives, locates the stability boundary U~(1) = 1 and the
 divergence radius r_L, and reconstructs the loss sequence from the U/V
-coefficient recursion as an independent oracle for the simulator.
+coefficient recursion as an oracle for the simulator's noise coupling.
 
 Analysis assumptions (context invariants): beta in (-1, 1),
 0 < alpha < 2 (1 + beta) / lambda_max, gamma in [0, 1], 0 < tau <= 1.
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
 from .serialize import json_ready
-from .simulate import LossTrajectory, _divergence_threshold
+from .simulate import LossTrajectory, _divergence_threshold, _se_kernel, _se_table
 from .spectrum import Spectrum
 
 __all__ = [
@@ -191,7 +191,8 @@ def solve_lambda_crit(spectrum: Spectrum, tau: float) -> float:
 
     hi = float(np.sum(lam))
     root = bisect_monotone(f, 1e-300, hi, xtol=1e-12 * spectrum.lambda_max)
-    assert abs(f(root)) <= 1e-10, "lambda_crit residual out of tolerance"
+    if not abs(f(root)) <= 1e-10:
+        raise AnalysisDomainError(f"lambda_crit residual {f(root)!r} out of tolerance 1e-10")
     return root
 
 
@@ -306,47 +307,28 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
 
     r = bisect_monotone(g, 1e-300, np.nextafter(1.0, 0.0))
     uv = _eval_uv_unchecked(ctx, r)
-    assert abs(r * uv.u - 1.0) <= 1e-12, "r_L residual out of tolerance"
+    if not abs(r * uv.u - 1.0) <= 1e-12:
+        raise AnalysisDomainError(f"r_L residual {r * uv.u - 1.0!r} out of tolerance 1e-12")
     return DivergenceReport(r, -1.0 / math.log(r), uv.v / (2.0 * (1.0 + r**2 * uv.du)))
 
 
 def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
     """The coefficient sequences U_1..U_T and V_1..V_T of the generating functions.
 
-    Iterates the per-mode 4x4 evolution operator on the two seed matrices;
-    partial sums of ``U_{t+1} z^t`` converge to U~(z) (geometric tail), which
-    the tests exploit.
+    Runs the SE kernel with its rank-one coupling switched off on two cells,
+    the noise seed ``lambda^2 * ones(2, 2)`` and the signal seed
+    ``lambda C_0 * E11``; partial sums of ``U_{t+1} z^t`` converge to U~(z)
+    (geometric tail), which the tests exploit.
     """
     ctx.require_valid()
     if horizon < 1:
         raise AnalysisDomainError(f"horizon must be >= 1, got {horizon}")
     lam = ctx.spectrum.lambdas
-    alpha, beta = ctx.alpha, ctx.beta
-    a11 = 1.0 - alpha * lam
-    a21 = -alpha * lam
-    q = ctx.tau * ctx.gamma * alpha**2 * lam**2
-
-    def advance(c, j, v):
-        c2 = a11 * (a11 * c + 2.0 * beta * j) + beta**2 * v - q * c
-        j2 = a11 * a21 * c + beta * (a11 + a21) * j + beta**2 * v - q * c
-        v2 = a21 * (a21 * c + 2.0 * beta * j) + beta**2 * v - q * c
-        return c2, j2, v2
-
-    u_seq = np.empty(horizon)
-    v_seq = np.empty(horizon)
-    cu = lam**2
-    ju, vu = cu.copy(), cu.copy()       # noise seed lambda^2 * ones(2,2)
-    cv = ctx.spectrum.lambda_c0.copy()  # signal seed lambda C_0 * E11
-    jv = np.zeros_like(cv)
-    vv = np.zeros_like(cv)
-    scale = ctx.gamma * alpha**2
-    for t in range(horizon):
-        u_seq[t] = scale * cu.sum()
-        v_seq[t] = cv.sum()
-        if t + 1 < horizon:
-            cu, ju, vu = advance(cu, ju, vu)
-            cv, jv, vv = advance(cv, jv, vv)
-    return u_seq, v_seq
+    seed, zero = lam * lam, np.zeros_like(lam)
+    sums = _se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
+                      np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),
+                      np.stack([seed, zero]), horizon - 1, history=True)[4]
+    return ctx.gamma * ctx.alpha**2 * sums[0], sums[1]
 
 
 def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
@@ -354,8 +336,8 @@ def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
 
     L(T) = V_{T+1}/2 + sum_{t=1..T} U_{T+1-t} L(t-1).
 
-    O(T^2) overall; an independent oracle for :func:`run_se` on the same
-    spectrum and parameters (with tau1 = 1).
+    O(T^2) overall; an oracle for :func:`run_se` at tau1 = 1: it shares the per-mode
+    table, but the rank-one noise coupling enters only through the convolution.
     """
     ctx.require_valid()
     if horizon < 0:

@@ -26,7 +26,7 @@ def bisect_monotone(
 
     With ``xtol=0`` the bracket is shrunk until its endpoints are adjacent
     floats; the endpoint with the smaller |f| is returned. A 200-iteration
-    cap with a convergence assertion guards against a bad bracket.
+    cap with a convergence check guards against a bad bracket.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -48,9 +48,10 @@ def bisect_monotone(
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-    assert (hi - lo) <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300))), (
-        "bisection failed to converge within the iteration cap"
-    )
+    if not (hi - lo) <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300))):
+        raise AnalysisDomainError(
+            f"bisection failed to converge within {maxiter} iterations: bracket [{lo!r}, {hi!r}]"
+        )
     return lo if abs(flo) <= abs(fhi) else hi
 
 

@@ -8,15 +8,19 @@ Regimes, from cheapest to most faithful:
   covariance (:func:`run_full_moments`) -- O(d^3) per step;
 * Monte-Carlo over sampled batch sequences (:func:`run_mc`).
 
-The SE recursion evolves per-mode 2x2 blocks in output-space normalization
-(states are ``lambda_k C_kk`` etc.), which keeps small-eigenvalue modes
-well-scaled and matches the spectrum's stored ``lambda_c0`` directly.
+The SE recursion evolves the per-mode moments (C, J, V) of the heavy-ball
+iterate and its momentum in output-space normalization (states are
+``lambda_k C_kk`` etc.), which keeps small-eigenvalue modes well-scaled and
+matches the spectrum's stored ``lambda_c0`` directly. One batched kernel
+(:func:`_se_kernel`) runs it for :func:`run_se`, :func:`run_se_grid`,
+:func:`run_additive_noise` and the generating-function coefficients: a
+per-mode 3x3 map plus a rank-one coupling through one scalar per cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -90,11 +94,7 @@ class SGDParams:
         return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-            "batch": self.batch, "tau1": self.tau1, "tau2": self.tau2,
-            "steps": self.steps, "alpha_eff": self.alpha_eff,
-        }
+        return {**asdict(self), "alpha_eff": self.alpha_eff}
 
 
 @dataclass
@@ -127,53 +127,120 @@ def _divergence_threshold(loss0: float) -> float:
     return DIVERGENCE_RATIO * loss0 if loss0 > 0.0 else DIVERGENCE_FLOOR
 
 
-def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
-    """Evolve the per-mode (C, J, V) blocks under the SE noise closure.
+def _se_table(lam, alpha, beta, gamma, tau1, tau2):
+    """The per-mode 3x3 map A_k on the output moments (C, J, V) with the self-noise
+    folded in, and the coupling column ``r = tau1 gamma alpha^2 lam^2`` (None if 0).
 
-    Each step applies the 2x2 congruence with [[1 - a*lam, b], [-a*lam, b]]
-    and adds the noise increment
-    ``gamma a^2 lam^2 (tau1 * sum_l lam_l C_ll - tau2 * lam_k C_kk)``
-    to all four block entries. Divergence is a recorded outcome, not an error.
+    Rows ``(a11^2 - q, 2 beta a11, beta^2)``, ``(a11 a21 - q, beta (a11 + a21), beta^2)``
+    and ``(a21^2 - q, 2 beta a21, beta^2)``, with ``a11 = 1 - alpha lam``, ``a21 = -alpha lam``
+    and ``q = tau2 gamma alpha^2 lam^2``; ``det(I - z A_k)`` is the cubic S_k(z) of the
+    generating functions. Per-cell ``alpha``, ``beta`` broadcast entries to (cells, modes).
+    """
+    alpha = np.reshape(np.asarray(alpha, dtype=float), (-1, 1))
+    beta = np.reshape(np.asarray(beta, dtype=float), (-1, 1))
+    al = alpha * lam
+    a11, a21 = 1.0 - al, -al
+    q = (tau2 * gamma) * (al * al)
+    b2 = beta * beta
+    r = (tau1 * gamma) * (al * al) if tau1 * gamma != 0.0 else None
+    return ((a11 * a11 - q, 2.0 * beta * a11, b2),
+            (a11 * a21 - q, beta * (a11 + a21), b2),
+            (a21 * a21 - q, 2.0 * beta * a21, b2)), r
+
+
+def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=False):
+    """Advance independent SE recursions held as (cells, modes) arrays, in place.
+
+    One step is ``(C, J, V) <- A_k (C, J, V) + r_k S + source_k`` per mode, the last
+    two terms added to all three moments; ``S = sum_k C_k`` is the one scalar that
+    couples a cell's modes. With zero momentum in every cell, J and V are never
+    touched. Every step records each cell's smallest moment; with a ``threshold``,
+    a cell whose loss crosses it is recorded and leaves the batch. Returns per
+    cell: the final loss (at the crossing step if any), the lowest loss before any
+    crossing, the lowest moment (0 if none was negative), the crossing step (-1 =
+    never) and, with ``history``, the (cells, steps + 1) sums S.
+    """
+    (m11, m12, b2), (m21, m22, _), (m31, m32, _) = table
+    coef = [m11, m12, m21, m22, m31, m32, b2, r]
+    fast = not (np.any(m12) or np.any(b2))
+    cell = np.arange(c.shape[0])  # original index of each live row
+    s = c.sum(axis=1)
+    loss = 0.5 * s
+    final, low, moment, diverged = loss.copy(), loss.copy(), c.min(axis=1, initial=0.0), np.full(cell.size, -1)
+    sums = np.full((cell.size, steps + 1), s[:, None]) if history else None
+    t1, t2, t3 = (np.empty_like(c) for _ in range(3))
+    for t in range(1, steps + 1):
+        m11, m12, m21, m22, m31, m32, b2, r = coef
+        w = source if r is None else np.multiply(r, s[:, None], out=t1)
+        if r is not None and source is not None:
+            w += source
+        if fast:
+            np.multiply(m11, c, out=c)
+            if w is not None:
+                c += w
+        else:
+            np.multiply(b2, v, out=v)  # v holds the part all three rows share
+            if w is not None:
+                v += w
+            for row, ma, mb in ((t1, m11, m12), (t2, m21, m22)):
+                np.multiply(ma, c, out=row)
+                row += np.multiply(mb, j, out=t3)
+                row += v
+            v += np.multiply(m31, c, out=t3)
+            v += np.multiply(m32, j, out=t3)
+            c, t1, j, t2 = t1, c, t2, j
+        s = c.sum(axis=1)
+        loss = 0.5 * s
+        moment[cell] = np.minimum(moment[cell], c.min(axis=1))
+        if history:
+            sums[cell, t] = s
+        crossed = None if threshold is None else ~(loss <= threshold)
+        if crossed is not None and crossed.any():
+            final[cell[crossed]], diverged[cell[crossed]] = loss[crossed], t
+            keep = np.flatnonzero(~crossed)
+            cell, s, loss = cell[keep], s[keep], loss[keep]
+
+            def shrink(x):  # kept rows move to the front of the same buffer
+                if x is None or x.shape[0] != crossed.size:
+                    return x
+                x[: keep.size] = x[keep]
+                return x[: keep.size]
+
+            c, j, v, *coef = (shrink(x) for x in (c, j, v, *coef))
+            t1, t2, t3 = t1[: keep.size], t2[: keep.size], t3[: keep.size]
+            if not keep.size:
+                break
+        low[cell] = np.minimum(low[cell], loss)
+    final[cell] = loss
+    return final, low, moment, diverged, sums
+
+
+def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, stop=True, **kw):
+    """Run the (alpha[i], beta[i]) cells from the spectrum's initial state."""
+    table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
+    c = np.tile(spectrum.lambda_c0, (table[0][0].shape[0], 1))
+    threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum())) if stop else None
+    return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, **kw)
+
+
+def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
+    """Evolve the per-mode (C, J, V) moments under the SE noise closure.
+
+    Each step applies the heavy-ball map A_k of :func:`_se_table` and adds
+    the noise increment ``gamma a^2 lam^2 (tau1 * sum_l lam_l C_ll - tau2 * lam_k C_kk)``
+    to all three moments. Divergence is a recorded outcome, not an error.
     """
     gamma = params.resolve_gamma(spectrum.dataset_size)
-    lam = spectrum.lambdas
-    alpha, beta = params.alpha, params.beta
-    a11 = 1.0 - alpha * lam
-    a21 = -alpha * lam
-    noise_scale = gamma * alpha**2 * lam**2
-
-    c = spectrum.lambda_c0.copy()
-    j = np.zeros_like(c)
-    v = np.zeros_like(c)
-    losses = np.empty(params.steps + 1)
-    losses[0] = 0.5 * c.sum()
-    threshold = _divergence_threshold(losses[0])
-    min_moment = float(c.min(initial=0.0))
-    diverged_at = None
-
-    for t in range(1, params.steps + 1):
-        c_new = a11 * (a11 * c + 2.0 * beta * j) + beta**2 * v
-        j_new = a21 * a11 * c + beta * (a11 + a21) * j + beta**2 * v
-        v_new = a21 * (a21 * c + 2.0 * beta * j) + beta**2 * v
-        noise = noise_scale * (params.tau1 * c.sum() - params.tau2 * c)
-        c = c_new + noise
-        j = j_new + noise
-        v = v_new + noise
-        loss = 0.5 * c.sum()
-        losses[t] = loss
-        m = float(c.min())
-        if m < min_moment:
-            min_moment = m
-        if not (loss <= threshold):
-            diverged_at = t
-            losses = losses[: t + 1]
-            break
+    _, _, moment, diverged, sums = _se_cells(spectrum, params.alpha, params.beta, gamma, params.tau1,
+                                             params.tau2, params.steps, history=True)
+    diverged_at = int(diverged[0]) if diverged[0] >= 0 else None
+    losses = 0.5 * sums[0, : None if diverged_at is None else diverged_at + 1]
 
     meta = params.as_dict()
     meta.update(
         regime="se", gamma_resolved=gamma, modes=len(spectrum),
-        dataset_size=spectrum.dataset_size, min_output_moment=min_moment,
-        negative_moments=min_moment < 0.0, spectrum_meta=dict(spectrum.meta),
+        dataset_size=spectrum.dataset_size, min_output_moment=float(moment[0]),
+        negative_moments=bool(moment[0] < 0.0), spectrum_meta=dict(spectrum.meta),
     )
     return LossTrajectory(losses, None, diverged_at, meta)
 
@@ -185,68 +252,21 @@ def run_noiseless(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
     return traj
 
 
-def run_se_grid(
-    spectrum: Spectrum,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    gamma: float,
-    tau1: float,
-    tau2: float,
-    steps: int,
-) -> dict:
+def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[float],
+                gamma: float, tau1: float, tau2: float, steps: int) -> dict:
     """Batched SE sweep over the (alpha, beta) product grid.
 
-    Per-cell arithmetic is identical to :func:`run_se`; diverged cells are
-    frozen at the crossing step. Returns final/min losses and divergence
-    steps as (len(alphas), len(betas)) arrays (divergence step -1 = never).
+    Every cell is bitwise the :func:`run_se` run at its (alpha, beta); a diverged
+    cell leaves the batch at its crossing step. Returns final/min losses,
+    divergence steps (-1 = never) and the moment health flags
+    ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
-    lam = spectrum.lambdas
-    pairs = [(a, b) for a in alphas for b in betas]
-    n = len(pairs)
-    a_arr = np.array([p[0] for p in pairs])[:, None]
-    b_arr = np.array([p[1] for p in pairs])[:, None]
-    a11 = 1.0 - a_arr * lam[None, :]
-    a21 = -a_arr * lam[None, :]
-    noise_scale = gamma * a_arr**2 * lam[None, :] ** 2
-    beta2 = b_arr**2
-
-    c = np.broadcast_to(spectrum.lambda_c0, (n, lam.size)).copy()
-    j = np.zeros_like(c)
-    v = np.zeros_like(c)
-    loss0 = 0.5 * spectrum.lambda_c0.sum()
-    threshold = _divergence_threshold(loss0)
-
-    final = np.full(n, loss0)
-    min_loss = np.full(n, loss0)
-    diverged = np.full(n, -1, dtype=int)
-    active = np.ones(n, dtype=bool)
-
-    for t in range(1, steps + 1):
-        c_new = a11 * (a11 * c + 2.0 * b_arr * j) + beta2 * v
-        j_new = a21 * a11 * c + b_arr * (a11 + a21) * j + beta2 * v
-        v_new = a21 * (a21 * c + 2.0 * b_arr * j) + beta2 * v
-        noise = noise_scale * (tau1 * c.sum(axis=1, keepdims=True) - tau2 * c)
-        c = c_new + noise
-        j = j_new + noise
-        v = v_new + noise
-        loss = 0.5 * c.sum(axis=1)
-        crossed = active & ~(loss <= threshold)
-        if crossed.any():
-            final[crossed] = loss[crossed]
-            diverged[crossed] = t
-            active &= ~crossed
-            c[crossed] = 0.0
-            j[crossed] = 0.0
-            v[crossed] = 0.0
-        final[active] = loss[active]
-        np.minimum(min_loss, np.where(active, loss, min_loss), out=min_loss)
-
-    shape = (len(alphas), len(betas))
-    return {
-        "final_loss": final.reshape(shape),
-        "min_loss": min_loss.reshape(shape),
-        "diverged_at": diverged.reshape(shape),
-    }
+    a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
+    b = np.tile(np.asarray(betas, dtype=float), len(alphas))
+    final, low, moment, diverged, _ = _se_cells(spectrum, a, b, gamma, tau1, tau2, steps)
+    out = {"final_loss": final, "min_loss": low, "diverged_at": diverged,
+           "min_output_moment": moment, "negative_moments": moment < 0.0}
+    return {key: x.reshape(len(alphas), len(betas)) for key, x in out.items()}
 
 
 def exact_noise_covariance(problem: FeatureProblem, c_matrix: np.ndarray) -> np.ndarray:
@@ -484,14 +504,9 @@ def run_additive_noise(spectrum: Spectrum, params: SGDParams, g_diag) -> tuple[L
             f"alpha * lambda_max = {alpha * spectrum.lambda_max:.4g} >= 2: no stationary state"
         )
 
-    a11 = 1.0 - alpha * lam  # composed as in run_se so the G = 0 case matches it exactly
-    c = spectrum.lambda_c0.copy()                  # output normalization lam * C
-    inject = alpha**2 * lam * g
-    losses = np.empty(params.steps + 1)
-    losses[0] = 0.5 * c.sum()
-    for t in range(1, params.steps + 1):
-        c = a11 * (a11 * c) + inject
-        losses[t] = 0.5 * c.sum()
+    # the noiseless SE step plus a constant injection, so G = 0 matches run_noiseless exactly
+    losses = 0.5 * _se_cells(spectrum, alpha, 0.0, 0.0, 1.0, 1.0, params.steps, stop=False,
+                             source=alpha**2 * lam * g, history=True)[4][0]
 
     l_inf = 0.5 * float(np.sum(alpha * g / (2.0 - alpha * lam)))
     meta = params.as_dict()

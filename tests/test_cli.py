@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdphaselab import GenFuncContext, ValidationError, load_spectrum_csv, stability_report
+from sgdphaselab import GenFuncContext, ValidationError, cli, load_spectrum_csv, stability_report
 from sgdphaselab.cli import main, parse_config
 from sgdphaselab.svg import heatmap_chart, loglog_chart
 
@@ -234,15 +234,18 @@ class TestExitCodes:
 
 class TestThreadCap:
     def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        args = ["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "30",
-                "--batch", "10", "--grid-alpha", "0.2:3:6", "--grid-beta", "0:0.8:4",
-                "--steps", "150"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        monkeypatch.setenv("SGDPHASELAB_THREADS", "1")
-        assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("SGDPHASELAB_THREADS", "7")
-        assert main(args + ["--out", str(out2)]) == 0
-        assert (out1 / "stability_map.csv").read_bytes() == (out2 / "stability_map.csv").read_bytes()
+        # 1000 modes, cells diverging at different steps, uneven interleaved chunks at 7 threads
+        args = ["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "1000",
+                "--batch", "10", "--grid-alpha", "0.5:4:9", "--grid-beta", "0:0.9:4",
+                "--steps", "300"]
+        maps = []
+        for threads in ("1", "2", "7"):
+            monkeypatch.setenv("SGDPHASELAB_THREADS", threads)
+            assert main(args + ["--out", str(tmp_path / threads)]) == 0
+            maps.append((tmp_path / threads / "stability_map.csv").read_bytes())
+        assert maps[0] == maps[1] == maps[2]
+        rows = [r.split(",") for r in maps[0].decode().splitlines()[1:]]
+        assert 0 < sum(r[2] == "inf" for r in rows) < len(rows)
 
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGDPHASELAB_THREADS", "lots")
@@ -250,6 +253,32 @@ class TestThreadCap:
                    "--batch", "10", "--grid-alpha", "0.2:1:3", "--grid-beta", "0:0.5:2",
                    "--steps", "50", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestStepsResolution:
+    def _grid_steps(self, monkeypatch, tmp_path, extra):
+        seen = []
+
+        def fake_grid(spectrum, alphas, betas, gamma, tau1, tau2, steps):
+            seen.append(steps)
+            shape = (len(alphas), len(betas))
+            return {"final_loss": np.ones(shape), "diverged_at": np.full(shape, -1)}
+
+        monkeypatch.setattr(cli, "run_se_grid", fake_grid)
+        out = tmp_path / "map"
+        assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "20", "--batch", "10",
+                     "--grid-alpha", "0.2:1:3", "--grid-beta", "0:0.5:2", "--out", str(out), *extra]) == 0
+        assert seen and len(set(seen)) == 1
+        return seen[0], read_manifest(out)["config"]["steps"]
+
+    def test_explicit_default_horizon_is_honored(self, monkeypatch, tmp_path):
+        assert self._grid_steps(monkeypatch, tmp_path, ["--steps", "10000"]) == (10_000, 10_000)
+
+    def test_unset_steps_resolved_per_scale(self, monkeypatch, tmp_path):
+        # the echoed config keeps the generic default, as before
+        assert self._grid_steps(monkeypatch, tmp_path, []) == (1000, 10_000)
+        assert self._grid_steps(monkeypatch, tmp_path, ["--full-scale"]) == (10_000, 10_000)
+        assert self._grid_steps(monkeypatch, tmp_path, ["--full-scale", "--steps", "500"]) == (500, 500)
 
 
 class TestSvg:

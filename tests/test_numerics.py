@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,3 +71,19 @@ class TestBisect:
     def test_xtol(self):
         root = bisect_monotone(lambda x: x - math.pi, 0.0, 10.0, xtol=1e-3)
         assert abs(root - math.pi) <= 1e-3
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(AnalysisDomainError, match="converge"):
+            bisect_monotone(lambda x: x - math.pi, 0.0, 10.0, maxiter=5)
+
+
+def test_package_has_no_assert_statements():
+    # contracts must survive python -O, which strips assert statements
+    package = Path(__file__).resolve().parents[1] / "src" / "sgdphaselab"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

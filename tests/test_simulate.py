@@ -7,11 +7,14 @@ import pytest
 from sgdphaselab import (
     AnalysisDomainError,
     FeatureProblem,
+    PowerLawSpec,
     SGDParams,
     Spectrum,
     ValidationError,
+    build_power_law,
     build_torus_problem,
     eigendecompose,
+    eval_S,
     exact_noise_covariance,
     gamma_for_batch,
     run_additive_noise,
@@ -23,6 +26,7 @@ from sgdphaselab import (
     se_fit_error,
     se_noise_diagonal,
 )
+from sgdphaselab.simulate import _se_table
 from conftest import max_rel_err, random_problem, random_spectrum
 
 
@@ -97,6 +101,41 @@ class TestRunSe:
                 traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=0.3, steps=80))
                 assert grid["final_loss"][i, j] == traj.losses[-1]
                 assert np.min(traj.losses) == grid["min_loss"][i, j]
+
+
+class TestSeKernel:
+    def test_table_determinant_is_the_analysis_cubic(self):
+        # det(I - z A_k) from the simulator's coefficient table is the S_k(z) of genfunc
+        gen = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(200):
+            alpha, beta = gen.uniform(0.01, 1.0), gen.uniform(-0.9, 0.9)
+            gamma, tau2 = gen.uniform(0.0, 1.0), gen.uniform(0.0, 1.0)
+            lam, z = gen.uniform(0.01, 2.0), gen.uniform(-1.0, 1.0)
+            table, _ = _se_table(np.array([lam]), alpha, beta, gamma, 1.0, tau2)
+            a = np.array([[float(np.broadcast_to(x, (1, 1))[0, 0]) for x in row] for row in table])
+            det = np.linalg.det(np.eye(3) - z * a)
+            worst = max(worst, abs(det - float(eval_S(alpha, beta, tau2 * gamma, lam, z))))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("gamma, tau1, betas", [(0.5, 0.1, [0.0, 0.3, 0.9]), (0.9, 0.0, [0.0])])
+    def test_grid_cells_equal_run_se_bitwise(self, gamma, tau1, betas):
+        # > 1000 modes so the pairwise summation of the coupling sum is exercised;
+        # cells leave the batch at different steps and some moments go negative
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 1200))
+        alphas = [0.2, 0.7, 1.5, 2.5, 3.5]
+        grid = run_se_grid(spec, alphas, betas, gamma, tau1, 1.0, 600)
+        steps = grid["diverged_at"][grid["diverged_at"] >= 0]
+        assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
+        assert grid["negative_moments"].any()
+        for i, a in enumerate(alphas):
+            for j, b in enumerate(betas):
+                traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=gamma, tau1=tau1, steps=600))
+                assert grid["final_loss"][i, j] == traj.losses[-1]
+                assert grid["min_loss"][i, j] == np.min(traj.losses)
+                assert grid["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
+                assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
+                assert grid["negative_moments"][i, j] == traj.metadata["negative_moments"]
 
 
 class TestRunNoiseless:
