@@ -100,11 +100,15 @@ class ExperimentConfig:
             tau1=self.tau1, tau2=self.tau2, steps=steps if steps is not None else self.steps,
         )
 
+    @property
+    def resolved_steps(self) -> int:
+        """The horizon the command runs: ``steps`` if given, else its per-command default."""
+        if self.steps is not None:
+            return self.steps
+        return 1000 if self.command == "stability-map" and not self.full_scale else _STEPS_DEFAULT
+
     def echo(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items()}
-        if d["steps"] is None:
-            d["steps"] = _STEPS_DEFAULT
-        return json_ready(d)
+        return json_ready({**self.__dict__, "steps": self.resolved_steps})
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -442,16 +446,12 @@ def _stability_grids(cfg: ExperimentConfig):
     if cfg.full_scale:
         ga = cfg.grid_alpha or (0.04, 4.0, 100)
         gb = cfg.grid_beta or (0.0, 0.98, 50)
-        steps = _STEPS_DEFAULT
     else:
         ga = cfg.grid_alpha or (0.1, 4.0, 40)
         gb = cfg.grid_beta or (0.0, 0.95, 20)
-        steps = 1000
-    if cfg.steps is not None:
-        steps = cfg.steps
     alphas = np.linspace(ga[0], ga[1], ga[2])
     betas = np.linspace(gb[0], gb[1], gb[2])
-    return alphas, betas, steps
+    return alphas, betas, cfg.resolved_steps
 
 
 def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:

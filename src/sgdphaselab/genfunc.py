@@ -156,12 +156,18 @@ def eval_U1(ctx: GenFuncContext) -> float:
 
 
 def eval_V1(ctx: GenFuncContext) -> float:
-    """V~(1): the z = 1 value of the signal generating function."""
+    """V~(1): the z = 1 value of the signal generating function.
+
+    S(1) is taken factored, ``a (a (g (1 + beta) - (1 - beta)) + 2 (1 - beta^2))`` with
+    ``a = alpha lam`` and ``g = tau gamma``: the constant terms of ``1 + c1 + c2 + c3``
+    cancel exactly, which leaves 0 on modes with ``alpha lam`` near machine epsilon.
+    """
     ctx.require_valid()
     lam = ctx.spectrum.lambdas
     lc = ctx.spectrum.lambda_c0
     beta = ctx.beta
-    s1 = eval_S(ctx.alpha, beta, ctx.tau * ctx.gamma, lam, 1.0)
+    a = ctx.alpha * lam
+    s1 = a * (a * (ctx.tau * ctx.gamma * (1.0 + beta) - (1.0 - beta)) + 2.0 * (1.0 - beta * beta))
     num = lc * (2.0 * ctx.alpha * beta * lam + beta**3 - beta**2 - beta + 1.0)
     return float(np.sum(num / s1))
 

@@ -47,6 +47,7 @@ __all__ = [
 DIVERGENCE_RATIO = 1e12   # L(t) > ratio * L(0) flags divergence
 DIVERGENCE_FLOOR = 1e300  # absolute threshold when L(0) = 0
 FULL_MOMENT_DIM_LIMIT = 256
+_MC_BLOCK = 8  # steps of uniforms a Monte-Carlo run draws at a time
 
 
 @dataclass(frozen=True)
@@ -330,14 +331,8 @@ def se_fit_error(problem: FeatureProblem, c_matrix: np.ndarray, tau1: float = 1.
     c = np.asarray(c_matrix, dtype=float)
     a = h * float(np.trace(h @ c))
     b = h @ c @ h
-    coef = {
-        "ss": float(np.sum(sigma * sigma)),
-        "sa": float(np.sum(sigma * a)),
-        "sb": float(np.sum(sigma * b)),
-        "aa": float(np.sum(a * a)),
-        "ab": float(np.sum(a * b)),
-        "bb": float(np.sum(b * b)),
-    }
+    terms = {"s": sigma, "a": a, "b": b}
+    coef = {x + y: float(np.sum(terms[x] * terms[y])) for x, y in ("ss", "sa", "sb", "aa", "ab", "bb")}
     if coef["ss"] <= 0.0:
         raise AnalysisDomainError("exact noise covariance is zero; E2 is undefined")
 
@@ -349,12 +344,8 @@ def se_fit_error(problem: FeatureProblem, c_matrix: np.ndarray, tau1: float = 1.
     return SeFitReport(direct(tau1, tau2), tau1, tau2, coef, tau2_opt, direct(1.0, tau2_opt))
 
 
-def run_full_moments(
-    problem: FeatureProblem,
-    params: SGDParams,
-    noise: str = "exact",
-    moment_observer=None,
-) -> LossTrajectory:
+def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "exact",
+                     moment_observer=None) -> LossTrajectory:
     """Exact dense dynamics of the combined second-moment matrix.
 
     ``noise="exact"`` uses the true batch-sampling covariance;
@@ -365,15 +356,11 @@ def run_full_moments(
     """
     d = problem.dim
     if d > FULL_MOMENT_DIM_LIMIT:
-        raise ValidationError(
-            f"dimension {d} exceeds the dense-path limit {FULL_MOMENT_DIM_LIMIT}"
-        )
+        raise ValidationError(f"dimension {d} exceeds the dense-path limit {FULL_MOMENT_DIM_LIMIT}")
     if noise not in ("exact", "se"):
         raise ValidationError(f"noise must be 'exact' or 'se', got {noise!r}")
     gamma = params.resolve_gamma(problem.dataset_size)
-    h = problem.hessian
-    psi = problem.features
-    n = problem.dataset_size
+    h, psi, n = problem.hessian, problem.features, problem.dataset_size
     alpha, beta = params.alpha, params.beta
     a = np.eye(d) - alpha * h
 
@@ -411,10 +398,7 @@ def run_full_moments(
             break
 
     meta = params.as_dict()
-    meta.update(
-        regime="moments", noise=noise, gamma_resolved=gamma,
-        dataset_size=n, dim=d,
-    )
+    meta.update(regime="moments", noise=noise, gamma_resolved=gamma, dataset_size=n, dim=d)
     return LossTrajectory(losses, None, diverged_at, meta)
 
 
@@ -426,50 +410,66 @@ def _philox_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _batch_masks(runs: int, n: int, b: int, steps: int, seed: int):
+    """Yield each step's (runs, N) batch mask: the b smallest of a run's N uniforms.
+
+    Each run's Philox stream is read ``_MC_BLOCK`` steps at a time, bit-identical to
+    one draw of all steps. A tie at the b-th value falls back to ``argpartition``.
+    """
+    streams = [_philox_stream(seed, r) for r in range(runs)]
+    u, mask = np.empty((runs, _MC_BLOCK, n)), np.empty((runs, _MC_BLOCK, n), dtype=bool)
+    for t in range(0, steps, _MC_BLOCK):
+        ub, mb = u[:, : steps - t], mask[:, : steps - t]
+        for g, rows in zip(streams, ub):
+            g.random(out=rows)
+        np.less_equal(ub, np.partition(ub, b - 1, axis=-1)[..., b - 1 : b], out=mb)
+        if np.count_nonzero(mb) != mb.size // n * b:
+            mb[...] = False
+            np.put_along_axis(mb, np.argpartition(ub, b - 1, axis=-1)[..., :b], True, axis=-1)
+        yield from mb.swapaxes(0, 1)
+
+
 def run_mc(problem: FeatureProblem, params: SGDParams, runs: int, seed: int) -> LossTrajectory:
     """Monte-Carlo mini-batch SGD: mean population loss and standard error.
 
-    Batches are drawn uniformly without replacement each step (the b smallest
-    of N per-run uniforms). Results are a pure function of (inputs, seed).
+    Each step's batch is drawn uniformly without replacement: the b smallest of N
+    per-run uniforms, drawn ``_MC_BLOCK`` steps at a time (:func:`_batch_masks`).
+    A step is two GEMMs, ``proj = w psi`` with the unbatched columns zeroed, then
+    ``proj psi^T / b``. Memory is O(runs (d + N) + runs _MC_BLOCK N) at any horizon;
+    results are a pure function of (inputs, seed).
     """
     if not (isinstance(runs, (int, np.integer)) and runs >= 1):
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
     if params.batch is None:
         raise ValidationError("Monte-Carlo path needs an explicit batch size")
-    n = problem.dataset_size
-    b = int(params.batch)
+    n, b = problem.dataset_size, int(params.batch)
     if b > n:
         raise ValidationError(f"batch size {b} exceeds dataset size {n}")
-    d = problem.dim
-    steps = params.steps
-    psi = problem.features
-    h = problem.hessian
+    d, steps, psi, h = problem.dim, params.steps, problem.features, problem.hessian
     alpha, beta = params.alpha, params.beta
 
-    if b == n:
-        idx = np.broadcast_to(np.arange(n), (runs, steps, n))
-    else:
-        idx = np.empty((runs, steps, b), dtype=np.intp)
-        for r in range(runs):
-            u = _philox_stream(seed, r).random((steps, n))
-            idx[r] = np.argpartition(u, b - 1, axis=1)[:, :b]
-
+    masks = _batch_masks(runs, n, b, steps, seed) if b < n else None  # full batch: no draws
     w = np.broadcast_to(problem.deviation, (runs, d)).copy()
-    v = np.zeros_like(w)
-    mean = np.empty(steps + 1)
-    err = np.empty(steps + 1)
-    loss_r = 0.5 * np.einsum("rd,de,re->r", w, h, w)
-    mean[0], err[0] = loss_r.mean(), 0.0
+    v, wh, grad, proj = np.zeros_like(w), np.empty_like(w), np.empty_like(w), np.empty((runs, n))
+
+    def loss_of(w):
+        return 0.5 * np.einsum("rd,rd->r", np.matmul(w, h, out=wh), w)
+
+    mean, err = np.empty(steps + 1), np.empty(steps + 1)
+    mean[0], err[0] = loss_of(w).mean(), 0.0
     threshold = _divergence_threshold(mean[0])
     diverged_at = None
 
     for t in range(1, steps + 1):
-        cols = psi[:, idx[:, t - 1, :]]                   # (d, runs, b)
-        proj = np.einsum("drb,rd->rb", cols, w)
-        grad = np.einsum("drb,rb->rd", cols, proj) / b    # H(B_t) w per run
-        v = beta * v - alpha * grad
-        w = w + v
-        loss_r = 0.5 * np.einsum("rd,de,re->r", w, h, w)
+        np.matmul(w, psi, out=proj)
+        if masks is not None:
+            proj *= next(masks)
+        np.matmul(proj, psi.T, out=grad)
+        grad /= b  # H(B_t) w per run
+        v *= beta
+        v -= np.multiply(alpha, grad, out=grad)
+        w += v
+        loss_r = loss_of(w)
         mean[t] = loss_r.mean()
         err[t] = loss_r.std(ddof=1) / math.sqrt(runs) if runs > 1 else 0.0
         if not (mean[t] <= threshold):

@@ -275,8 +275,8 @@ class TestStepsResolution:
         assert self._grid_steps(monkeypatch, tmp_path, ["--steps", "10000"]) == (10_000, 10_000)
 
     def test_unset_steps_resolved_per_scale(self, monkeypatch, tmp_path):
-        # the echoed config keeps the generic default, as before
-        assert self._grid_steps(monkeypatch, tmp_path, []) == (1000, 10_000)
+        # the manifest echoes the horizon the grid ran
+        assert self._grid_steps(monkeypatch, tmp_path, []) == (1000, 1000)
         assert self._grid_steps(monkeypatch, tmp_path, ["--full-scale"]) == (10_000, 10_000)
         assert self._grid_steps(monkeypatch, tmp_path, ["--full-scale", "--steps", "500"]) == (500, 500)
 

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from sgdphaselab import (
     AnalysisDomainError,
     GenFuncContext,
+    PowerLawSpec,
     SGDParams,
     Spectrum,
+    build_power_law,
     compute_UV_sequences,
     eval_S,
     eval_U1,
@@ -157,6 +161,24 @@ class TestEvalU1:
             spec = random_spectrum(rng)
             ctx = GenFuncContext(spec, 0.4, rng.uniform(-0.5, 0.8), rng.uniform(0.1, 1.0), 0.9)
             assert eval_V1(ctx) == pytest.approx(eval_UV(ctx, 1 - 1e-8).v, rel=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_v1_finite_on_steep_spectrum(self, beta):
+        # nu = 8: lambda_min ~ 4e-19, where the expanded S(1) = 1 + c1 + c2 + c3 reads 0
+        spec = build_power_law(PowerLawSpec(1.0, 8.0, 1.0, 16.0, 200, "differenced"))
+        ctx = GenFuncContext(spec, 0.2, beta, 0.1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v1 = eval_V1(ctx)
+
+        def term(lam, lc):  # the expanded S(1) in exact rational arithmetic
+            a, b, g = Fraction(ctx.alpha) * Fraction(lam), Fraction(beta), Fraction(ctx.gamma)
+            s1 = 1 + (a * a * (g - 1) + 2 * a * (b + 1) - (b * b + b + 1)) \
+                + (a * a * b * (g + 1) - 2 * a * b * (b + 1) + b * (b * b + b + 1)) - b**3
+            return Fraction(lc) * (2 * a * b + b**3 - b**2 - b + 1) / s1
+
+        exact = float(sum(term(lam, lc) for lam, lc in zip(spec.lambdas, spec.lambda_c0)))
+        assert math.isfinite(v1) and v1 == pytest.approx(exact, rel=1e-12)
 
 
 class TestLambdaCrit:

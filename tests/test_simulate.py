@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +30,9 @@ from sgdphaselab import (
     run_se_grid,
     se_fit_error,
     se_noise_diagonal,
+    simulate,
 )
-from sgdphaselab.simulate import _se_table
+from sgdphaselab.simulate import _MC_BLOCK, _se_table
 from conftest import max_rel_err, random_problem, random_spectrum
 
 
@@ -251,6 +257,99 @@ class TestRunMc:
             run_mc(prob, SGDParams(alpha=0.1, batch=2, steps=5), runs=0, seed=1)
         with pytest.raises(ValidationError):
             run_mc(prob, SGDParams(alpha=0.1, steps=5), runs=4, seed=1)
+
+
+def naive_mc(prob, p, runs, seed):
+    """Per-run reference: one (steps, N) draw per run, argpartition batches, gathered columns."""
+    psi, h, n, b = prob.features, prob.hessian, prob.dataset_size, p.batch
+    losses = np.empty((runs, p.steps + 1))
+    for r in range(runs):
+        u = simulate._philox_stream(seed, r).random((p.steps, n))
+        idx = np.argpartition(u, b - 1, axis=1)[:, :b]
+        w, v = prob.deviation.copy(), np.zeros(prob.dim)
+        losses[r, 0] = 0.5 * w @ h @ w
+        for t in range(p.steps):
+            cols = psi[:, idx[t]]
+            v = p.beta * v - p.alpha * (cols @ (cols.T @ w)) / b
+            w = w + v
+            losses[r, t + 1] = 0.5 * w @ h @ w
+    return losses.mean(axis=0), losses.std(axis=0, ddof=1) / math.sqrt(runs)
+
+
+class _TiedStream:
+    """Uniforms rounded down to quarters, so batches tie at the b-th smallest value."""
+
+    def __init__(self, seed, index):
+        self.g = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, int(index)]))
+
+    def random(self, size=None, out=None):
+        x = np.floor(4.0 * self.g.random(out.shape if out is not None else size)) / 4.0
+        if out is None:
+            return x
+        out[...] = x
+
+
+class TestMcStreaming:
+    @pytest.mark.parametrize("batch,steps", [(3, _MC_BLOCK - 1), (3, _MC_BLOCK), (3, 2 * _MC_BLOCK + 3),
+                                             (1, 2 * _MC_BLOCK + 3)])
+    def test_same_batches_as_naive_reference(self, rng, batch, steps):
+        prob = random_problem(rng, 6, 9)
+        p = SGDParams(alpha=0.1, beta=0.3, batch=batch, steps=steps)
+        mc = run_mc(prob, p, runs=20, seed=4)
+        mean, err = naive_mc(prob, p, 20, 4)
+        assert mc.losses.shape == (steps + 1,) and mc.stderr[0] == 0.0
+        assert max_rel_err(mc.losses, mean) <= 1e-12
+        assert max_rel_err(mc.stderr[1:], err[1:]) <= 1e-12
+
+    def test_full_batch_matches_naive_reference(self, rng):
+        prob = random_problem(rng, 6, 9)
+        p = SGDParams(alpha=0.1, beta=0.3, batch=9, steps=2 * _MC_BLOCK + 3)
+        mc = run_mc(prob, p, runs=20, seed=4)
+        assert max_rel_err(mc.losses, naive_mc(prob, p, 20, 4)[0]) <= 1e-12
+        assert np.all(mc.stderr <= 1e-12 * mc.losses)  # identical runs: the spread is roundoff
+
+    def test_tied_uniforms_keep_exactly_b_samples(self, rng, monkeypatch):
+        monkeypatch.setattr(simulate, "_philox_stream", _TiedStream)
+        prob = random_problem(rng, 6, 9)
+        p = SGDParams(alpha=0.1, beta=0.3, batch=3, steps=2 * _MC_BLOCK + 3)
+        mc = run_mc(prob, p, runs=20, seed=4)
+        mean, err = naive_mc(prob, p, 20, 4)
+        assert max_rel_err(mc.losses, mean) <= 1e-12
+        assert max_rel_err(mc.stderr[1:], err[1:]) <= 1e-12
+
+    def test_memory_does_not_grow_with_steps(self, rng):
+        prob = random_problem(rng, 32, 48)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_mc(prob, SGDParams(alpha=0.01, beta=0.3, batch=8, steps=steps), runs=500, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(2000)
+        assert large <= 1.2 * small, (small, large)
+
+    def test_blas_thread_count_does_not_change_results(self):
+        script = (
+            "import numpy as np\n"
+            "from sgdphaselab import FeatureProblem, SGDParams, run_mc\n"
+            "g = np.random.default_rng(5)\n"
+            "prob = FeatureProblem.create(g.normal(size=(32, 48)), np.zeros(32), g.normal(size=32))\n"
+            "mc = run_mc(prob, SGDParams(alpha=0.01, beta=0.3, batch=8, steps=60), runs=1000, seed=9)\n"
+            "print((mc.losses.tobytes() + mc.stderr.tobytes()).hex())\n"
+        )
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            outs.append(np.frombuffer(bytes.fromhex(done.stdout.strip())).reshape(2, -1))
+        assert np.array_equal(outs[0][0], outs[1][0])
+        assert np.array_equal(outs[0][1], outs[1][1])
 
 
 class TestExactNoise:
