@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,20 +46,20 @@ from .spectrum import (
     load_spectrum_csv,
 )
 
-_STEPS_DEFAULT = 10_000  # stability-map resolves its own horizon when --steps is not given
 COMMANDS = ("simulate", "stability-map", "asymptotics", "divergence", "phase-diagram", "fit", "se-error")
 REGIMES = ("se", "noiseless", "mc", "moments")
 
-_DEFAULTS = dict(
-    Lambda=1.0, K=1.0, modes=200, c0_mode="differenced",
-    alpha=0.5, beta=0.0, tau1=1.0, tau2=1.0, steps=None, runs=1000, seed=0,
-    regime="se", out="out", tail_start=None, kernel_scale=0.35, plot=False,
-    full_scale=False, grid_alpha=None, grid_beta=None, batch_list=None,
-)
+
+def _key(default, **argparse_kwargs):
+    """A config key's default; the kwargs (help, metavar, choices) go to its flag."""
+    return field(default=default, metadata=argparse_kwargs)
 
 
 @dataclass
 class ExperimentConfig:
+    """Every CLI key: ``--flag`` is the name with ``_`` as ``-``, and a config
+    file sets the same name. The type picks the parser (``_PARSERS``)."""
+
     command: str
     # problem source (exactly one)
     nu: float | None = None
@@ -67,11 +67,11 @@ class ExperimentConfig:
     Lambda: float = 1.0
     K: float = 1.0
     modes: int = 200
-    c0_mode: str = "differenced"
-    csv: str | None = None
-    torus: int | None = None
+    c0_mode: str = _key("differenced", choices=("differenced", "pointwise"))
+    csv: str | None = _key(None, help="spectrum CSV path (k,lambda,lambda_c)")
+    torus: int | None = _key(None, metavar="N", help="1-D torus grid size")
     kernel_scale: float = 0.35
-    random_features: tuple[int, int] | None = None
+    random_features: tuple[int, int] | None = _key(None, metavar="d,N")
     # SGD parameters
     alpha: float = 0.5
     beta: float = 0.0
@@ -80,61 +80,73 @@ class ExperimentConfig:
     dataset_size: float | None = None
     tau1: float = 1.0
     tau2: float = 1.0
-    steps: int | None = None
+    steps: int | None = None  # None until parse_config resolves the command's horizon
     runs: int = 1000
     seed: int = 0
-    regime: str = "se"
+    regime: str = _key("se", help="comma list of: " + ",".join(REGIMES))
     # sweep grids
-    grid_alpha: tuple[float, float, int] | None = None
-    grid_beta: tuple[float, float, int] | None = None
-    batch_list: list[int] | None = None
+    grid_alpha: tuple[float, float, int] | None = _key(None, metavar="lo:hi:n")
+    grid_beta: tuple[float, float, int] | None = _key(None, metavar="lo:hi:n")
+    batch_list: list[int] | None = _key(None, metavar="b1,b2,...")
     full_scale: bool = False
     # output
-    out: str = "out"
+    out: str = _key("out", help="output directory")
     plot: bool = False
     tail_start: int | None = None
 
-    def sgd_params(self, steps: int | None = None) -> SGDParams:
+    def sgd_params(self) -> SGDParams:
         return SGDParams(
             alpha=self.alpha, beta=self.beta, gamma=self.gamma, batch=self.batch,
-            tau1=self.tau1, tau2=self.tau2, steps=steps if steps is not None else self.steps,
+            tau1=self.tau1, tau2=self.tau2, steps=self.steps,
         )
 
-    @property
-    def resolved_steps(self) -> int:
-        """The horizon the command runs: ``steps`` if given, else its per-command default."""
-        if self.steps is not None:
-            return self.steps
-        return 1000 if self.command == "stability-map" and not self.full_scale else _STEPS_DEFAULT
-
     def echo(self) -> dict:
-        return json_ready({**self.__dict__, "steps": self.resolved_steps})
+        return json_ready(self.__dict__)
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValidationError(f"grid spec {text!r} is not of the form lo:hi:n")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ValidationError(f"grid spec {text!r} has non-numeric parts") from None
+        raise ValueError("grid spec is not of the form lo:hi:n")
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1 or hi < lo:
-        raise ValidationError(f"grid spec {text!r} needs hi >= lo and n >= 1")
+        raise ValueError("grid spec needs hi >= lo and n >= 1")
     return lo, hi, n
 
 
-_CONFIG_KEYS = {
-    "command", "nu", "kappa", "Lambda", "K", "modes", "c0_mode", "csv", "torus",
-    "kernel_scale", "random_features", "alpha", "beta", "gamma", "batch",
-    "dataset_size", "tau1", "tau2", "steps", "runs", "seed", "regime",
-    "grid_alpha", "grid_beta", "batch_list", "full_scale", "out", "plot", "tail_start",
+def _parse_dims(text: str) -> tuple[int, int]:
+    d, n = (int(x) for x in text.split(","))
+    return d, n
+
+
+def _parse_ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+# field type (without "| None") -> parser of the string a flag or a config file gives
+_PARSERS = {
+    "float": float, "int": int, "str": str, "bool": _parse_bool,
+    "tuple[float, float, int]": _parse_grid, "tuple[int, int]": _parse_dims, "list[int]": _parse_ints,
 }
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _read_config_file(path: str) -> dict:
+def _parse_value(key: str, text: str):
+    try:
+        return _PARSERS[_FIELDS[key].type.removesuffix(" | None")](text)
+    except ValueError as exc:
+        raise ValidationError(f"bad value {text!r} for {key}: {exc}") from None
+
+
+def _read_config_file(path: str) -> dict[str, str]:
     """Flat key = value file, a TOML-compatible subset: no sections, no nesting."""
-    values: dict = {}
+    values: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -148,111 +160,54 @@ def _read_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
         if val.startswith('"') and val.endswith('"') and len(val) >= 2:
-            values[key] = val[1:-1]
-        elif val.lower() in ("true", "false"):
-            values[key] = val.lower() == "true"
-        else:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                try:
-                    values[key] = float(val)
-                except ValueError:
-                    values[key] = val
+            val = val[1:-1]
+        values[key] = val
     return values
 
 
 def _build_argparser() -> argparse.ArgumentParser:
+    # flags keep their strings (absent ones stay out of the namespace) for _parse_value
     p = argparse.ArgumentParser(
         prog="sgdphaselab",
         description="Mini-batch SGD with momentum on quadratic problems: simulate and analyze.",
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("command", nargs="?", choices=COMMANDS)
+    p.add_argument("command", nargs="?", choices=COMMANDS, default=None)
     p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--nu", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--Lambda", type=float, dest="Lambda")
-    p.add_argument("--K", type=float, dest="K")
-    p.add_argument("--modes", type=int)
-    p.add_argument("--c0-mode", choices=("differenced", "pointwise"), dest="c0_mode")
-    p.add_argument("--csv", help="spectrum CSV path (k,lambda,lambda_c)")
-    p.add_argument("--torus", type=int, metavar="N", help="1-D torus grid size")
-    p.add_argument("--kernel-scale", type=float, dest="kernel_scale")
-    p.add_argument("--random-features", metavar="d,N", dest="random_features")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--dataset-size", type=float, dest="dataset_size")
-    p.add_argument("--tau1", type=float)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--regime", help="comma list of: " + ",".join(REGIMES))
-    p.add_argument("--grid-alpha", dest="grid_alpha", metavar="lo:hi:n")
-    p.add_argument("--grid-beta", dest="grid_beta", metavar="lo:hi:n")
-    p.add_argument("--batch-list", dest="batch_list", metavar="b1,b2,...")
-    p.add_argument("--full-scale", action="store_true", dest="full_scale", default=None)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--plot", action="store_true", default=None)
-    p.add_argument("--tail-start", type=int, dest="tail_start")
+    for f in fields(ExperimentConfig)[1:]:  # [0] is the positional command
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_const", const="true", **f.metadata)
+        else:
+            p.add_argument(flag, **f.metadata)
     return p
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Merge flags over an optional config file into a validated ExperimentConfig."""
-    ns = _build_argparser().parse_args(argv)
-    merged: dict = dict(_DEFAULTS)
-    if ns.config:
-        merged.update(_read_config_file(ns.config))
-    for key in _CONFIG_KEYS - {"command"}:
-        val = getattr(ns, key, None)
-        if val is not None:
-            merged[key] = val
-    command = ns.command or merged.get("command")
+    given = vars(_build_argparser().parse_args(argv))
+    texts = _read_config_file(given.pop("config")) if "config" in given else {}
+    texts.update((key, text) for key, text in given.items() if text is not None)
+    command = texts.pop("command", None)
     if command not in COMMANDS:
         raise ValidationError(f"missing or unknown command {command!r}; choose from {COMMANDS}")
-    merged.pop("command", None)
-    if merged["steps"] is None and command != "stability-map":
-        merged["steps"] = _STEPS_DEFAULT
-
-    if isinstance(merged.get("grid_alpha"), str):
-        merged["grid_alpha"] = _parse_grid(merged["grid_alpha"])
-    if isinstance(merged.get("grid_beta"), str):
-        merged["grid_beta"] = _parse_grid(merged["grid_beta"])
-    if isinstance(merged.get("random_features"), str):
-        try:
-            d, n = (int(x) for x in merged["random_features"].split(","))
-        except ValueError:
-            raise ValidationError(
-                f"--random-features wants 'd,N', got {merged['random_features']!r}"
-            ) from None
-        merged["random_features"] = (d, n)
-    if isinstance(merged.get("batch_list"), str):
-        try:
-            merged["batch_list"] = [int(x) for x in merged["batch_list"].split(",")]
-        except ValueError:
-            raise ValidationError(f"--batch-list wants integers, got {merged['batch_list']!r}") from None
-
-    cfg = ExperimentConfig(command=command, **merged)
+    values = {key: _parse_value(key, text) for key, text in texts.items()}
+    if "steps" not in values:
+        reduced_map = command == "stability-map" and not values.get("full_scale", False)
+        values["steps"] = 1000 if reduced_map else 10_000
+    cfg = ExperimentConfig(command=command, **values)
 
     sources = [cfg.nu is not None or cfg.kappa is not None, cfg.csv is not None,
                cfg.torus is not None, cfg.random_features is not None]
     if sum(sources) > 1:
         raise ValidationError("conflicting problem sources: give exactly one of "
                               "power-law (--nu/--kappa), --csv, --torus, --random-features")
-    if not (-1.0 < cfg.beta < 1.0):
-        raise ValidationError(f"beta = {cfg.beta} out of range: beta must lie in (-1, 1)")
-    if cfg.alpha <= 0:
-        raise ValidationError(f"alpha = {cfg.alpha} out of range: alpha must be positive")
-    if cfg.gamma is not None and not (0.0 <= cfg.gamma <= 1.0):
-        raise ValidationError(f"gamma = {cfg.gamma} out of range: gamma must lie in [0, 1]")
-    if (cfg.steps is not None and cfg.steps < 1) or cfg.runs < 1 or cfg.modes < 2:
-        raise ValidationError("steps, runs and modes must be positive (modes >= 2)")
+    cfg.sgd_params()  # SGDParams rejects alpha, beta, gamma, batch, taus and steps out of range
+    if cfg.runs < 1 or cfg.modes < 2:
+        raise ValidationError("runs and modes must be positive (modes >= 2)")
     for r in cfg.regime.split(","):
         if r not in REGIMES:
             raise ValidationError(f"unknown regime {r!r}; choose from {REGIMES}")
@@ -308,9 +263,9 @@ def _feature_problem_for(cfg: ExperimentConfig) -> FeatureProblem:
     raise ValidationError("this command needs an explicit feature problem: --torus or --random-features")
 
 
-def _resolved_gamma(cfg: ExperimentConfig, spectrum: Spectrum, steps: int | None = None) -> float:
+def _resolved_gamma(cfg: ExperimentConfig, spectrum: Spectrum) -> float:
     n = cfg.dataset_size if cfg.dataset_size is not None else spectrum.dataset_size
-    return cfg.sgd_params(steps).resolve_gamma(n)
+    return cfg.sgd_params().resolve_gamma(n)
 
 
 def _thread_count() -> int:
@@ -451,20 +406,20 @@ def _stability_grids(cfg: ExperimentConfig):
         gb = cfg.grid_beta or (0.0, 0.95, 20)
     alphas = np.linspace(ga[0], ga[1], ga[2])
     betas = np.linspace(gb[0], gb[1], gb[2])
-    return alphas, betas, cfg.resolved_steps
+    return alphas, betas
 
 
 def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
     spectrum = _spectrum_from_config(cfg)
-    alphas, betas, steps = _stability_grids(cfg)
-    gamma = _resolved_gamma(cfg, spectrum, steps)
+    alphas, betas = _stability_grids(cfg)
+    gamma = _resolved_gamma(cfg, spectrum)
 
     # interleaved alpha rows: diverging (large-alpha) cells leave every thread's batch alike
     workers = min(_thread_count(), alphas.size)
     chunks = [np.arange(k, alphas.size, workers) for k in range(workers)]
 
     def sweep(idx):
-        return run_se_grid(spectrum, alphas[idx], betas, gamma, cfg.tau1, cfg.tau2, steps)
+        return run_se_grid(spectrum, alphas[idx], betas, gamma, cfg.tau1, cfg.tau2, cfg.steps)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -531,8 +486,7 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
     except AnalysisDomainError as exc:
         report["blowup"] = {"not_applicable": str(exc)}
 
-    steps = cfg.steps
-    traj = run_se(spectrum, cfg.sgd_params(steps).with_(gamma=gamma, batch=None))
+    traj = run_se(spectrum, cfg.sgd_params().with_(gamma=gamma, batch=None))
     traj.save_csv(em.path("trajectory_se.csv"))
     em.write_json("trajectory_se.meta.json", _trajectory_sidecar(cfg, traj, spectrum))
     em.write_json("divergence_report.json", report)

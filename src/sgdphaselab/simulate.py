@@ -360,7 +360,7 @@ def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "e
     if noise not in ("exact", "se"):
         raise ValidationError(f"noise must be 'exact' or 'se', got {noise!r}")
     gamma = params.resolve_gamma(problem.dataset_size)
-    h, psi, n = problem.hessian, problem.features, problem.dataset_size
+    h, n = problem.hessian, problem.dataset_size
     alpha, beta = params.alpha, params.beta
     a = np.eye(d) - alpha * h
 
@@ -374,11 +374,11 @@ def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "e
 
     for t in range(1, params.steps + 1):
         if noise == "exact":
-            q = np.einsum("ij,ij->j", psi, c @ psi)
-            sigma = (psi * q) @ psi.T / n - h @ c @ h
+            sigma = exact_noise_covariance(problem, c)
         else:
             sigma = params.tau1 * h * float(np.sum(h * c)) - params.tau2 * h @ c @ h
-        sigma = gamma * alpha**2 * 0.5 * (sigma + sigma.T)
+            sigma = 0.5 * (sigma + sigma.T)
+        sigma = gamma * alpha**2 * sigma
         ac = a @ c
         aj = a @ j
         c_new = ac @ a.T + beta * (aj + aj.T) + beta**2 * v

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -63,6 +64,59 @@ class TestParseConfig:
     def test_missing_command(self):
         with pytest.raises(ValidationError, match="command"):
             parse_config(["--nu", "1.5"])
+
+    def test_numeric_config_string_stays_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("command = fit\nnu = 1.5\nkappa = 3\nmodes = 16\nout = 2024\n")
+        assert main(["--config", "exp.cfg"]) == 0
+        assert (tmp_path / "2024" / "manifest.json").exists()
+
+    def test_numeric_config_csv_is_a_file_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("command = fit\ncsv = 0\n")
+        assert main(["--config", "exp.cfg", "--out", "o"]) == 2
+        assert "cannot read spectrum file 0" in capsys.readouterr().err
+
+    def test_config_switch_must_be_true_or_false(self, tmp_path, capsys):
+        f = tmp_path / "exp.cfg"
+        f.write_text('command = stability-map\nnu = 1.5\nkappa = 3\nfull_scale = "no"\n')
+        assert main(["--config", str(f), "--out", str(tmp_path / "o")]) == 2
+        assert "full_scale" in capsys.readouterr().err
+
+    def test_config_float_key_given_as_integer(self, tmp_path):
+        f = tmp_path / "exp.cfg"
+        f.write_text("command = simulate\nalpha = 1\n")
+        alpha = parse_config(["--config", str(f)]).alpha
+        assert alpha == 1.0 and type(alpha) is float
+
+
+# a non-default value for every key, as text; float and str keys get numeric-looking
+# text, which a parser that guesses the type from the text gets wrong; None marks a switch
+KEY_SAMPLES = {
+    "command": "fit", "nu": "2", "kappa": "3", "Lambda": "2", "K": "3", "modes": "64",
+    "c0_mode": "pointwise", "csv": "0", "torus": "16", "kernel_scale": "1",
+    "random_features": "8,12", "alpha": "1", "beta": "0.5", "gamma": "1", "batch": "4",
+    "dataset_size": "100", "tau1": "2", "tau2": "2", "steps": "50", "runs": "10", "seed": "3",
+    "regime": "mc,se", "grid_alpha": "0.1:2:5", "grid_beta": "0:0.5:3", "batch_list": "4,8",
+    "full_scale": None, "out": "2024", "plot": None, "tail_start": "7",
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(cli.ExperimentConfig)])
+def test_flag_and_config_file_give_equal_configs(key, tmp_path):
+    text = KEY_SAMPLES[key]
+    f = tmp_path / "exp.cfg"
+    f.write_text(f"{key} = {'true' if text is None else text}\n")
+    if key == "command":
+        by_flag, by_file = parse_config([text]), parse_config(["--config", str(f)])
+    else:
+        flag = ["--" + key.replace("_", "-")] + ([] if text is None else [text])
+        by_flag = parse_config(["simulate", *flag])
+        by_file = parse_config(["simulate", "--config", str(f)])
+        default = parse_config(["simulate"])
+        assert getattr(by_flag, key) != getattr(default, key)
+    assert by_flag == by_file
+    assert type(getattr(by_flag, key)) is type(getattr(by_file, key))
 
 
 SIM_ARGS = ["simulate", "--nu", "1.5", "--kappa", "3", "--alpha", "0.4", "--batch", "10",
@@ -198,6 +252,8 @@ class TestExitCodes:
             ["simulate", "--csv", str(tmp_path / "missing.csv")],
             ["simulate", "--nu", "1.5", "--kappa", "3", "--regime", "nope"],
             ["fit", "--nu", "1.5", "--kappa", "3", "--modes", "10", "--tail-start", "9"],
+            ["phase-diagram", "--alpha", "nan"],
+            ["phase-diagram", "--alpha", "inf"],
         ]
         for argv in bad_inputs:
             assert main(argv + ["--out", str(tmp_path / "x")]) == 2
