@@ -17,10 +17,12 @@ Exit codes: 0 success, 2 validation error, 3 analysis-domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +39,7 @@ from .simulate import SGDParams, run_full_moments, run_mc, run_noiseless, run_se
 from .serialize import json_ready
 from .spectrum import (
     FeatureProblem,
+    PowerLawFit,
     PowerLawSpec,
     Spectrum,
     build_power_law,
@@ -135,6 +138,7 @@ _PARSERS = {
     "tuple[float, float, int]": _parse_grid, "tuple[int, int]": _parse_dims, "list[int]": _parse_ints,
 }
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_VALUE_FLAGS = {"--" + name.replace("_", "-") for name, f in _FIELDS.items() if f.type != "bool"}
 
 
 def _parse_value(key: str, text: str):
@@ -188,6 +192,10 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Merge flags over an optional config file into a validated ExperimentConfig."""
+    argv = list(argv)  # argparse takes "-0.5:0.9:4" or "-1e-3" for a flag: glue it on with "="
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _VALUE_FLAGS and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     given = vars(_build_argparser().parse_args(argv))
     texts = _read_config_file(given.pop("config")) if "config" in given else {}
     texts.update((key, text) for key, text in given.items() if text is not None)
@@ -288,6 +296,7 @@ class _Emitter:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
+        self.created = not out_dir.exists()
         out_dir.mkdir(parents=True, exist_ok=True)
         if not os.access(out_dir, os.W_OK):
             raise ValidationError(f"output directory {out_dir} is not writable")
@@ -307,10 +316,11 @@ class _Emitter:
 
     def cleanup(self) -> None:
         for p in self.paths:
-            try:
+            with contextlib.suppress(OSError):
                 p.unlink()
-            except OSError:
-                pass
+        if self.created:
+            with contextlib.suppress(OSError):
+                self.out_dir.rmdir()  # fails, and keeps the directory, unless it is empty
 
     def manifest(self, cfg: ExperimentConfig, wall_time: float) -> Path:
         files = []
@@ -398,15 +408,8 @@ def _simulate_batch_sweep(cfg: ExperimentConfig, em: _Emitter, spectrum: Spectru
 
 
 def _stability_grids(cfg: ExperimentConfig):
-    if cfg.full_scale:
-        ga = cfg.grid_alpha or (0.04, 4.0, 100)
-        gb = cfg.grid_beta or (0.0, 0.98, 50)
-    else:
-        ga = cfg.grid_alpha or (0.1, 4.0, 40)
-        gb = cfg.grid_beta or (0.0, 0.95, 20)
-    alphas = np.linspace(ga[0], ga[1], ga[2])
-    betas = np.linspace(gb[0], gb[1], gb[2])
-    return alphas, betas
+    ga, gb = ((0.04, 4.0, 100), (0.0, 0.98, 50)) if cfg.full_scale else ((0.1, 4.0, 40), (0.0, 0.95, 20))
+    return np.linspace(*(cfg.grid_alpha or ga)), np.linspace(*(cfg.grid_beta or gb))
 
 
 def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
@@ -460,11 +463,7 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
 
 
 def _csv_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
+    return repr(float(x))  # "nan", "inf" and "-inf" for the non-finite values
 
 
 def _fit_for(cfg: ExperimentConfig, spectrum: Spectrum):
@@ -558,12 +557,10 @@ def _cmd_phase_diagram(cfg: ExperimentConfig, em: _Emitter) -> None:
             elif phase is PhaseLabel.NOISE_DOMINATED:
                 exponent = 1.0 / nu - 2.0
             if phase in (PhaseLabel.SIGNAL_DOMINATED, PhaseLabel.NOISE_DOMINATED):
-                from .spectrum import PowerLawFit
-
                 spec = build_power_law(
                     PowerLawSpec(cfg.Lambda, nu, cfg.K, zeta * nu, cfg.modes, cfg.c0_mode)
                 )
-                ctx = GenFuncContext(spec, cfg.alpha, cfg.beta, cfg.gamma or 0.1, cfg.tau2)
+                ctx = GenFuncContext(spec, cfg.alpha, cfg.beta, 0.1 if cfg.gamma is None else cfg.gamma, cfg.tau2)
                 if not ctx.violations() and eval_U1(ctx) < 1.0:
                     # the spectrum is an exact power law, so its exponents are known
                     fit = PowerLawFit(cfg.Lambda, nu, cfg.K, zeta * nu, 1, 0.0, 0.0)

@@ -47,7 +47,7 @@ __all__ = [
 DIVERGENCE_RATIO = 1e12   # L(t) > ratio * L(0) flags divergence
 DIVERGENCE_FLOOR = 1e300  # absolute threshold when L(0) = 0
 FULL_MOMENT_DIM_LIMIT = 256
-_MC_BLOCK = 8  # steps of uniforms a Monte-Carlo run draws at a time
+_MC_BLOCK = 8  # Monte-Carlo steps whose batches one Philox stream draws
 
 
 @dataclass(frozen=True)
@@ -403,40 +403,43 @@ def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "e
 
 
 def _philox_stream(seed: int, index: int) -> np.random.Generator:
-    # Counter-based substreams: the user seed is the Philox key, the run index
+    # Counter-based substreams: the user seed is the Philox key, the block index
     # sits in the top counter word, so streams never overlap and dispatch
-    # order (or thread count) cannot change any run's draws.
+    # order (or thread count) cannot change any block's draws.
     bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, int(index)])
     return np.random.Generator(bitgen)
 
 
 def _batch_masks(runs: int, n: int, b: int, steps: int, seed: int):
-    """Yield each step's (runs, N) batch mask: the b smallest of a run's N uniforms.
+    """Yield each step's (runs, N) batch mask: a uniform b-subset per run (Floyd's algorithm).
 
-    Each run's Philox stream is read ``_MC_BLOCK`` steps at a time, bit-identical to
-    one draw of all steps. A tie at the b-th value falls back to ``argpartition``.
+    Block k of ``_MC_BLOCK`` steps reads ``_philox_stream(seed, k)`` for all its rows at
+    once: for j in N-m .. N-1 a row draws x in [0, j] and takes j if x is taken. m is
+    min(b, N - b): for b > N/2 the mask of the N - b samples left out is inverted.
+    Every block draws all its rows, so a shorter horizon is a prefix of a longer one.
     """
-    streams = [_philox_stream(seed, r) for r in range(runs)]
-    u, mask = np.empty((runs, _MC_BLOCK, n)), np.empty((runs, _MC_BLOCK, n), dtype=bool)
-    for t in range(0, steps, _MC_BLOCK):
-        ub, mb = u[:, : steps - t], mask[:, : steps - t]
-        for g, rows in zip(streams, ub):
-            g.random(out=rows)
-        np.less_equal(ub, np.partition(ub, b - 1, axis=-1)[..., b - 1 : b], out=mb)
-        if np.count_nonzero(mb) != mb.size // n * b:
-            mb[...] = False
-            np.put_along_axis(mb, np.argpartition(ub, b - 1, axis=-1)[..., :b], True, axis=-1)
-        yield from mb.swapaxes(0, 1)
+    m, mask = min(b, n - b), np.empty((_MC_BLOCK, runs, n), dtype=bool)
+    flat, rows = mask.reshape(-1, n), np.arange(_MC_BLOCK * runs)
+    for k, t in enumerate(range(0, steps, _MC_BLOCK)):
+        g = _philox_stream(seed, k)
+        flat[...] = False
+        for j in range(n - m, n):
+            x = g.integers(0, j + 1, size=len(rows))
+            x[flat[rows, x]] = j
+            flat[rows, x] = True
+        if m < b:
+            np.logical_not(mask, out=mask)
+        yield from mask[: steps - t]
 
 
 def run_mc(problem: FeatureProblem, params: SGDParams, runs: int, seed: int) -> LossTrajectory:
     """Monte-Carlo mini-batch SGD: mean population loss and standard error.
 
-    Each step's batch is drawn uniformly without replacement: the b smallest of N
-    per-run uniforms, drawn ``_MC_BLOCK`` steps at a time (:func:`_batch_masks`).
-    A step is two GEMMs, ``proj = w psi`` with the unbatched columns zeroed, then
-    ``proj psi^T / b``. Memory is O(runs (d + N) + runs _MC_BLOCK N) at any horizon;
-    results are a pure function of (inputs, seed).
+    Each step's batch is uniform without replacement; one Philox stream draws
+    ``_MC_BLOCK`` steps of all runs (:func:`_batch_masks`), so run r's batches depend on
+    ``runs`` too. A step is two GEMMs, ``proj = w psi`` with the unbatched columns
+    zeroed, then ``proj psi^T / b``. Memory is O(runs (d + N) + runs _MC_BLOCK N) at any
+    horizon; results are a pure function of (inputs, runs, seed).
     """
     if not (isinstance(runs, (int, np.integer)) and runs >= 1):
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")

@@ -41,6 +41,21 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(["stability-map", "--nu", "1", "--kappa", "2", "--grid-alpha", "1:2"])
 
+    @pytest.mark.parametrize("flag", ["--grid-alpha", "--grid-beta"])
+    def test_negative_grid_with_or_without_equals(self, flag):
+        key = flag[2:].replace("-", "_")
+        for argv in ([flag, "-0.5:0.9:4"], [flag + "=-0.5:0.9:4"], [flag, "-.5:0.9:4", "--plot"]):
+            cfg = parse_config(["stability-map", "--nu", "1.5", "--kappa", "3"] + argv)
+            assert getattr(cfg, key) == (-0.5, 0.9, 4), argv
+        assert parse_config(["simulate", "--beta", "-5e-1"]).beta == -0.5
+
+    def test_negative_beta_grid_runs(self, tmp_path):
+        out = tmp_path / "neg"
+        assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "20", "--steps", "50",
+                     "--batch", "10", "--grid-alpha", "0.1:1:3", "--grid-beta", "-0.5:0.5:3",
+                     "--out", str(out)]) == 0
+        assert read_manifest(out)["config"]["grid_beta"] == [-0.5, 0.5, 3]
+
     def test_config_file_and_flag_override(self, tmp_path):
         f = tmp_path / "exp.cfg"
         f.write_text(
@@ -244,6 +259,16 @@ class TestRunCommands:
                 "immediate_divergence"} <= labels
 
 
+    def test_phase_diagram_honors_gamma_zero(self, tmp_path):
+        def table(*gamma):
+            out = tmp_path / f"phase{gamma}"
+            assert main(["phase-diagram", "--alpha", "0.2", "--modes", "32", *gamma, "--out", str(out)]) == 0
+            return (out / "phase_diagram.csv").read_text()
+
+        assert table("--gamma", "0.1") == table()  # unset gamma defaults to 0.1
+        assert table("--gamma", "0") != table("--gamma", "0.1")
+
+
 class TestExitCodes:
     def test_validation_errors_exit_2(self, tmp_path):
         bad_inputs = [
@@ -270,6 +295,16 @@ class TestExitCodes:
         assert rc == 3
         assert not (out / "manifest.json").exists()
         assert list(out.glob("*.csv")) == []
+
+    def test_failed_run_removes_the_out_dir_it_created(self, tmp_path):
+        cfg = tmp_path / "bogus.cfg"  # only PowerLawSpec checks c0_mode, after --out is made
+        cfg.write_text("command = simulate\nnu = 1.5\nkappa = 3\nc0_mode = bogus\n")
+        out, kept = tmp_path / "new" / "out", tmp_path / "kept"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        kept.mkdir()
+        assert main(["--config", str(cfg), "--out", str(kept)]) == 2
+        assert kept.is_dir()  # a directory the run did not create stays
 
     def test_fuzzed_config_keys_exit_2(self, tmp_path):
         rng = np.random.default_rng(77)

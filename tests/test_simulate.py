@@ -259,39 +259,53 @@ class TestRunMc:
             run_mc(prob, SGDParams(alpha=0.1, steps=5), runs=4, seed=1)
 
 
+def naive_batches(n, b, runs, steps, seed):
+    """Per-block reference: Floyd's algorithm row by row in plain Python on each block's draws.
+
+    Row ``s * runs + r`` of block k is step ``k K + s`` of run r; ``batches[t][r]`` lists its samples.
+    """
+    m, rows = min(b, n - b), _MC_BLOCK * runs
+    batches = [[None] * runs for _ in range(steps)]
+    for k in range(-(-steps // _MC_BLOCK)):
+        g = simulate._philox_stream(seed, k)
+        draws = [(j, g.integers(0, j + 1, size=rows)) for j in range(n - m, n)]
+        for row in range(rows):
+            chosen = set()
+            for j, x in draws:
+                chosen.add(j if int(x[row]) in chosen else int(x[row]))
+            t, r = k * _MC_BLOCK + row // runs, row % runs
+            if t < steps:
+                batches[t][r] = sorted(chosen if m == b else set(range(n)) - chosen)
+    return batches
+
+
 def naive_mc(prob, p, runs, seed):
-    """Per-run reference: one (steps, N) draw per run, argpartition batches, gathered columns."""
+    """Per-run reference on the batches of :func:`naive_batches`, with gathered columns."""
     psi, h, n, b = prob.features, prob.hessian, prob.dataset_size, p.batch
+    batches = naive_batches(n, b, runs, p.steps, seed)
     losses = np.empty((runs, p.steps + 1))
     for r in range(runs):
-        u = simulate._philox_stream(seed, r).random((p.steps, n))
-        idx = np.argpartition(u, b - 1, axis=1)[:, :b]
         w, v = prob.deviation.copy(), np.zeros(prob.dim)
         losses[r, 0] = 0.5 * w @ h @ w
         for t in range(p.steps):
-            cols = psi[:, idx[t]]
+            cols = psi[:, batches[t][r]]
             v = p.beta * v - p.alpha * (cols @ (cols.T @ w)) / b
             w = w + v
             losses[r, t + 1] = 0.5 * w @ h @ w
     return losses.mean(axis=0), losses.std(axis=0, ddof=1) / math.sqrt(runs)
 
 
-class _TiedStream:
-    """Uniforms rounded down to quarters, so batches tie at the b-th smallest value."""
-
-    def __init__(self, seed, index):
-        self.g = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, int(index)]))
-
-    def random(self, size=None, out=None):
-        x = np.floor(4.0 * self.g.random(out.shape if out is not None else size)) / 4.0
-        if out is None:
-            return x
-        out[...] = x
+def _chi2_z(stat, df):
+    """Wilson-Hilferty normal score of a chi-square statistic with df degrees of freedom."""
+    c = 2.0 / (9.0 * df)
+    return ((stat / df) ** (1.0 / 3.0) - (1.0 - c)) / math.sqrt(c)
 
 
 class TestMcStreaming:
+    # N = 9: b in {1, 3} draws the batch, b in {5, 8} draws the samples left out
     @pytest.mark.parametrize("batch,steps", [(3, _MC_BLOCK - 1), (3, _MC_BLOCK), (3, 2 * _MC_BLOCK + 3),
-                                             (1, 2 * _MC_BLOCK + 3)])
+                                             (1, 2 * _MC_BLOCK + 3), (5, 2 * _MC_BLOCK + 3),
+                                             (8, 2 * _MC_BLOCK + 3)])
     def test_same_batches_as_naive_reference(self, rng, batch, steps):
         prob = random_problem(rng, 6, 9)
         p = SGDParams(alpha=0.1, beta=0.3, batch=batch, steps=steps)
@@ -308,14 +322,34 @@ class TestMcStreaming:
         assert max_rel_err(mc.losses, naive_mc(prob, p, 20, 4)[0]) <= 1e-12
         assert np.all(mc.stderr <= 1e-12 * mc.losses)  # identical runs: the spread is roundoff
 
-    def test_tied_uniforms_keep_exactly_b_samples(self, rng, monkeypatch):
-        monkeypatch.setattr(simulate, "_philox_stream", _TiedStream)
+    def test_every_batch_holds_exactly_b_samples(self):
+        gen = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(gen.integers(1, 41))
+            b, runs, steps = int(gen.integers(1, n + 1)), int(gen.integers(1, 13)), int(gen.integers(1, 30))
+            masks = [m.copy() for m in simulate._batch_masks(runs, n, b, steps, int(gen.integers(1000)))]
+            assert len(masks) == steps and all(m.shape == (runs, n) for m in masks)
+            assert np.all(np.count_nonzero(masks, axis=-1) == b), (n, b)
+
+    @pytest.mark.parametrize("n,b", [(7, 3), (6, 5), (6, 2), (5, 1), (9, 4), (8, 6)])
+    def test_batches_are_uniform_subsets(self, n, b):
+        # chi-square of the subset counts against C(N, b) equally likely subsets
+        masks = np.array([m.copy() for m in simulate._batch_masks(250, n, b, 60, seed=n * 10 + b)])
+        codes = masks.reshape(-1, n) @ (1 << np.arange(n))
+        _, counts = np.unique(codes, return_counts=True)
+        cells = math.comb(n, b)
+        assert len(counts) == cells
+        expected = codes.size / cells
+        stat = float(np.sum((counts - expected) ** 2) / expected)
+        assert _chi2_z(stat, cells - 1) <= 3.7, stat
+
+    def test_shorter_horizon_is_a_prefix(self, rng):
         prob = random_problem(rng, 6, 9)
         p = SGDParams(alpha=0.1, beta=0.3, batch=3, steps=2 * _MC_BLOCK + 3)
-        mc = run_mc(prob, p, runs=20, seed=4)
-        mean, err = naive_mc(prob, p, 20, 4)
-        assert max_rel_err(mc.losses, mean) <= 1e-12
-        assert max_rel_err(mc.stderr[1:], err[1:]) <= 1e-12
+        short = run_mc(prob, p, runs=20, seed=4)
+        long = run_mc(prob, p.with_(steps=5 * _MC_BLOCK + 1), runs=20, seed=4)
+        assert np.array_equal(long.losses[: p.steps + 1], short.losses)
+        assert np.array_equal(long.stderr[: p.steps + 1], short.stderr)
 
     def test_memory_does_not_grow_with_steps(self, rng):
         prob = random_problem(rng, 32, 48)
