@@ -296,7 +296,7 @@ class _Emitter:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
-        self.created = not out_dir.exists()
+        self.created = sum(not d.exists() for d in (out_dir, *out_dir.parents))  # levels mkdir makes
         out_dir.mkdir(parents=True, exist_ok=True)
         if not os.access(out_dir, os.W_OK):
             raise ValidationError(f"output directory {out_dir} is not writable")
@@ -318,9 +318,9 @@ class _Emitter:
         for p in self.paths:
             with contextlib.suppress(OSError):
                 p.unlink()
-        if self.created:
-            with contextlib.suppress(OSError):
-                self.out_dir.rmdir()  # fails, and keeps the directory, unless it is empty
+        with contextlib.suppress(OSError):  # stops at the first directory that is not empty
+            for d in (self.out_dir, *self.out_dir.parents)[: self.created]:
+                d.rmdir()
 
     def manifest(self, cfg: ExperimentConfig, wall_time: float) -> Path:
         files = []

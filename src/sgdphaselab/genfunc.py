@@ -117,18 +117,17 @@ def eval_UV(ctx: GenFuncContext, z: float) -> UVValues:
     return _eval_uv_unchecked(ctx, z)
 
 
-def _eval_uv_unchecked(ctx: GenFuncContext, z: float) -> UVValues:
-    lam = ctx.spectrum.lambdas
-    lc = ctx.spectrum.lambda_c0
+def _eval_uv_unchecked(ctx: GenFuncContext, z: float, u_only: bool = False) -> UVValues | float:
+    lam, lc = ctx.spectrum.lambdas, ctx.spectrum.lambda_c0
     alpha, beta = ctx.alpha, ctx.beta
-    g = ctx.tau * ctx.gamma
-    c1, c2, c3 = _s_coefficients(alpha, beta, g, lam)
+    c1, c2, c3 = _s_coefficients(alpha, beta, ctx.tau * ctx.gamma, lam)
     s = 1.0 + z * (c1 + z * (c2 + z * c3))
-    ds = c1 + z * (2.0 * c2 + z * 3.0 * c3)
-
     nu_u = ctx.gamma * alpha**2 * lam**2 * (beta * z + 1.0)
-    dnu_u = ctx.gamma * alpha**2 * lam**2 * beta
     u = float(np.sum(nu_u / s))
+    if u_only:
+        return u
+    ds = c1 + z * (2.0 * c2 + z * 3.0 * c3)
+    dnu_u = ctx.gamma * alpha**2 * lam**2 * beta
     du = float(np.sum((dnu_u * s - nu_u * ds) / s**2))
 
     v1 = 2.0 * alpha * beta * lam - beta**2 - beta
@@ -301,7 +300,8 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
     """Locate the radius r_L < 1 from z U~(z) = 1 and the divergence rate.
 
     ``z U~(z)`` is monotone increasing on (0, 1), from 0 to U~(1) > 1, so the
-    root is bracketed and bisection runs to float exhaustion.
+    root is bracketed and bisection runs to float exhaustion on U~ alone (the
+    expressions of :func:`eval_UV`); V~ and the derivatives are taken at the root only.
     """
     ctx.require_valid()
     u1 = eval_U1(ctx)
@@ -309,7 +309,7 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
         raise AnalysisDomainError(f"U~(1) = {u1:.6g} <= 1: dynamics is not divergent")
 
     def g(z: float) -> float:
-        return z * _eval_uv_unchecked(ctx, z).u - 1.0
+        return z * _eval_uv_unchecked(ctx, z, u_only=True) - 1.0
 
     r = bisect_monotone(g, 1e-300, np.nextafter(1.0, 0.0))
     uv = _eval_uv_unchecked(ctx, r)

@@ -129,75 +129,72 @@ def _divergence_threshold(loss0: float) -> float:
 
 
 def _se_table(lam, alpha, beta, gamma, tau1, tau2):
-    """The per-mode 3x3 map A_k on the output moments (C, J, V) with the self-noise
-    folded in, and the coupling column ``r = tau1 gamma alpha^2 lam^2`` (None if 0).
-
-    Rows ``(a11^2 - q, 2 beta a11, beta^2)``, ``(a11 a21 - q, beta (a11 + a21), beta^2)``
-    and ``(a21^2 - q, 2 beta a21, beta^2)``, with ``a11 = 1 - alpha lam``, ``a21 = -alpha lam``
-    and ``q = tau2 gamma alpha^2 lam^2``; ``det(I - z A_k)`` is the cubic S_k(z) of the
-    generating functions. Per-cell ``alpha``, ``beta`` broadcast entries to (cells, modes).
+    """Per-mode coefficients of one SE step and the coupling ``r = tau1 gamma a^2`` (None if 0),
+    with ``a = alpha lam`` and ``q = tau2 gamma a^2``: ``(m11,)``, ``m11 = (1 - a)^2 - q``, if
+    beta = 0 in every cell, else ``(a, beta, beta^2, -2 a beta, a^2 - q)``. Both give A_k with rows
+    ``((1-a)^2 - q, 2 beta (1-a), beta^2)``, ``(a^2 - a - q, beta (1-2a), beta^2)`` and
+    ``(a^2 - q, -2 a beta, beta^2)``, whose ``det(I - z A_k)`` is genfunc's cubic S_k(z). Per-cell
+    ``alpha``, ``beta`` broadcast to (cells, modes); no array is a view of an argument, as the
+    kernel compacts them in place.
     """
-    alpha = np.reshape(np.asarray(alpha, dtype=float), (-1, 1))
-    beta = np.reshape(np.asarray(beta, dtype=float), (-1, 1))
-    al = alpha * lam
-    a11, a21 = 1.0 - al, -al
-    q = (tau2 * gamma) * (al * al)
-    b2 = beta * beta
-    r = (tau1 * gamma) * (al * al) if tau1 * gamma != 0.0 else None
-    return ((a11 * a11 - q, 2.0 * beta * a11, b2),
-            (a11 * a21 - q, beta * (a11 + a21), b2),
-            (a21 * a21 - q, 2.0 * beta * a21, b2)), r
+    a = np.reshape(np.asarray(alpha, dtype=float), (-1, 1)) * lam
+    beta = np.array(beta, dtype=float).reshape(-1, 1)
+    q = (tau2 * gamma) * (a * a)
+    r = (tau1 * gamma) * (a * a) if tau1 * gamma != 0.0 else None
+    if not beta.any():
+        return ((1.0 - a) * (1.0 - a) - q,), r
+    return (a, beta, beta * beta, -2.0 * beta * a, a * a - q), r
 
 
 def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=False):
     """Advance independent SE recursions held as (cells, modes) arrays, in place.
 
-    One step is ``(C, J, V) <- A_k (C, J, V) + r_k S + source_k`` per mode, the last
-    two terms added to all three moments; ``S = sum_k C_k`` is the one scalar that
-    couples a cell's modes. With zero momentum in every cell, J and V are never
-    touched. Every step records each cell's smallest moment; with a ``threshold``,
-    a cell whose loss crosses it is recorded and leaves the batch. Returns per
-    cell: the final loss (at the crossing step if any), the lowest loss before any
-    crossing, the lowest moment (0 if none was negative), the crossing step (-1 =
-    never) and, with ``history``, the (cells, steps + 1) sums S.
+    A step is ``(C, J, V) <- A_k (C, J, V) + w`` with ``w = r_k S`` (``source_k`` if r is None)
+    and ``S = sum_k C_k``. A ``(m11,)`` table steps C alone; otherwise the step is in velocity
+    form, 13 passes over two scratch buffers: ``h = beta J - a C``, ``V <- beta^2 V + w -
+    2 a beta J + (a^2 - q) C``, ``J <- h + V``, ``C <- C + h + J``. The lowest loss and moment
+    run on the live rows; a ``(m11,)`` run with m11, r, source and C >= 0 skips the moment, as
+    sums of non-negative products stay >= 0. A cell whose loss crosses ``threshold`` leaves the
+    batch. Returns per cell: the final loss (at the crossing if any), the lowest loss before it,
+    the lowest moment (0 if none < 0), the crossing step (-1 = never) and, with ``history``,
+    the (cells, steps + 1) sums S.
     """
-    (m11, m12, b2), (m21, m22, _), (m31, m32, _) = table
-    coef = [m11, m12, m21, m22, m31, m32, b2, r]
-    fast = not (np.any(m12) or np.any(b2))
+    fast, coef = len(table) == 1, [*table, r]
     cell = np.arange(c.shape[0])  # original index of each live row
     s = c.sum(axis=1)
     loss = 0.5 * s
-    final, low, moment, diverged = loss.copy(), loss.copy(), c.min(axis=1, initial=0.0), np.full(cell.size, -1)
+    live = np.stack([loss, c.min(axis=1, initial=0.0)], axis=1)  # lowest loss and moment so far
+    final, diverged, out = loss.copy(), np.full(cell.size, -1), live.copy()
+    track = not (fast and all(x is None or np.all(x >= 0.0) for x in (table[0], r, source, c)))
     sums = np.full((cell.size, steps + 1), s[:, None]) if history else None
-    t1, t2, t3 = (np.empty_like(c) for _ in range(3))
+    t1, t2 = np.empty_like(c), np.empty_like(c)
     for t in range(1, steps + 1):
-        m11, m12, m21, m22, m31, m32, b2, r = coef
-        w = source if r is None else np.multiply(r, s[:, None], out=t1)
-        if r is not None and source is not None:
-            w += source
+        w = source if coef[-1] is None else np.multiply(coef[-1], s[:, None], out=t1)
         if fast:
-            np.multiply(m11, c, out=c)
+            np.multiply(coef[0], c, out=c)
             if w is not None:
                 c += w
         else:
-            np.multiply(b2, v, out=v)  # v holds the part all three rows share
+            a, beta, b2, m2, m1 = coef[:5]
+            v *= b2
             if w is not None:
                 v += w
-            for row, ma, mb in ((t1, m11, m12), (t2, m21, m22)):
-                np.multiply(ma, c, out=row)
-                row += np.multiply(mb, j, out=t3)
-                row += v
-            v += np.multiply(m31, c, out=t3)
-            v += np.multiply(m32, j, out=t3)
-            c, t1, j, t2 = t1, c, t2, j
+            h = np.multiply(beta, j, out=t2)
+            h -= np.multiply(a, c, out=t1)
+            v += np.multiply(m2, j, out=t1)
+            v += np.multiply(m1, c, out=t1)
+            np.add(h, v, out=j)
+            c += h
+            c += j
         s = c.sum(axis=1)
         loss = 0.5 * s
-        moment[cell] = np.minimum(moment[cell], c.min(axis=1))
+        if track:
+            np.minimum(live[:, 1], c.min(axis=1), out=live[:, 1])
         if history:
             sums[cell, t] = s
-        crossed = None if threshold is None else ~(loss <= threshold)
-        if crossed is not None and crossed.any():
-            final[cell[crossed]], diverged[cell[crossed]] = loss[crossed], t
+        if threshold is not None and not (loss.max() <= threshold):  # one reduction; NaN crosses
+            crossed = ~(loss <= threshold)
+            final[cell[crossed]], diverged[cell[crossed]], out[cell[crossed]] = loss[crossed], t, live[crossed]
             keep = np.flatnonzero(~crossed)
             cell, s, loss = cell[keep], s[keep], loss[keep]
 
@@ -207,19 +204,19 @@ def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=Fa
                 x[: keep.size] = x[keep]
                 return x[: keep.size]
 
-            c, j, v, *coef = (shrink(x) for x in (c, j, v, *coef))
-            t1, t2, t3 = t1[: keep.size], t2[: keep.size], t3[: keep.size]
+            c, j, v, live, *coef = (shrink(x) for x in (c, j, v, live, *coef))
+            t1, t2 = t1[: keep.size], t2[: keep.size]
             if not keep.size:
                 break
-        low[cell] = np.minimum(low[cell], loss)
-    final[cell] = loss
-    return final, low, moment, diverged, sums
+        np.minimum(live[:, 0], loss, out=live[:, 0])
+    final[cell], out[cell] = loss, live
+    return final, out[:, 0], out[:, 1], diverged, sums
 
 
 def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, stop=True, **kw):
     """Run the (alpha[i], beta[i]) cells from the spectrum's initial state."""
     table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
-    c = np.tile(spectrum.lambda_c0, (table[0][0].shape[0], 1))
+    c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
     threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum())) if stop else None
     return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, **kw)
 
@@ -257,14 +254,17 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
                 gamma: float, tau1: float, tau2: float, steps: int) -> dict:
     """Batched SE sweep over the (alpha, beta) product grid.
 
-    Every cell is bitwise the :func:`run_se` run at its (alpha, beta); a diverged
-    cell leaves the batch at its crossing step. Returns final/min losses,
-    divergence steps (-1 = never) and the moment health flags
-    ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
+    The beta = 0 cells and the others run as two kernel batches, so each cell is bitwise its
+    :func:`run_se` run; a diverged cell leaves its batch at its crossing step. Returns final/min
+    losses, divergence steps (-1 = never) and the moment flags ``min_output_moment`` /
+    ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
-    final, low, moment, diverged, _ = _se_cells(spectrum, a, b, gamma, tau1, tau2, steps)
+    zero = b == 0.0
+    runs = [_se_cells(spectrum, a[m], b[m], gamma, tau1, tau2, steps)[:4] for m in (zero, ~zero) if m.any()]
+    order = np.argsort(np.argsort(~zero, kind="stable"))  # from batch order back to grid order
+    final, low, moment, diverged = (np.concatenate(x)[order] for x in zip(*runs))
     out = {"final_loss": final, "min_loss": low, "diverged_at": diverged,
            "min_output_moment": moment, "negative_moments": moment < 0.0}
     return {key: x.reshape(len(alphas), len(betas)) for key, x in out.items()}

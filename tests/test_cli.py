@@ -301,10 +301,12 @@ class TestExitCodes:
         cfg.write_text("command = simulate\nnu = 1.5\nkappa = 3\nc0_mode = bogus\n")
         out, kept = tmp_path / "new" / "out", tmp_path / "kept"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+        assert not (tmp_path / "new").exists()  # the empty parents it made go too
         kept.mkdir()
         assert main(["--config", str(cfg), "--out", str(kept)]) == 2
         assert kept.is_dir()  # a directory the run did not create stays
+        assert main(["--config", str(cfg), "--out", str(kept / "a" / "b")]) == 2
+        assert kept.is_dir() and not (kept / "a").exists()  # an existing parent stays
 
     def test_fuzzed_config_keys_exit_2(self, tmp_path):
         rng = np.random.default_rng(77)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgdphaselab import (
@@ -335,6 +335,29 @@ class TestReconstructLoss:
         a = reconstruct_loss(ctx, 200)
         b = run_se(spec, params)
         assert max_rel_err(a.losses, b.losses) <= 1e-10
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        modes=st.integers(3, 12),
+        frac=st.floats(0.02, 0.98),
+        beta=st.floats(-0.9, 0.95),
+        gamma=st.floats(0.0, 1.0),
+        tau2=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_simulator_anywhere_in_domain(self, seed, modes, frac, beta, gamma, tau2):
+        # the uncoupled kernel plus the convolution against the coupled kernel, at tau1 = 1.
+        # The convolution loses all accuracy on 1-2 mode spectra and where a mode's
+        # self-noise outweighs its contraction, (1 - alpha lam)^2 < tau2 gamma (alpha lam)^2:
+        # there it strays from an extended-precision recursion while run_se does not.
+        spec = random_spectrum(np.random.default_rng(seed), modes)
+        alpha = frac * 2.0 * (1.0 + beta) / spec.lambda_max
+        al = alpha * spec.lambdas
+        assume(np.all((1.0 - al) ** 2 >= tau2 * gamma * al * al))
+        a = reconstruct_loss(GenFuncContext(spec, alpha, beta, gamma, tau2), 150)
+        b = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau2, steps=150))
+        n = min(len(a.losses), len(b.losses))
+        assert max_rel_err(a.losses[:n], b.losses[:n]) <= 1e-10
 
     def test_zero_gamma_is_pure_signal(self, rng):
         spec = random_spectrum(rng, 10)

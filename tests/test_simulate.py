@@ -32,7 +32,7 @@ from sgdphaselab import (
     se_noise_diagonal,
     simulate,
 )
-from sgdphaselab.simulate import _MC_BLOCK, _se_table
+from sgdphaselab.simulate import _MC_BLOCK, _se_kernel, _se_table
 from conftest import max_rel_err, random_problem, random_spectrum
 
 
@@ -111,7 +111,8 @@ class TestRunSe:
 
 class TestSeKernel:
     def test_table_determinant_is_the_analysis_cubic(self):
-        # det(I - z A_k) from the simulator's coefficient table is the S_k(z) of genfunc
+        # det(I - z A_k) is the S_k(z) of genfunc, with A_k read off one kernel step
+        # from the unit states (C, J, V) = e_1, e_2, e_3 held as three cells
         gen = np.random.default_rng(11)
         worst = 0.0
         for _ in range(200):
@@ -119,7 +120,9 @@ class TestSeKernel:
             gamma, tau2 = gen.uniform(0.0, 1.0), gen.uniform(0.0, 1.0)
             lam, z = gen.uniform(0.01, 2.0), gen.uniform(-1.0, 1.0)
             table, _ = _se_table(np.array([lam]), alpha, beta, gamma, 1.0, tau2)
-            a = np.array([[float(np.broadcast_to(x, (1, 1))[0, 0]) for x in row] for row in table])
+            c, j, v = (col[:, None].copy() for col in np.eye(3).T)
+            _se_kernel(table, None, c, j, v, 1)
+            a = np.hstack([c, j, v]).T
             det = np.linalg.det(np.eye(3) - z * a)
             worst = max(worst, abs(det - float(eval_S(alpha, beta, tau2 * gamma, lam, z))))
         assert worst <= 1e-13
@@ -142,6 +145,51 @@ class TestSeKernel:
                 assert grid["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
                 assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
                 assert grid["negative_moments"][i, j] == traj.metadata["negative_moments"]
+
+    @pytest.mark.parametrize("beta", [-0.4, 0.9, 0.98])
+    def test_agrees_with_extended_precision_recursion(self, beta):
+        # a rewrite of the step that loses accuracy on slow modes fails this: in lag
+        # coordinates (E x_t^2, E x_t x_{t-1}, E x_{t-1}^2) the error here is 7e-12 at
+        # beta = 0.9 and 4e-10 at beta = 0.98; the velocity form stays below 1e-14
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
+        alpha, gamma, tau1, tau2, steps = 0.5 * (1.0 - beta), 0.5, 1.0, 0.8, 3000
+        ld = np.longdouble
+        a = ld(alpha) * spec.lambdas.astype(ld)
+        q, r, b = ld(tau2 * gamma) * a * a, ld(tau1 * gamma) * a * a, ld(beta)
+        b2 = np.full_like(a, b * b)
+        rows = np.array([[(1 - a) ** 2 - q, 2 * b * (1 - a), b2],
+                         [-a * (1 - a) - q, b * (1 - 2 * a), b2],
+                         [a * a - q, -2 * a * b, b2]])
+        state = np.zeros((3, len(spec)), dtype=ld)
+        state[0] = spec.lambda_c0
+        ref = [state[0].sum() / 2]
+        for _ in range(steps):
+            state = (rows * state).sum(axis=1) + r * state[0].sum()
+            ref.append(state[0].sum() / 2)
+        traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau1=tau1, tau2=tau2, steps=steps))
+        assert traj.diverged_at is None
+        assert float(np.max(np.abs(traj.losses - np.array(ref)) / np.array(ref))) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, gamma, tau1, negative", [
+        (0.9, 1.0, 0.3, True),    # m11 < 0 on the top modes, tau1 < tau2
+        (0.5, 0.5, -0.2, True),   # r < 0
+        (1.5, 0.5, 1.0, False),   # m11 < 0, yet no moment goes negative
+        (0.5, 0.5, 0.2, False),   # every coefficient >= 0: the per-step minimum is skipped
+        (0.5, 0.5, 1.0, False),
+    ])
+    def test_zero_momentum_moment_minimum(self, alpha, gamma, tau1, negative):
+        # the beta = 0 step c <- m11 c + r S, written out: run_se must report its exact minimum
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 50))
+        traj = run_se(spec, SGDParams(alpha=alpha, gamma=gamma, tau1=tau1, steps=300))
+        a = alpha * spec.lambdas
+        m11, r = (1.0 - a) * (1.0 - a) - gamma * (a * a), (tau1 * gamma) * (a * a)
+        c, low = spec.lambda_c0, 0.0
+        for _ in range(300):
+            c = m11 * c + r * c.sum()
+            low = min(low, c.min())
+        assert traj.diverged_at is None
+        assert traj.metadata["min_output_moment"] == low
+        assert traj.metadata["negative_moments"] == negative == (low < 0.0)
 
 
 class TestRunNoiseless:
