@@ -417,6 +417,16 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
     alphas, betas = _stability_grids(cfg)
     gamma = _resolved_gamma(cfg, spectrum)
 
+    u1 = np.full((alphas.size, betas.size), math.nan)
+    boundary = np.empty(betas.size)
+    for j, beta in enumerate(betas):
+        rep = stability_report(_analysis_context(cfg, spectrum, alphas[0], beta, gamma))
+        boundary[j] = rep.alpha_eff_critical * (1.0 - beta) if rep.valid else math.nan
+        for i, alpha in enumerate(alphas):
+            ctx = _analysis_context(cfg, spectrum, alpha, beta, gamma)
+            if not ctx.violations():
+                u1[i, j] = eval_U1(ctx)
+
     # interleaved alpha rows: diverging (large-alpha) cells leave every thread's batch alike
     workers = min(_thread_count(), alphas.size)
     chunks = [np.arange(k, alphas.size, workers) for k in range(workers)]
@@ -433,16 +443,6 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
     diverged = np.empty((alphas.size, betas.size), dtype=int)
     for idx, part in zip(chunks, parts):
         final[idx], diverged[idx] = part["final_loss"], part["diverged_at"]
-
-    u1 = np.full((alphas.size, betas.size), math.nan)
-    boundary = np.empty(betas.size)
-    for j, beta in enumerate(betas):
-        rep = stability_report(GenFuncContext(spectrum, float(alphas[0]), float(beta), gamma, cfg.tau2))
-        boundary[j] = rep.alpha_eff_critical * (1.0 - beta) if rep.valid else math.nan
-        for i, alpha in enumerate(alphas):
-            ctx = GenFuncContext(spectrum, float(alpha), float(beta), gamma, cfg.tau2)
-            if not ctx.violations():
-                u1[i, j] = eval_U1(ctx)
 
     lines = ["alpha,beta,final_loss,predicted_U1,predicted_boundary"]
     for i, alpha in enumerate(alphas):
@@ -462,6 +462,13 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
         ))
 
 
+def _analysis_context(cfg: ExperimentConfig, spectrum: Spectrum, alpha, beta, gamma: float) -> GenFuncContext:
+    """A command's analysis point: genfunc takes tau2 as its tau and fixes tau1 = 1."""
+    if cfg.tau1 != 1.0:
+        raise AnalysisDomainError(f"tau1 = {cfg.tau1!r}: the generating-function analysis needs tau1 = 1")
+    return GenFuncContext(spectrum, float(alpha), float(beta), gamma, cfg.tau2)
+
+
 def _csv_float(x: float) -> str:
     return repr(float(x))  # "nan", "inf" and "-inf" for the non-finite values
 
@@ -474,7 +481,7 @@ def _fit_for(cfg: ExperimentConfig, spectrum: Spectrum):
 def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
     spectrum = _spectrum_from_config(cfg)
     gamma = _resolved_gamma(cfg, spectrum)
-    ctx = GenFuncContext(spectrum, cfg.alpha, cfg.beta, gamma, cfg.tau2)
+    ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, gamma)
     div = solve_divergence(ctx)
     report = div.as_dict()
     fit = _fit_for(cfg, spectrum)
@@ -508,7 +515,7 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
 def _cmd_asymptotics(cfg: ExperimentConfig, em: _Emitter) -> None:
     spectrum = _spectrum_from_config(cfg)
     gamma = _resolved_gamma(cfg, spectrum)
-    ctx = GenFuncContext(spectrum, cfg.alpha, cfg.beta, gamma, cfg.tau2)
+    ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, gamma)
     fit = _fit_for(cfg, spectrum)
     report = loss_asymptote(ctx, fit)
     doc = report.as_dict()
@@ -560,7 +567,7 @@ def _cmd_phase_diagram(cfg: ExperimentConfig, em: _Emitter) -> None:
                 spec = build_power_law(
                     PowerLawSpec(cfg.Lambda, nu, cfg.K, zeta * nu, cfg.modes, cfg.c0_mode)
                 )
-                ctx = GenFuncContext(spec, cfg.alpha, cfg.beta, 0.1 if cfg.gamma is None else cfg.gamma, cfg.tau2)
+                ctx = _analysis_context(cfg, spec, cfg.alpha, cfg.beta, 0.1 if cfg.gamma is None else cfg.gamma)
                 if not ctx.violations() and eval_U1(ctx) < 1.0:
                     # the spectrum is an exact power law, so its exponents are known
                     fit = PowerLawFit(cfg.Lambda, nu, cfg.K, zeta * nu, 1, 0.0, 0.0)

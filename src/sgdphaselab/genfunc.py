@@ -27,6 +27,12 @@ from .serialize import json_ready
 from .simulate import LossTrajectory, _divergence_threshold, _se_kernel, _se_table
 from .spectrum import Spectrum
 
+_UV_BLOCK = 32  # generating-function coefficients (a power of 2) per GEMM in compute_UV_sequences
+_UV_CHAINS = 8  # consecutive blocks (a power of 2) whose states advance together there
+# modes per chunk there: rows (3B doubles a mode), states (12K) and the scratch of
+# double-double squaring fit 512 KB, well inside a core's L2 cache
+_UV_CHUNK = (1 << 19) // (8 * (3 * _UV_BLOCK + 12 * _UV_CHAINS + 130))
+
 __all__ = [
     "GenFuncContext",
     "StabilityReport",
@@ -321,20 +327,98 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
 def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
     """The coefficient sequences U_1..U_T and V_1..V_T of the generating functions.
 
-    Runs the SE kernel with its rank-one coupling switched off on two cells,
-    the noise seed ``lambda^2 * ones(2, 2)`` and the signal seed
-    ``lambda C_0 * E11``; partial sums of ``U_{t+1} z^t`` converge to U~(z)
-    (geometric tail), which the tests exploit.
+    Both sum ``e_1^T A_k^t x_k`` over the modes' uncoupled SE maps A_k, from the noise seed
+    ``lambda^2 (1, 1, 1)`` and the signal seed ``(lambda C_0, 0, 0)``; partial sums of
+    ``U_{t+1} z^t`` converge to U~(z) (geometric tail), which the tests exploit. A block of
+    ``_UV_BLOCK`` = B coefficients is one GEMM of the rows ``e_1^T A_k^j`` (j < B) against
+    the block-start states, which powers of A_k then advance. Modes run in chunks of about
+    512 KB of working set at any horizon, their partial sums added in mode order. A run whose
+    noise stays below rounding, ``gamma (alpha lambda_max)^2 T <= 1e-16``, steps the SE kernel
+    instead: V_t then shares run_se's rounding near the loss's oscillation minima, where two
+    independent evaluations can differ by 3e-9 of the loss.
     """
     ctx.require_valid()
     if horizon < 1:
         raise AnalysisDomainError(f"horizon must be >= 1, got {horizon}")
     lam = ctx.spectrum.lambdas
-    seed, zero = lam * lam, np.zeros_like(lam)
-    sums = _se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
-                      np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),
-                      np.stack([seed, zero]), horizon - 1, history=True)[4]
+    if ctx.gamma * (ctx.alpha * ctx.spectrum.lambda_max) ** 2 * horizon <= 1e-16:
+        seed, zero = lam * lam, np.zeros_like(lam)
+        sums = _se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
+                          np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),
+                          np.stack([seed, zero]), horizon - 1, history=True)[4]
+    else:
+        sums = np.zeros((2, horizon))
+        for lo in range(0, lam.size, _UV_CHUNK):
+            _uv_chunk(ctx, lam[lo : lo + _UV_CHUNK], ctx.spectrum.lambda_c0[lo : lo + _UV_CHUNK], sums)
     return ctx.gamma * ctx.alpha**2 * sums[0], sums[1]
+
+
+def _uv_step(ctx: GenFuncContext, lam: np.ndarray):
+    """A_k as a double-double pair (hi, lo) of (3, 3, modes) arrays: the exact sums that the
+    velocity-form step of :func:`~sgdphaselab.simulate._se_kernel` makes of the coefficients of
+    ``_se_table`` (the rows it documents). At beta = 0 only column 0 is nonzero, so C evolves
+    alone by ``1 - 2a + a^2 - q``, the kernel's ``m11`` before its rounding."""
+    a, beta = ctx.alpha * lam, np.full_like(lam, ctx.beta)
+    m1, m2, b2 = a * a - (ctx.tau * ctx.gamma) * (a * a), -2.0 * beta * a, beta * beta
+    hi, lo = np.zeros((3, 3, lam.size)), np.zeros((3, 3, lam.size))
+    terms = [[(1.0, m1, -2.0 * a), (2.0 * beta, m2), (b2,)],
+             [(m1, -a), (beta, m2), (b2,)],
+             [(m1,), (m2,), (b2,)]]
+    for i, j in np.ndindex(3, 3):
+        hi[i, j] = terms[i][j][0]
+        for term in terms[i][j][1:]:
+            hi[i, j], err = _two_sum(hi[i, j], term)
+            lo[i, j] += err
+    return hi, lo
+
+
+def _two_sum(a, b):
+    """``a + b`` as the rounded sum and its exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _dd_square(hi: np.ndarray, lo: np.ndarray):
+    """``(hi + lo)^2`` of stacked (3, 3, modes) matrices in double-double arithmetic."""
+    split = hi * 134217729.0  # Dekker: hi = big + small, halves of 26 bits, so big * big is exact
+    big = split - (split - hi)
+    small = hi - big
+    p = hi[:, :, None] * hi[None]  # (i, l, j, mode): p + e is the exact product
+    e = ((big[:, :, None] * big[None] - p) + big[:, :, None] * small[None] + small[:, :, None] * big[None])
+    e = (e + small[:, :, None] * small[None]).sum(axis=1)
+    e += np.einsum("ilk,ljk->ijk", hi, lo) + np.einsum("ilk,ljk->ijk", lo, hi)
+    s, err = _two_sum(p[:, 0], p[:, 1])
+    s, err2 = _two_sum(s, p[:, 2])
+    return _two_sum(s, e + err + err2)
+
+
+def _uv_chunk(ctx: GenFuncContext, lam: np.ndarray, lc: np.ndarray, sums: np.ndarray) -> None:
+    """Add one chunk of modes' terms to the (2, horizon) noise and signal ``sums``.
+
+    A^n comes by squaring A_k in double-double arithmetic: slow modes' entries lie near 1 and
+    near-edge modes' powers pass through transients far above themselves, so rounded products
+    would bias every block alike. Each A^n, rounded once, doubles the rows ``e_1^T A^j`` (j < B),
+    then the states of ``_UV_CHAINS`` = K consecutive blocks, which advance together by A^{KB}.
+    """
+    hi, lo = _uv_step(ctx, lam)
+    rows, x = np.zeros((_UV_BLOCK, 3, lam.size)), np.zeros((_UV_CHAINS, 2, 3, lam.size))
+    rows[0], x[0, 0], x[0, 1, 0] = np.eye(3)[0][:, None], lam * lam, lc  # x: (block, seed, moment, mode)
+    levels = (min(sums.shape[1], _UV_BLOCK * _UV_CHAINS) - 1).bit_length()  # only powers this horizon uses
+    for k in range(levels):  # hi + lo = A^n, n = 2^k
+        n, c = 1 << k, (1 << k) // _UV_BLOCK
+        if n < _UV_BLOCK:
+            rows[n : 2 * n] = np.einsum("bik,ijk->bjk", rows[:n], hi)
+        else:
+            x[c : 2 * c] = np.einsum("ilk,bclk->bcik", hi, x[:c])
+        hi, lo = _dd_square(hi, lo)
+    flat, span = rows.reshape(_UV_BLOCK, -1), _UV_CHAINS * _UV_BLOCK
+    for t in range(0, sums.shape[1], span):
+        n = min(span, sums.shape[1] - t)
+        out = (x.reshape(2 * _UV_CHAINS, -1) @ flat.T).reshape(_UV_CHAINS, 2, _UV_BLOCK)
+        sums[:, t : t + n] += out.transpose(1, 0, 2).reshape(2, span)[:, :n]
+        if t + n < sums.shape[1]:
+            x = np.einsum("ilk,bclk->bcik", hi, x)  # advance by A^{KB}
 
 
 def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
@@ -343,18 +427,21 @@ def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
     L(T) = V_{T+1}/2 + sum_{t=1..T} U_{T+1-t} L(t-1).
 
     O(T^2) overall; an oracle for :func:`run_se` at tau1 = 1: it shares the per-mode
-    table, but the rank-one noise coupling enters only through the convolution.
+    table, but the rank-one noise coupling enters only through the convolution. It holds to
+    1e-10 on 3+ modes with every ``(1 - alpha lam)^2 >= tau gamma (alpha lam)^2``; elsewhere
+    the uncoupled terms can outlast the coupled loss, and their rounding outgrow it.
     """
     ctx.require_valid()
     if horizon < 0:
         raise AnalysisDomainError(f"horizon must be >= 0, got {horizon}")
     u_seq, v_seq = compute_UV_sequences(ctx, horizon + 1)
+    u_rev = u_seq[::-1].copy()  # U_n .. U_1 is the contiguous tail u_rev[horizon + 1 - n:]
     losses = np.empty(horizon + 1)
     losses[0] = 0.5 * v_seq[0]
     threshold = _divergence_threshold(losses[0])
     diverged_at = None
     for n in range(1, horizon + 1):
-        losses[n] = 0.5 * v_seq[n] + float(np.dot(u_seq[:n][::-1], losses[:n]))
+        losses[n] = 0.5 * v_seq[n] + float(np.dot(u_rev[horizon + 1 - n :], losses[:n]))
         if not (losses[n] <= threshold):
             diverged_at = n
             losses = losses[: n + 1]

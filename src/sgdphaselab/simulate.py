@@ -12,9 +12,11 @@ The SE recursion evolves the per-mode moments (C, J, V) of the heavy-ball
 iterate and its momentum in output-space normalization (states are
 ``lambda_k C_kk`` etc.), which keeps small-eigenvalue modes well-scaled and
 matches the spectrum's stored ``lambda_c0`` directly. One batched kernel
-(:func:`_se_kernel`) runs it for :func:`run_se`, :func:`run_se_grid`,
-:func:`run_additive_noise` and the generating-function coefficients: a
-per-mode 3x3 map plus a rank-one coupling through one scalar per cell.
+(:func:`_se_kernel`) runs it for :func:`run_se`, :func:`run_se_grid` and
+:func:`run_additive_noise`: a per-mode 3x3 map plus a rank-one coupling
+through one scalar per cell. ``genfunc.compute_UV_sequences`` powers the same
+map, without the coupling, a block of steps at a time (it steps the kernel
+only when the noise is below rounding).
 """
 
 from __future__ import annotations

@@ -288,6 +288,21 @@ class TestExitCodes:
                    "--alpha", "0.01", "--gamma", "0.01", "--out", str(tmp_path / "y")])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["stability-map", "--modes", "20", "--gamma", "0.5", "--grid-alpha", "0.1:1:2",
+         "--grid-beta", "0:0.5:2", "--steps", "10"],
+        ["divergence", "--modes", "50", "--alpha", "1.5", "--gamma", "1"],
+        ["asymptotics", "--modes", "50", "--gamma", "0.5", "--steps", "10"],
+        ["phase-diagram", "--modes", "20"],
+    ], ids=lambda argv: argv[0])
+    def test_analysis_refuses_tau1_other_than_one(self, argv, tmp_path, capsys):
+        # the analysis reads tau2 alone: a tau1 != 1 run would describe another point
+        source = [] if argv[0] == "phase-diagram" else ["--nu", "1.5", "--kappa", "3"]
+        out = tmp_path / "t"
+        assert main(argv + source + ["--tau1", "0.5", "--out", str(out)]) == 3
+        assert "tau1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         out = tmp_path / "z"
         rc = main(["divergence", "--nu", "1.5", "--kappa", "3", "--modes", "50",

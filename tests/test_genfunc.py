@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,9 @@ from sgdphaselab import (
     solve_lambda_crit,
     stability_report,
 )
+from sgdphaselab import genfunc
+from sgdphaselab.genfunc import _UV_BLOCK, _UV_CHUNK, _uv_step
+from sgdphaselab.simulate import _se_kernel, _se_table
 from conftest import max_rel_err, random_spectrum
 
 
@@ -318,6 +326,138 @@ class TestUVSequences:
             z = np.linspace(1e-4, 1 - 1e-4, 200)
             vals = np.array([zz * eval_UV(ctx, zz).u for zz in z])
             assert np.all(np.diff(vals) >= -1e-14)
+
+
+def stepped_uv(ctx, horizon, per_mode=False):
+    """U_t / (gamma alpha^2) and V_t from the SE kernel stepped once per t, coupling off.
+
+    ``per_mode`` runs every mode as its own cell and returns the sums over modes of |term|,
+    the scale against which the blocked sums are compared.
+    """
+    lam = ctx.spectrum.lambdas.reshape((-1, 1) if per_mode else (1, -1))
+    table, _ = _se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau)
+    out = []
+    for c, jv in ((lam * lam, lam * lam), (ctx.spectrum.lambda_c0.reshape(lam.shape), np.zeros_like(lam))):
+        sums = _se_kernel(table, None, c.copy(), jv.copy(), jv.copy(), horizon - 1, history=True)[4]
+        out.append(np.abs(sums).sum(axis=0) if per_mode else sums[0])
+    return out
+
+
+class TestBlockedUV:
+    """compute_UV_sequences evaluates blocks of coefficients as GEMMs over chunks of modes."""
+
+    @pytest.mark.parametrize("horizon", [1, _UV_BLOCK - 1, _UV_BLOCK, _UV_BLOCK + 1, 3 * _UV_BLOCK + 5])
+    @pytest.mark.parametrize("beta, gamma, a_top", [
+        (0.0, 1e-6, 1.2), (0.0, 0.6, 0.5), (-0.4, 0.3, 0.6), (0.5, 1e-6, 2.0), (0.9, 0.5, 0.5),
+    ])
+    def test_equals_stepped_kernel(self, horizon, beta, gamma, a_top):
+        # 2.5 chunks of a power-law spectrum hold slow and fast modes; gamma = 1e-6 keeps the
+        # noise above rounding, so the blocked path runs; every mode keeps
+        # (1 - alpha lam)^2 >= tau gamma (alpha lam)^2, the accuracy domain of the oracle
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 5 * _UV_CHUNK // 2))
+        alpha = a_top / spec.lambda_max
+        ctx = GenFuncContext(spec, alpha, beta, gamma, 0.7)
+        u, v = compute_UV_sequences(ctx, horizon)
+        assert u.shape == v.shape == (horizon,)
+        u_ref, v_ref = stepped_uv(ctx, horizon)
+        u_scale, v_scale = stepped_uv(ctx, horizon, per_mode=True)
+        assert np.max(np.abs(u / (gamma * alpha**2) - u_ref) / u_scale) <= 1e-13
+        assert np.max(np.abs(v - v_ref) / v_scale) <= 1e-13
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_noiseless_run_steps_the_kernel(self, beta):
+        # gamma = 0: U is exactly 0 and V is the stepped kernel's, bitwise
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 3 * _UV_CHUNK))
+        ctx = GenFuncContext(spec, 1.5 / spec.lambda_max, beta, 0.0, 0.7)
+        u, v = compute_UV_sequences(ctx, 200)
+        assert np.all(u == 0.0)
+        assert np.array_equal(v, stepped_uv(ctx, 200)[1])
+
+    @pytest.mark.parametrize("beta, gamma, a_top", [(0.5, 1e-6, 1.8), (0.5, 0.3, 0.6)])
+    def test_slow_modes_stay_accurate_over_long_horizons(self, beta, gamma, a_top):
+        # A_k held exactly and squared in double-double: rounding its entries near 1, or the
+        # products of its powers, biases every block alike and fails this bound
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
+        alpha = a_top / spec.lambda_max
+        ctx = GenFuncContext(spec, alpha, beta, gamma, 0.7)
+        u, v = compute_UV_sequences(ctx, 4000)
+        (u_ref, v_ref), (u_scale, v_scale) = stepped_uv(ctx, 4000), stepped_uv(ctx, 4000, per_mode=True)
+        assert np.max(np.abs(u / (gamma * alpha**2) - u_ref) / u_scale) <= 3e-14
+        assert np.max(np.abs(v - v_ref) / v_scale) <= 3e-14
+
+    @pytest.mark.parametrize("beta", [-0.4, 0.9, 0.98])
+    def test_agrees_with_extended_precision_recursion(self, beta):
+        # the configuration of TestSeKernel::test_agrees_with_extended_precision_recursion,
+        # uncoupled: both seeds stepped with the documented rows in np.longdouble
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
+        alpha, gamma, tau2, steps = 0.5 * (1.0 - beta), 0.5, 0.8, 3000
+        ld = np.longdouble
+        lam = spec.lambdas.astype(ld)
+        a = ld(alpha) * lam
+        q, b = ld(tau2 * gamma) * a * a, ld(beta)
+        b2 = np.full_like(a, b * b)
+        rows = np.array([[(1 - a) ** 2 - q, 2 * b * (1 - a), b2],
+                         [-a * (1 - a) - q, b * (1 - 2 * a), b2],
+                         [a * a - q, -2 * a * b, b2]])
+        state = np.zeros((3, 2, len(spec)), dtype=ld)
+        state[:, 0] = lam * lam
+        state[0, 1] = spec.lambda_c0
+        ref, scale = [], []
+        for _ in range(steps):
+            ref.append(state[0].sum(axis=1))
+            scale.append(np.abs(state[0]).sum(axis=1))
+            state = np.einsum("ilk,lck->ick", rows, state)
+        u, v = compute_UV_sequences(GenFuncContext(spec, alpha, beta, gamma, tau2), steps)
+        got = np.stack([u / (gamma * alpha**2), v])
+        assert float(np.max(np.abs(got - np.array(ref).T) / np.array(scale).T)) <= 1e-12
+
+    def test_step_determinant_is_the_analysis_cubic(self):
+        # the A_k whose powers the blocked evaluation takes, on either table layout
+        gen = np.random.default_rng(12)
+        worst = 0.0
+        for beta in [0.0] * 20 + list(gen.uniform(-0.9, 0.9, 100)):
+            lam = gen.uniform(0.01, 2.0, 3)
+            ctx = GenFuncContext(Spectrum.from_c0(lam, np.ones(3)), gen.uniform(0.01, 0.9), beta,
+                                 gen.uniform(0.0, 1.0), gen.uniform(0.05, 1.0))
+            step, _ = _uv_step(ctx, lam)
+            z = gen.uniform(-1.0, 1.0)
+            for k in range(3):
+                det = np.linalg.det(np.eye(3) - z * step[:, :, k])
+                expect = float(eval_S(ctx.alpha, beta, ctx.tau * ctx.gamma, lam[k], z))
+                worst = max(worst, abs(det - expect))
+        assert worst <= 1e-13
+
+    def test_blas_thread_count_does_not_change_results(self):
+        script = (
+            "from sgdphaselab import GenFuncContext, PowerLawSpec, build_power_law, compute_UV_sequences\n"
+            "spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))\n"
+            "u, v = compute_UV_sequences(GenFuncContext(spec, 0.4, 0.5, 0.3, 0.8), 500)\n"
+            "print((u.tobytes() + v.tobytes()).hex())\n"
+        )
+        src = str(Path(genfunc.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            outs.append(done.stdout.strip())
+        assert outs[0] == outs[1]
+
+    def test_working_memory_does_not_grow_with_modes(self):
+        # the (2, horizon) sums and the returned U, V are the same at both sizes
+        peaks = []
+        for modes in (2000, 20000):
+            ctx = GenFuncContext(build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, modes)), 0.4, 0.5, 0.3, 0.8)
+            compute_UV_sequences(ctx, 200)
+            tracemalloc.start()
+            try:
+                compute_UV_sequences(ctx, 200)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[0] <= 600 * 1024  # the 512 KB chunk budget and the (2, horizon) sums
 
 
 class TestReconstructLoss:
