@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import AnalysisDomainError, ValidationError
@@ -200,10 +200,7 @@ def loss_asymptote(ctx: GenFuncContext, fit: PowerLawFit) -> AsymptoteReport:
         None, xi, rec, alpha_opt, alpha_max,
     )
     if phase is PhaseLabel.NOISE_DOMINATED and c_signal > 0 and c_noise > 0:
-        report = AsymptoteReport(
-            phase, exponent, constant, c_signal, c_noise, nu, zeta, u1, v1,
-            transition_time(report), xi, rec, alpha_opt, alpha_max,
-        )
+        report = replace(report, t_trans=transition_time(report))
     return report
 
 

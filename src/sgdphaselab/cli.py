@@ -156,7 +156,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.match(r'(?:[^"#]|"[^"]*(?:"|$))*', raw).group().strip()  # "#" outside quotes: comment
         if not line:
             continue
         if "=" not in line:
@@ -232,48 +232,39 @@ def _periodic_kernel(n: int, scale: float) -> np.ndarray:
     return np.exp(-np.abs(2.0 * np.sin(x / 2.0)) / scale)
 
 
-def _spectrum_from_config(cfg: ExperimentConfig) -> Spectrum:
+def _build_problem(cfg: ExperimentConfig) -> tuple[Spectrum, FeatureProblem | None]:
+    """The configured source's spectrum, and its feature problem for --torus and --random-features."""
     if cfg.csv is not None:
-        return load_spectrum_csv(cfg.csv)
+        return load_spectrum_csv(cfg.csv), None
     if cfg.torus is not None:
-        return _torus_from_config(cfg).spectrum()
+        if cfg.torus < 1:
+            raise ValidationError("--torus needs a positive grid size")
+        w0 = np.random.default_rng(cfg.seed).normal(size=cfg.torus)
+        torus = build_torus_problem((cfg.torus,), _periodic_kernel(cfg.torus, cfg.kernel_scale), w0=w0)
+        return torus.spectrum(), torus.feature_problem
     if cfg.random_features is not None:
-        return eigendecompose(_features_from_config(cfg)).spectrum
+        d, n = cfg.random_features
+        if d < 1 or n < 1:
+            raise ValidationError("--random-features dimensions must be positive")
+        rng = np.random.default_rng(cfg.seed)
+        problem = FeatureProblem.create(rng.normal(size=(d, n)), np.zeros(d), rng.normal(size=d))
+        return eigendecompose(problem).spectrum, problem
     if cfg.nu is None or cfg.kappa is None:
         raise ValidationError("power-law source needs both --nu and --kappa")
-    return build_power_law(
-        PowerLawSpec(cfg.Lambda, cfg.nu, cfg.K, cfg.kappa, cfg.modes, cfg.c0_mode)
-    )
+    return build_power_law(PowerLawSpec(cfg.Lambda, cfg.nu, cfg.K, cfg.kappa, cfg.modes, cfg.c0_mode)), None
 
 
-def _torus_from_config(cfg: ExperimentConfig):
-    n = cfg.torus
-    if n is None or n < 1:
-        raise ValidationError("--torus needs a positive grid size")
-    rng = np.random.default_rng(cfg.seed)
-    w0 = rng.normal(size=n)
-    return build_torus_problem((n,), _periodic_kernel(n, cfg.kernel_scale), w0=w0)
+def _features(problem: FeatureProblem | None) -> FeatureProblem:
+    if problem is None:
+        raise ValidationError("this command needs an explicit feature problem: --torus or --random-features")
+    return problem
 
 
-def _features_from_config(cfg: ExperimentConfig) -> FeatureProblem:
-    d, n = cfg.random_features
-    if d < 1 or n < 1:
-        raise ValidationError("--random-features dimensions must be positive")
-    rng = np.random.default_rng(cfg.seed)
-    return FeatureProblem.create(rng.normal(size=(d, n)), np.zeros(d), rng.normal(size=d))
-
-
-def _feature_problem_for(cfg: ExperimentConfig) -> FeatureProblem:
-    if cfg.torus is not None:
-        return _torus_from_config(cfg).feature_problem
-    if cfg.random_features is not None:
-        return _features_from_config(cfg)
-    raise ValidationError("this command needs an explicit feature problem: --torus or --random-features")
-
-
-def _resolved_gamma(cfg: ExperimentConfig, spectrum: Spectrum) -> float:
+def _se_params(cfg: ExperimentConfig, spectrum: Spectrum, **changes) -> SGDParams:
+    """An SE run's parameters: gamma resolved against the dataset size, no batch."""
+    params = cfg.sgd_params().with_(**changes)
     n = cfg.dataset_size if cfg.dataset_size is not None else spectrum.dataset_size
-    return cfg.sgd_params().resolve_gamma(n)
+    return params.with_(gamma=params.resolve_gamma(n), batch=None)
 
 
 def _thread_count() -> int:
@@ -341,16 +332,18 @@ class _Emitter:
         return p
 
 
-def _trajectory_sidecar(cfg, traj, spectrum=None) -> dict:
+def _write_trajectory(em: _Emitter, name: str, cfg: ExperimentConfig, traj, spectrum: Spectrum) -> None:
+    """``trajectory_<name>.csv`` and its ``.meta.json`` sidecar."""
+    traj.save_csv(em.path(f"trajectory_{name}.csv"))
     doc = {
         "parameters": traj.metadata,
         "seed": cfg.seed,
         "diverged": traj.diverged_at is not None,
         "diverged_at": traj.diverged_at,
     }
-    if spectrum is not None and "tail_estimates" in spectrum.meta:
+    if "tail_estimates" in spectrum.meta:
         doc["truncation_tail_estimate"] = spectrum.meta["tail_estimates"]
-    return doc
+    em.write_json(f"trajectory_{name}.meta.json", doc)
 
 
 def _positive_series(losses: np.ndarray):
@@ -364,63 +357,53 @@ def _positive_series(losses: np.ndarray):
 
 
 def _cmd_simulate(cfg: ExperimentConfig, em: _Emitter) -> None:
-    spectrum = _spectrum_from_config(cfg)
-    if cfg.batch_list:
-        _simulate_batch_sweep(cfg, em, spectrum)
-        return
-    regimes = cfg.regime.split(",")
+    spectrum, problem = _build_problem(cfg)
+    # (file name, plot label, x scale, trajectory) per run
+    if cfg.batch_list:  # SE runs per batch size, each with its gamma, plotted against the budget b*t
+        runs = [(f"se_b{b}", f"b={b}", b, run_se(spectrum, _se_params(cfg, spectrum, batch=int(b), gamma=None)))
+                for b in cfg.batch_list]
+        chart, title, xlabel = "budget_scaling.svg", "loss vs compute budget b*t", "b*t"
+    else:
+        regimes = {
+            "se": lambda: run_se(spectrum, _se_params(cfg, spectrum)),
+            "noiseless": lambda: run_noiseless(spectrum, cfg.sgd_params()),
+            "mc": lambda: run_mc(_features(problem), cfg.sgd_params(), cfg.runs, cfg.seed),
+            "moments": lambda: run_full_moments(_features(problem), cfg.sgd_params()),
+        }
+        runs = [(regime, regime, 1, regimes[regime]()) for regime in cfg.regime.split(",")]
+        chart, title, xlabel = "trajectories.svg", "loss trajectories", "t"
     series = []
-    for regime in regimes:
-        if regime == "se":
-            traj = run_se(spectrum, cfg.sgd_params().with_(
-                gamma=_resolved_gamma(cfg, spectrum), batch=None))
-        elif regime == "noiseless":
-            traj = run_noiseless(spectrum, cfg.sgd_params())
-        elif regime == "mc":
-            traj = run_mc(_feature_problem_for(cfg), cfg.sgd_params(), cfg.runs, cfg.seed)
-        else:
-            traj = run_full_moments(_feature_problem_for(cfg), cfg.sgd_params())
-        traj.save_csv(em.path(f"trajectory_{regime}.csv"))
-        em.write_json(f"trajectory_{regime}.meta.json", _trajectory_sidecar(cfg, traj, spectrum))
+    for name, label, scale, traj in runs:
+        _write_trajectory(em, name, cfg, traj, spectrum)
         ts, ls = _positive_series(traj.losses)
         if ts.size:
-            series.append((regime, ts, ls))
+            series.append((label, scale * ts, ls))
     if cfg.plot and series:
-        em.write_text("trajectories.svg", svg.loglog_chart(series, title="loss trajectories"))
-
-
-def _simulate_batch_sweep(cfg: ExperimentConfig, em: _Emitter, spectrum: Spectrum) -> None:
-    """SE trajectories for each batch size, for budget-scaling (b*t) comparisons."""
-    n = cfg.dataset_size if cfg.dataset_size is not None else spectrum.dataset_size
-    series = []
-    for b in cfg.batch_list:
-        # each sweep point derives its own gamma from the batch size
-        params = cfg.sgd_params().with_(batch=int(b), gamma=None)
-        traj = run_se(spectrum, params.with_(gamma=params.resolve_gamma(n), batch=None))
-        traj.save_csv(em.path(f"trajectory_se_b{b}.csv"))
-        em.write_json(f"trajectory_se_b{b}.meta.json", _trajectory_sidecar(cfg, traj, spectrum))
-        ts, ls = _positive_series(traj.losses)
-        if ts.size:
-            series.append((f"b={b}", b * ts, ls))
-    if cfg.plot and series:
-        em.write_text("budget_scaling.svg", svg.loglog_chart(
-            series, title="loss vs compute budget b*t", xlabel="b*t"))
+        em.write_text(chart, svg.loglog_chart(series, title=title, xlabel=xlabel))
 
 
 def _stability_grids(cfg: ExperimentConfig):
     ga, gb = ((0.04, 4.0, 100), (0.0, 0.98, 50)) if cfg.full_scale else ((0.1, 4.0, 40), (0.0, 0.95, 20))
-    return np.linspace(*(cfg.grid_alpha or ga)), np.linspace(*(cfg.grid_beta or gb))
+    alphas, betas = np.linspace(*(cfg.grid_alpha or ga)), np.linspace(*(cfg.grid_beta or gb))
+    try:  # the grid's corners lie in the SGD domain: alpha > 0, -1 < beta < 1
+        for k in (0, -1):
+            SGDParams(float(alphas[k]), float(betas[k]))
+    except ValidationError as exc:
+        raise ValidationError(f"--grid-alpha/--grid-beta: {exc}") from None
+    return alphas, betas
 
 
 def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
-    spectrum = _spectrum_from_config(cfg)
     alphas, betas = _stability_grids(cfg)
-    gamma = _resolved_gamma(cfg, spectrum)
+    spectrum, _ = _build_problem(cfg)
+    gamma = _se_params(cfg, spectrum).gamma
 
     u1 = np.full((alphas.size, betas.size), math.nan)
     boundary = np.empty(betas.size)
     for j, beta in enumerate(betas):
-        rep = stability_report(_analysis_context(cfg, spectrum, alphas[0], beta, gamma))
+        # the critical alpha does not depend on the context's alpha, but that must lie in beta's window
+        in_window = min(alphas[0], (1.0 + beta) / spectrum.lambda_max)
+        rep = stability_report(_analysis_context(cfg, spectrum, in_window, beta, gamma))
         boundary[j] = rep.alpha_eff_critical * (1.0 - beta) if rep.valid else math.nan
         for i, alpha in enumerate(alphas):
             ctx = _analysis_context(cfg, spectrum, alpha, beta, gamma)
@@ -434,11 +417,8 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
     def sweep(idx):
         return run_se_grid(spectrum, alphas[idx], betas, gamma, cfg.tau1, cfg.tau2, cfg.steps)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sweep, chunks))
-    else:
-        parts = [sweep(idx) for idx in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(sweep, chunks))
     final = np.empty((alphas.size, betas.size))
     diverged = np.empty((alphas.size, betas.size), dtype=int)
     for idx, part in zip(chunks, parts):
@@ -479,9 +459,9 @@ def _fit_for(cfg: ExperimentConfig, spectrum: Spectrum):
 
 
 def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
-    spectrum = _spectrum_from_config(cfg)
-    gamma = _resolved_gamma(cfg, spectrum)
-    ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, gamma)
+    spectrum, _ = _build_problem(cfg)
+    params = _se_params(cfg, spectrum)
+    ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, params.gamma)
     div = solve_divergence(ctx)
     report = div.as_dict()
     fit = _fit_for(cfg, spectrum)
@@ -492,9 +472,8 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
     except AnalysisDomainError as exc:
         report["blowup"] = {"not_applicable": str(exc)}
 
-    traj = run_se(spectrum, cfg.sgd_params().with_(gamma=gamma, batch=None))
-    traj.save_csv(em.path("trajectory_se.csv"))
-    em.write_json("trajectory_se.meta.json", _trajectory_sidecar(cfg, traj, spectrum))
+    traj = run_se(spectrum, params)
+    _write_trajectory(em, "se", cfg, traj, spectrum)
     em.write_json("divergence_report.json", report)
     if cfg.plot:
         ts, ls = _positive_series(traj.losses)
@@ -513,9 +492,9 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
 
 
 def _cmd_asymptotics(cfg: ExperimentConfig, em: _Emitter) -> None:
-    spectrum = _spectrum_from_config(cfg)
-    gamma = _resolved_gamma(cfg, spectrum)
-    ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, gamma)
+    spectrum, _ = _build_problem(cfg)
+    params = _se_params(cfg, spectrum)
+    ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, params.gamma)
     fit = _fit_for(cfg, spectrum)
     report = loss_asymptote(ctx, fit)
     doc = report.as_dict()
@@ -523,7 +502,7 @@ def _cmd_asymptotics(cfg: ExperimentConfig, em: _Emitter) -> None:
 
     # empirical check of the pointwise power-law form: simulate and fit the
     # last-decade slope rather than asserting the asymptote holds
-    traj = run_se(spectrum, cfg.sgd_params().with_(gamma=gamma, batch=None))
+    traj = run_se(spectrum, params)
     t = np.arange(len(traj.losses))
     window = (t >= max(1, cfg.steps // 10)) & (traj.losses > 0)
     if traj.diverged_at is None and np.count_nonzero(window) >= 8:
@@ -583,7 +562,7 @@ def _cmd_phase_diagram(cfg: ExperimentConfig, em: _Emitter) -> None:
 
 
 def _cmd_fit(cfg: ExperimentConfig, em: _Emitter) -> None:
-    spectrum = _spectrum_from_config(cfg)
+    spectrum, _ = _build_problem(cfg)
     fit = _fit_for(cfg, spectrum)
     doc = fit.as_dict()
     doc["modes"] = len(spectrum)
@@ -603,7 +582,7 @@ def _cmd_fit(cfg: ExperimentConfig, em: _Emitter) -> None:
 def _cmd_se_error(cfg: ExperimentConfig, em: _Emitter) -> None:
     from .simulate import se_fit_error
 
-    problem = _feature_problem_for(cfg)
+    problem = _features(_build_problem(cfg)[1])
     report = se_fit_error(problem, problem.initial_second_moment(), cfg.tau1, cfg.tau2)
     em.write_json("se_error.json", {
         "E2": report.e2, "tau1": report.tau1, "tau2": report.tau2,

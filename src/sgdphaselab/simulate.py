@@ -264,9 +264,10 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
     zero = b == 0.0
-    runs = [_se_cells(spectrum, a[m], b[m], gamma, tau1, tau2, steps)[:4] for m in (zero, ~zero) if m.any()]
-    order = np.argsort(np.argsort(~zero, kind="stable"))  # from batch order back to grid order
-    final, low, moment, diverged = (np.concatenate(x)[order] for x in zip(*runs))
+    runs = [(m, _se_cells(spectrum, a[m], b[m], gamma, tau1, tau2, steps)[:4]) for m in (zero, ~zero) if m.any()]
+    final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][1])
+    for m, run in runs:  # each batch back to its cells' places in the grid
+        final[m], low[m], moment[m], diverged[m] = run
     out = {"final_loss": final, "min_loss": low, "diverged_at": diverged,
            "min_output_moment": moment, "negative_moments": moment < 0.0}
     return {key: x.reshape(len(alphas), len(betas)) for key, x in out.items()}
@@ -385,8 +386,8 @@ def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "e
         aj = a @ j
         c_new = ac @ a.T + beta * (aj + aj.T) + beta**2 * v
         j_new = -alpha * (h @ (ac.T + beta * j)).T + beta * aj + beta**2 * v
-        hc = h @ c
-        v_new = alpha**2 * hc @ h.T - alpha * beta * (h @ j + (h @ j).T) + beta**2 * v
+        hc, hj = h @ c, h @ j
+        v_new = alpha**2 * hc @ h.T - alpha * beta * (hj + hj.T) + beta**2 * v
         c = c_new + sigma
         j = j_new + sigma
         v = v_new + sigma

@@ -402,13 +402,9 @@ def build_torus_problem(grid: Sequence[int], kernel_values, w0=None, w_star=None
 
     # circulant square root: first "column" ifftn(sqrt(lam)), then Psi = sqrt(N) * B
     root_col = np.fft.ifftn(np.sqrt(lam_clipped)).real
-    idx = np.meshgrid(*[np.arange(n) for n in grid], indexing="ij")
-    flat_rows = []
-    for offsets in np.ndindex(*grid):
-        shifted = tuple((i - o) % n for i, o, n in zip(idx, offsets, grid))
-        flat_rows.append(root_col[shifted].ravel())
-    b = np.array(flat_rows)  # B[i, j] = root_col[(i - j) mod grid]
-    features = math.sqrt(n_total) * b
+    points = np.indices(grid).reshape(len(grid), -1)  # grid point of each flat index, C order
+    offsets = (points[:, None, :] - points[:, :, None]) % np.array(grid)[:, None, None]
+    features = math.sqrt(n_total) * root_col[tuple(offsets)]  # B[o, i] = root_col[(i - o) mod grid]
 
     if w_star is None:
         w_star = np.zeros(n_total)

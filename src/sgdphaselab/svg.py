@@ -67,6 +67,14 @@ def _header(title: str) -> list[str]:
     ]
 
 
+def _axis_labels(xlabel: str, ylabel: str) -> list[str]:
+    return [
+        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle">{_esc(xlabel)}</text>',
+        f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">{_esc(ylabel)}</text>',
+    ]
+
+
 def loglog_chart(
     series: Sequence[tuple],
     guides: Sequence[tuple] = (),
@@ -116,13 +124,7 @@ def loglog_chart(
             f'stroke="#dddddd"/>'
         )
         out.append(f'<text x="{_MARGIN_L - 6}" y="{_fmt(y + 4)}" text-anchor="end">1e{d}</text>')
-    out.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle">{_esc(xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{_esc(ylabel)}</text>'
-    )
+    out += _axis_labels(xlabel, ylabel)
 
     for slope, x_anchor, y_anchor, label in guides:
         xa, xb = all_x[all_x > 0].min(), all_x.max()
@@ -176,12 +178,11 @@ def heatmap_chart(
     title: str = "",
     xlabel: str = "alpha",
     ylabel: str = "beta",
-    log_color: bool = True,
 ) -> str:
     """Colored-cell heatmap with an optional analytic boundary polyline.
 
-    ``cells[i, j]`` colors the cell at (x_values[i], y_values[j]); NaN and
-    non-positive cells (on a log color scale) render dark gray, which is how
+    ``cells[i, j]`` colors the cell at (x_values[i], y_values[j]) on a log
+    color scale; NaN and non-positive cells render dark gray, which is how
     diverged sweep points show up.
     """
     x = np.asarray(x_values, dtype=float)
@@ -191,21 +192,17 @@ def heatmap_chart(
         raise ValidationError(f"cell grid {cells.shape} does not match axes ({x.size}, {y.size})")
 
     finite = cells[np.isfinite(cells)]
-    if log_color:
-        finite = finite[finite > 0]
+    finite = finite[finite > 0]
     if finite.size == 0:
         raise ValidationError("no finite cells to color")
-    vmin, vmax = float(finite.min()), float(finite.max())
-    if log_color:
-        vmin, vmax = math.log10(vmin), math.log10(vmax)
+    vmin, vmax = math.log10(finite.min()), math.log10(finite.max())
     if vmax - vmin < 1e-12:
         vmax = vmin + 1.0
 
     def frac(v: float) -> float | None:
-        if not math.isfinite(v) or (log_color and v <= 0):
+        if not math.isfinite(v) or v <= 0:
             return None
-        vv = math.log10(v) if log_color else v
-        return (vv - vmin) / (vmax - vmin)
+        return (math.log10(v) - vmin) / (vmax - vmin)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -237,29 +234,12 @@ def heatmap_chart(
             f'<text x="{_MARGIN_L - 6}" y="{_fmt(py(j) + ch / 2 + 4)}" '
             f'text-anchor="end">{_fmt(y[j])}</text>'
         )
-    out.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle">{_esc(xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{_esc(ylabel)}</text>'
-    )
+    out += _axis_labels(xlabel, ylabel)
 
     if boundary:
         # boundary points live in data coordinates; map through the cell grid
-        def data_to_px(xv: float) -> float:
-            if x.size == 1:
-                return px(0.5)
-            i = np.interp(xv, x, np.arange(x.size))
-            return px(i + 0.5)
-
-        def data_to_py(yv: float) -> float:
-            if y.size == 1:
-                return py(0) + ch / 2
-            j = np.interp(yv, y, np.arange(y.size))
-            return py(j) + ch / 2
-
-        pts = " ".join(f"{_fmt(data_to_px(bx))},{_fmt(data_to_py(by))}" for bx, by in boundary)
+        pts = " ".join(f"{_fmt(px(np.interp(bx, x, np.arange(x.size)) + 0.5))},"
+                       f"{_fmt(py(np.interp(by, y, np.arange(y.size))) + ch / 2)}" for bx, by in boundary)
         out.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2"/>')
 
     out.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" stroke="black"/>')

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdphaselab import GenFuncContext, ValidationError, cli, load_spectrum_csv, stability_report
+from sgdphaselab import GenFuncContext, ValidationError, build_torus_problem, cli, load_spectrum_csv, stability_report
 from sgdphaselab.cli import main, parse_config
 from sgdphaselab.svg import heatmap_chart, loglog_chart
 
@@ -97,6 +97,12 @@ class TestParseConfig:
         f.write_text('command = stability-map\nnu = 1.5\nkappa = 3\nfull_scale = "no"\n')
         assert main(["--config", str(f), "--out", str(tmp_path / "o")]) == 2
         assert "full_scale" in capsys.readouterr().err
+
+    def test_hash_inside_quotes_is_part_of_the_value(self, tmp_path):
+        f = tmp_path / "exp.cfg"
+        f.write_text('command = simulate  # a comment\nout = "run#1"  # "quoted" comment\nregime = se#mc\n')
+        cfg = parse_config(["--config", str(f)])
+        assert (cfg.command, cfg.out, cfg.regime) == ("simulate", "run#1", "se")
 
     def test_config_float_key_given_as_integer(self, tmp_path):
         f = tmp_path / "exp.cfg"
@@ -196,6 +202,29 @@ class TestRunCommands:
             rep = stability_report(GenFuncContext(spec, float(alpha), float(beta), gamma, 1.0))
             assert float(boundary) == rep.alpha_eff_critical * (1.0 - float(beta))
 
+    def test_stability_map_boundary_at_strongly_negative_beta(self, tmp_path):
+        # alpha = 0.5 lies outside beta = -0.9's window 2(1 + beta)/lambda_max = 0.2, its boundary does not
+        out = tmp_path / "negmap"
+        assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "20", "--batch", "10",
+                     "--grid-alpha", "0.5:4:3", "--grid-beta", "-0.9:0.5:3", "--steps", "50",
+                     "--out", str(out)]) == 0
+        from sgdphaselab import PowerLawSpec, build_power_law, gamma_for_batch
+
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
+        rows = [r.split(",") for r in (out / "stability_map.csv").read_text().splitlines()[1:]]
+        assert {r[1] for r in rows} == {repr(-0.9), repr(-0.9 + 0.7), "0.5"}
+        for alpha, beta, _, _, boundary in rows:
+            ctx = GenFuncContext(spec, 0.01, float(beta), gamma_for_batch(math.inf, 10), 1.0)
+            assert float(boundary) == stability_report(ctx).alpha_eff_critical * (1.0 - float(beta))
+        assert 0.19 < float(rows[0][4]) < 0.2
+
+    def test_torus_built_once_per_run(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_torus_problem", lambda *a, **kw: built.append(a) or build_torus_problem(*a, **kw))
+        assert main(["simulate", "--torus", "16", "--regime", "se,mc,moments", "--batch", "4", "--steps", "20",
+                     "--runs", "10", "--out", str(tmp_path / "torus")]) == 0
+        assert len(built) == 1
+
     def test_divergence_command(self, tmp_path):
         out = tmp_path / "div"
         rc = main(["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "2000",
@@ -270,7 +299,7 @@ class TestRunCommands:
 
 
 class TestExitCodes:
-    def test_validation_errors_exit_2(self, tmp_path):
+    def test_validation_errors_exit_2(self, tmp_path, capsys):
         bad_inputs = [
             ["simulate", "--nu", "1.5"],  # missing kappa
             ["simulate", "--nu", "1.5", "--kappa", "3", "--beta", "2"],
@@ -279,9 +308,14 @@ class TestExitCodes:
             ["fit", "--nu", "1.5", "--kappa", "3", "--modes", "10", "--tail-start", "9"],
             ["phase-diagram", "--alpha", "nan"],
             ["phase-diagram", "--alpha", "inf"],
+            # stability-map grids outside the SGD domain: alpha > 0, -1 < beta < 1
+            *(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "20", "--batch", "10", "--steps", "20", *grid]
+              for grid in (["--grid-beta", "0:1.5:4"], ["--grid-alpha", "nan:1:5"], ["--grid-alpha", "0:1:5"],
+                           ["--grid-alpha", "-1:1:3"])),
         ]
         for argv in bad_inputs:
             assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "--grid-alpha/--grid-beta" in capsys.readouterr().err.splitlines()[-1]
 
     def test_domain_errors_exit_3(self, tmp_path):
         rc = main(["divergence", "--nu", "1.5", "--kappa", "3", "--modes", "50",
