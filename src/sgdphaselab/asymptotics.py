@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import AnalysisDomainError, ValidationError
-from .genfunc import GenFuncContext, eval_U1, eval_V1, solve_divergence
+from .genfunc import DivergenceReport, GenFuncContext, eval_U1, eval_V1
 from .numerics import bisect_monotone, gamma_fn
 from .serialize import json_ready
 from .spectrum import PowerLawFit, Spectrum
@@ -242,13 +242,13 @@ class BlowupReport:
         })
 
 
-def blowup_time(ctx: GenFuncContext, fit: PowerLawFit) -> BlowupReport:
+def blowup_time(ctx: GenFuncContext, fit: PowerLawFit, div: DivergenceReport) -> BlowupReport:
     """Predict when early power-law convergence gives way to exponential growth.
 
     Valid in the analyzed scenario only: beta = 0, tau = gamma = 1,
     1/2 < nu < 1 and zeta < 1. ``epsilon_star`` comes from the small-alpha
-    closed form; ``t_div`` from the truncated-spectrum r_L, so the two routes
-    to 1 - r_L can be compared.
+    closed form; ``t_div`` from the truncated-spectrum r_L of ``div``, the
+    context's ``solve_divergence(ctx)``, so the two routes to 1 - r_L can be compared.
     """
     nu, zeta = fit.nu, fit.zeta
     if ctx.beta != 0.0 or ctx.tau != 1.0 or ctx.gamma != 1.0:
@@ -282,5 +282,4 @@ def blowup_time(ctx: GenFuncContext, fit: PowerLawFit) -> BlowupReport:
         ** (nu / (1.0 - nu))
         * (2.0 * ctx.alpha * fit.Lambda) ** (1.0 / (1.0 - nu))
     )
-    div = solve_divergence(ctx)
     return BlowupReport(a_star, eps_star, a_star * div.t_div, div.t_div, div.r_l)

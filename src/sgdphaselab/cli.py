@@ -25,7 +25,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -166,7 +165,9 @@ def _read_config_file(path: str) -> dict[str, str]:
         val = val.strip()
         if key not in _FIELDS:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-        if val.startswith('"') and val.endswith('"') and len(val) >= 2:
+        if val.startswith('"'):
+            if not re.fullmatch(r'"[^"]*"', val):
+                raise ValidationError(f"{path}:{lineno}: unterminated quoted value in {raw!r}")
             val = val[1:-1]
         values[key] = val
     return values
@@ -265,16 +266,6 @@ def _se_params(cfg: ExperimentConfig, spectrum: Spectrum, **changes) -> SGDParam
     params = cfg.sgd_params().with_(**changes)
     n = cfg.dataset_size if cfg.dataset_size is not None else spectrum.dataset_size
     return params.with_(gamma=params.resolve_gamma(n), batch=None)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("SGDPHASELAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"SGDPHASELAB_THREADS={env!r} is not an integer") from None
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +401,8 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
             if not ctx.violations():
                 u1[i, j] = eval_U1(ctx)
 
-    # interleaved alpha rows: diverging (large-alpha) cells leave every thread's batch alike
-    workers = min(_thread_count(), alphas.size)
-    chunks = [np.arange(k, alphas.size, workers) for k in range(workers)]
-
-    def sweep(idx):
-        return run_se_grid(spectrum, alphas[idx], betas, gamma, cfg.tau1, cfg.tau2, cfg.steps)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(sweep, chunks))
-    final = np.empty((alphas.size, betas.size))
-    diverged = np.empty((alphas.size, betas.size), dtype=int)
-    for idx, part in zip(chunks, parts):
-        final[idx], diverged[idx] = part["final_loss"], part["diverged_at"]
+    grid = run_se_grid(spectrum, alphas, betas, gamma, cfg.tau1, cfg.tau2, cfg.steps)
+    final, diverged = grid["final_loss"], grid["diverged_at"]
 
     lines = ["alpha,beta,final_loss,predicted_U1,predicted_boundary"]
     for i, alpha in enumerate(alphas):
@@ -467,7 +447,7 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
     fit = _fit_for(cfg, spectrum)
     report["fit"] = fit.as_dict()
     try:
-        blow = blowup_time(ctx, fit)
+        blow = blowup_time(ctx, fit, div)
         report["blowup"] = blow.as_dict()
     except AnalysisDomainError as exc:
         report["blowup"] = {"not_applicable": str(exc)}

@@ -22,6 +22,9 @@ only when the noise is below rounding).
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -50,6 +53,7 @@ DIVERGENCE_RATIO = 1e12   # L(t) > ratio * L(0) flags divergence
 DIVERGENCE_FLOOR = 1e300  # absolute threshold when L(0) = 0
 FULL_MOMENT_DIM_LIMIT = 256
 _MC_BLOCK = 8  # Monte-Carlo steps whose batches one Philox stream draws
+_GRID_BATCH = 2**15  # cell-modes per run_se_grid batch: its <= 9 (cells, modes) arrays, ~2 MB, about one L2
 
 
 @dataclass(frozen=True)
@@ -256,21 +260,78 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
                 gamma: float, tau1: float, tau2: float, steps: int) -> dict:
     """Batched SE sweep over the (alpha, beta) product grid.
 
-    The beta = 0 cells and the others run as two kernel batches, so each cell is bitwise its
-    :func:`run_se` run; a diverged cell leaves its batch at its crossing step. Returns final/min
-    losses, divergence steps (-1 = never) and the moment flags ``min_output_moment`` /
-    ``negative_moments`` as (len(alphas), len(betas)) arrays.
+    The beta = 0 cells and the others go into separate kernel batches of at most
+    ``_GRID_BATCH`` cell-modes (or one cell), so a batch's working set is about one core's L2
+    cache; a group that needs more batches than there are workers gets a multiple of the
+    worker count. Cells are dealt to the batches round-robin in grid order, which spreads the early-diverging
+    large-alpha cells; a diverged cell leaves its batch at its crossing step. The batches run
+    on up to ``SGDPHASELAB_THREADS`` forked worker processes where :func:`_map_batches` can
+    fork, else here one after another. A cell's arithmetic does not depend on its batch, so
+    each cell is bitwise its :func:`run_se` run whatever the split or the worker count.
+    Returns final/min losses, divergence steps (-1 = never) and the moment flags
+    ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
+    workers = _worker_count()  # first, so a bad SGDPHASELAB_THREADS fails on every grid
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
-    zero = b == 0.0
-    runs = [(m, _se_cells(spectrum, a[m], b[m], gamma, tau1, tau2, steps)[:4]) for m in (zero, ~zero) if m.any()]
-    final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][1])
-    for m, run in runs:  # each batch back to its cells' places in the grid
-        final[m], low[m], moment[m], diverged[m] = run
+    per_batch = max(1, _GRID_BATCH // len(spectrum))
+    batches = []
+    for cells in (np.flatnonzero(b == 0.0), np.flatnonzero(b != 0.0)):
+        n = -(-cells.size // per_batch)
+        if n > workers:  # a multiple of the workers, so each does an equal share
+            n = min(cells.size, -(-n // workers) * workers)
+        batches += [cells[k::n] for k in range(n)]
+    runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps) for m in batches], workers)
+    final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][:4])
+    for m, run in zip(batches, runs):  # each batch back to its cells' places in the grid
+        final[m], low[m], moment[m], diverged[m] = run[:4]
     out = {"final_loss": final, "min_loss": low, "diverged_at": diverged,
            "min_output_moment": moment, "negative_moments": moment < 0.0}
     return {key: x.reshape(len(alphas), len(betas)) for key, x in out.items()}
+
+
+def _worker_count() -> int:
+    """``SGDPHASELAB_THREADS``, else the CPUs this process may run on, at most 8."""
+    env = os.environ.get("SGDPHASELAB_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(f"SGDPHASELAB_THREADS={env!r} is not an integer") from None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(8, cpus)
+
+
+def _map_batches(fn, jobs: list[tuple], workers: int) -> list:
+    """``[fn(*job) for job in jobs]``, on up to ``workers`` forked processes where that is safe.
+
+    A pool needs two jobs, two workers, ``os.fork`` and a process running one thread: a fork
+    copies only the calling thread, so a lock another thread held would stay locked in the
+    child (Python 3.12 warns on such a fork). Workers are forked, not spawned, so they start
+    without importing anything; ``fn`` must be a module-level function. The pool's helper
+    threads leave before this returns, so the next call may fork again.
+    """
+    workers = min(workers, len(jobs))
+    if workers < 2 or not hasattr(os, "fork") or _thread_count() > 1:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        runs = list(pool.map(fn, *zip(*jobs)))
+    deadline = time.monotonic() + 1.0  # joined threads stay listed until they take the GIL to exit
+    while _thread_count() > 1 and time.monotonic() < deadline:
+        time.sleep(1e-4)
+    return runs
+
+
+def _thread_count() -> int:
+    """This process's threads: every one ``/proc`` lists (a native pool's such as OpenBLAS's
+    too) where it does, else Python's."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
 
 def exact_noise_covariance(problem: FeatureProblem, c_matrix: np.ndarray) -> np.ndarray:

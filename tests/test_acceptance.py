@@ -212,7 +212,7 @@ def test_07_divergence_analysis():
     ctx = GenFuncContext(spec, alpha, 0.0, 1.0, 1.0)
     fit = fit_power_law(spec, tail_start=5000)
     div = solve_divergence(ctx)
-    blow = blowup_time(ctx, fit)
+    blow = blowup_time(ctx, fit, div)
 
     horizon = int(10 * div.t_div) + 1
     params = SGDParams(alpha=alpha, beta=0.0, gamma=1.0, steps=horizon)

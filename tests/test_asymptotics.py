@@ -5,6 +5,7 @@ import pytest
 
 from sgdphaselab import (
     AnalysisDomainError,
+    DivergenceReport,
     GenFuncContext,
     PhaseLabel,
     PowerLawFit,
@@ -21,6 +22,7 @@ from sgdphaselab import (
     loss_asymptote,
     optimal_alpha,
     run_se,
+    solve_divergence,
     transition_time,
     xi_criterion,
 )
@@ -150,7 +152,9 @@ class TestBlowup:
     def test_a_star_bracket(self):
         spec = build_power_law(PowerLawSpec(1.0, 0.75, 1.0, 0.375, 5000))
         ctx = GenFuncContext(spec, 0.1, 0.0, 1.0, 1.0)
-        rep = blowup_time(ctx, nominal_fit(0.75, 0.375))
+        div = solve_divergence(ctx)
+        rep = blowup_time(ctx, nominal_fit(0.75, 0.375), div)
+        assert (rep.t_div, rep.r_l) == (div.t_div, div.r_l)
         assert 0.01 < rep.a_star < 0.1
         lead = (1 / 0.75 - 1) / gamma_fn(1 - 0.5)
         assert abs(lead * rep.a_star**-0.5 - math.exp(rep.a_star)) <= 1e-10
@@ -161,19 +165,22 @@ class TestBlowup:
         fit = nominal_fit(0.75, 0.375)
         gaps = []
         for alpha in (0.2, 0.1, 0.05):
-            rep = blowup_time(GenFuncContext(spec, alpha, 0.0, 1.0, 1.0), fit)
+            ctx = GenFuncContext(spec, alpha, 0.0, 1.0, 1.0)
+            rep = blowup_time(ctx, fit, solve_divergence(ctx))
             gaps.append(abs(rep.epsilon_star - (1 - rep.r_l)) / (1 - rep.r_l))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_scenario_restrictions(self):
         spec = build_power_law(PowerLawSpec(1.0, 0.75, 1.0, 0.375, 1000))
         fit = nominal_fit(0.75, 0.375)
+        ctx = GenFuncContext(spec, 0.1, 0.0, 1.0, 1.0)
+        div = DivergenceReport(0.99, -1.0 / math.log(0.99), 1.0)  # the scenario is checked first
         with pytest.raises(AnalysisDomainError):
-            blowup_time(GenFuncContext(spec, 0.1, 0.5, 1.0, 1.0), fit)  # beta != 0
+            blowup_time(GenFuncContext(spec, 0.1, 0.5, 1.0, 1.0), fit, div)  # beta != 0
         with pytest.raises(AnalysisDomainError):
-            blowup_time(GenFuncContext(spec, 0.1, 0.0, 0.5, 1.0), fit)  # gamma != 1
+            blowup_time(GenFuncContext(spec, 0.1, 0.0, 0.5, 1.0), fit, div)  # gamma != 1
         with pytest.raises(AnalysisDomainError):
-            blowup_time(GenFuncContext(spec, 0.1, 0.0, 1.0, 1.0), nominal_fit(1.5, 0.375))
+            blowup_time(ctx, nominal_fit(1.5, 0.375), div)
 
 
 class TestXiCriterion:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,15 @@ class TestParseConfig:
         f.write_text('command = simulate  # a comment\nout = "run#1"  # "quoted" comment\nregime = se#mc\n')
         cfg = parse_config(["--config", str(f)])
         assert (cfg.command, cfg.out, cfg.regime) == ("simulate", "run#1", "se")
+
+    @pytest.mark.parametrize("line", ['out = "abc', 'out = "abc  # comment', 'out = "', 'out = "a"b"'])
+    def test_unterminated_quoted_value_exits_2(self, tmp_path, capsys, line):
+        f = tmp_path / "exp.cfg"
+        f.write_text(f"command = fit\nnu = 1.5\nkappa = 3\n{line}\n")
+        with pytest.raises(ValidationError, match=f"{re.escape(str(f))}:4"):
+            parse_config(["--config", str(f)])
+        assert main(["--config", str(f)]) == 2
+        assert "unterminated" in capsys.readouterr().err
 
     def test_config_float_key_given_as_integer(self, tmp_path):
         f = tmp_path / "exp.cfg"
@@ -376,7 +386,7 @@ class TestExitCodes:
 
 class TestThreadCap:
     def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        # 1000 modes, cells diverging at different steps, uneven interleaved chunks at 7 threads
+        # 1000 modes, cells diverging at different steps, at 1, 2 and 7 workers
         args = ["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "1000",
                 "--batch", "10", "--grid-alpha", "0.5:4:9", "--grid-beta", "0:0.9:4",
                 "--steps", "300"]

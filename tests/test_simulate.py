@@ -192,6 +192,133 @@ class TestSeKernel:
         assert traj.metadata["negative_moments"] == negative == (low < 0.0)
 
 
+# Runs a script in a fresh interpreter whose BLAS keeps one thread, so the process is
+# single-threaded and run_se_grid may fork; any DeprecationWarning or RuntimeWarning fails
+# it. ``made`` lists the process pools the script constructed.
+POOL_PRELUDE = """
+import os, threading
+import concurrent.futures as cf
+import numpy as np
+from sgdphaselab import PowerLawSpec, SGDParams, build_power_law, run_se, run_se_grid, simulate
+made = []
+class CountedPool(cf.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        made.append(args)
+        super().__init__(*args, **kwargs)
+cf.ProcessPoolExecutor = CountedPool
+"""
+
+
+def run_pinned(script: str) -> None:
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-W", "error::RuntimeWarning",
+                           "-c", POOL_PRELUDE + script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+
+
+class TestGridBatches:
+    def test_pooled_grid_is_independent_of_workers_and_bitwise_run_se(self):
+        # 2000 modes: 16 cells a batch, so the 36 beta != 0 cells take 3 or 4 batches; cells
+        # diverge at several steps, in several batches, and some moments go negative
+        run_pinned("""
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.6, 0.9]
+grids = []
+for workers in ("1", "2", "3"):
+    os.environ["SGDPHASELAB_THREADS"] = workers
+    grids.append(run_se_grid(spec, alphas, betas, 0.5, 0.1, 1.0, 400))
+    assert [pool[0] for pool in made] == [2, 3][: int(workers) - 1], made  # a pool of 2, then of 3
+for grid in grids[1:]:
+    assert grid.keys() == grids[0].keys()
+    for key, x in grid.items():
+        assert x.dtype == grids[0][key].dtype and np.array_equal(x, grids[0][key]), key
+grid = grids[0]
+steps = grid["diverged_at"][grid["diverged_at"] >= 0]
+assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
+assert grid["negative_moments"].any()
+for i, a in enumerate(alphas):
+    for j, b in enumerate(betas):
+        traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=0.5, tau1=0.1, steps=400))
+        assert grid["final_loss"][i, j] == traj.losses[-1]
+        assert grid["min_loss"][i, j] == np.min(traj.losses)
+        assert grid["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
+        assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
+""")
+
+    def test_pooled_stability_map_warns_nothing(self, tmp_path):
+        run_pinned(f"""
+from sgdphaselab.cli import main
+os.environ["SGDPHASELAB_THREADS"] = "2"
+assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "1000", "--batch", "10",
+             "--steps", "100", "--out", {str(tmp_path)!r}]) == 0
+assert len(made) == 1, made
+""")
+
+    def test_grid_runs_in_process_while_another_thread_lives(self):
+        run_pinned("""
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
+os.environ["SGDPHASELAB_THREADS"] = "2"
+pooled = run_se_grid(*args)
+assert len(made) == 1, made
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("forked while another thread was alive")
+cf.ProcessPoolExecutor = NoPool
+release = threading.Event()
+other = threading.Thread(target=release.wait)
+other.start()
+try:
+    assert simulate._thread_count() > 1
+    alone = run_se_grid(*args)
+finally:
+    release.set()
+    other.join(timeout=10)
+assert not other.is_alive()
+assert all(np.array_equal(alone[key], x) for key, x in pooled.items())
+""")
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.delenv("SGDPHASELAB_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, at most 8
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+            assert simulate._worker_count() == 3
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+            assert simulate._worker_count() == 8
+        for text, workers in (("1", 1), ("0", 1), ("5", 5)):
+            monkeypatch.setenv("SGDPHASELAB_THREADS", text)
+            assert simulate._worker_count() == workers
+
+    def test_bad_worker_env_rejected_on_a_one_batch_grid(self, monkeypatch):
+        monkeypatch.setenv("SGDPHASELAB_THREADS", "lots")
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
+        with pytest.raises(ValidationError, match="SGDPHASELAB_THREADS"):
+            run_se_grid(spec, [0.5], [0.0], 0.1, 1.0, 1.0, 10)
+
+    def test_batches_split_each_group_round_robin(self, monkeypatch):
+        # which cells share a batch: the map hands each batch its cells, in grid order
+        seen = []
+
+        def record(fn, jobs, workers):
+            seen.extend((job[1].tolist(), job[2].tolist(), workers) for job in jobs)
+            return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(simulate, "_map_batches", record)
+        monkeypatch.setattr(simulate, "_GRID_BATCH", 40)  # 2 cells a batch on 20 modes
+        monkeypatch.setenv("SGDPHASELAB_THREADS", "2")
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
+        run_se_grid(spec, [1.0, 2.0, 3.0], [0.0, 0.5], 0.1, 1.0, 1.0, 10)
+        # beta = 0: 3 cells need 2 batches; beta = 0.5: likewise
+        assert seen == [([1.0, 3.0], [0.0, 0.0], 2), ([2.0], [0.0], 2),
+                        ([1.0, 3.0], [0.5, 0.5], 2), ([2.0], [0.5], 2)]
+        seen.clear()
+        monkeypatch.setattr(simulate, "_GRID_BATCH", 20)  # 1 cell a batch: 3 batches, not 4 empty-padded
+        run_se_grid(spec, [1.0, 2.0, 3.0], [0.5], 0.1, 1.0, 1.0, 10)
+        assert [cells for cells, _, _ in seen] == [[1.0], [2.0], [3.0]]
+
+
 class TestRunNoiseless:
     def test_convergence_boundary_crossed(self):
         # just past alpha = 2(1+beta)/lambda_max the iteration is unstable
