@@ -217,9 +217,15 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     cfg.sgd_params()  # SGDParams rejects alpha, beta, gamma, batch, taus and steps out of range
     if cfg.runs < 1 or cfg.modes < 2:
         raise ValidationError("runs and modes must be positive (modes >= 2)")
-    for r in cfg.regime.split(","):
+    if not 0.0 < cfg.kernel_scale < math.inf:
+        raise ValidationError(f"--kernel-scale must be finite and positive, got {cfg.kernel_scale}")
+    regimes = cfg.regime.split(",")
+    for r in regimes:
         if r not in REGIMES:
             raise ValidationError(f"unknown regime {r!r}; choose from {REGIMES}")
+    for key, items in (("regime", regimes), ("batch-list", cfg.batch_list or [])):
+        if len(set(items)) < len(items):  # each run writes trajectory_<item>.csv
+            raise ValidationError(f"--{key} repeats a value: {items}")
     return cfg
 
 

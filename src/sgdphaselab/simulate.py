@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -305,33 +304,23 @@ def _worker_count() -> int:
 def _map_batches(fn, jobs: list[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, on up to ``workers`` forked processes where that is safe.
 
-    A pool needs two jobs, two workers, ``os.fork`` and a process running one thread: a fork
-    copies only the calling thread, so a lock another thread held would stay locked in the
-    child (Python 3.12 warns on such a fork). Workers are forked, not spawned, so they start
-    without importing anything; ``fn`` must be a module-level function. The pool's helper
-    threads leave before this returns, so the next call may fork again.
+    A pool needs two jobs, two workers, ``os.fork`` and no live Python thread but this one: a
+    fork copies only the calling thread, so a lock another thread held would stay locked in the
+    child. Native thread pools, such as the one numpy's OpenBLAS starts at import, do not stop
+    the fork: ``fn`` calls only numpy's elementwise ufuncs and reductions, no BLAS or OpenMP
+    routine, so the child never takes a lock those pools hold; and OpenBLAS's atfork handler
+    joins its pool, so the process forks from one OS thread, the count Python 3.12 checks for
+    its fork-with-threads warning. Workers are forked, not spawned, so they start without
+    importing anything; ``fn`` must be a module-level function.
     """
     workers = min(workers, len(jobs))
-    if workers < 2 or not hasattr(os, "fork") or _thread_count() > 1:
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(*job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        runs = list(pool.map(fn, *zip(*jobs)))
-    deadline = time.monotonic() + 1.0  # joined threads stay listed until they take the GIL to exit
-    while _thread_count() > 1 and time.monotonic() < deadline:
-        time.sleep(1e-4)
-    return runs
-
-
-def _thread_count() -> int:
-    """This process's threads: every one ``/proc`` lists (a native pool's such as OpenBLAS's
-    too) where it does, else Python's."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 def exact_noise_covariance(problem: FeatureProblem, c_matrix: np.ndarray) -> np.ndarray:

@@ -183,7 +183,7 @@ def heatmap_chart(
 
     ``cells[i, j]`` colors the cell at (x_values[i], y_values[j]) on a log
     color scale; NaN and non-positive cells render dark gray, which is how
-    diverged sweep points show up.
+    diverged sweep points show up (all of them where no cell is finite).
     """
     x = np.asarray(x_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
@@ -193,9 +193,7 @@ def heatmap_chart(
 
     finite = cells[np.isfinite(cells)]
     finite = finite[finite > 0]
-    if finite.size == 0:
-        raise ValidationError("no finite cells to color")
-    vmin, vmax = math.log10(finite.min()), math.log10(finite.max())
+    vmin, vmax = (math.log10(finite.min()), math.log10(finite.max())) if finite.size else (0.0, 1.0)
     if vmax - vmin < 1e-12:
         vmax = vmin + 1.0
 

@@ -327,6 +327,18 @@ class TestExitCodes:
             assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "--grid-alpha/--grid-beta" in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize("bad", [
+        *(["--torus", "16", "--kernel-scale", scale] for scale in ("0", "-0.35", "nan", "inf")),
+        # a repeated run would write the same trajectory_*.csv twice and list it twice in manifest.json
+        ["--nu", "1.5", "--kappa", "3", "--regime", "se,noiseless,se"],
+        ["--nu", "1.5", "--kappa", "3", "--batch-list", "4,8,4"],
+    ], ids=" ".join)
+    def test_bad_simulate_value_named(self, bad, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["simulate", *bad, "--batch", "4", "--steps", "20", "--out", str(out)]) == 2
+        assert bad[-2] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_domain_errors_exit_3(self, tmp_path):
         rc = main(["divergence", "--nu", "1.5", "--kappa", "3", "--modes", "50",
                    "--alpha", "0.01", "--gamma", "0.01", "--out", str(tmp_path / "y")])
@@ -473,3 +485,14 @@ class TestSvg:
         assert out.count("<rect") >= 7
         with pytest.raises(ValidationError):
             heatmap_chart([0.1], [0.0], np.array([[1.0, 2.0]]))
+
+    def test_map_with_every_cell_diverged_plots_dark(self, tmp_path):
+        out = tmp_path / "dead"
+        assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "50", "--grid-alpha", "50:60:3",
+                     "--grid-beta", "0:0.5:2", "--steps", "50", "--batch", "10", "--plot", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "stability_map.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 6 and all(r[2] == "inf" for r in rows)
+        cells = [line for line in (out / "stability_map.svg").read_text().splitlines()
+                 if line.startswith("<rect x=") and 'fill="none"' not in line]
+        assert len(cells) == 6 and all('fill="#404040"' in line for line in cells)
+        assert "stability_map.svg" in {f["path"] for f in read_manifest(out)["files"]}

@@ -192,9 +192,9 @@ class TestSeKernel:
         assert traj.metadata["negative_moments"] == negative == (low < 0.0)
 
 
-# Runs a script in a fresh interpreter whose BLAS keeps one thread, so the process is
-# single-threaded and run_se_grid may fork; any DeprecationWarning or RuntimeWarning fails
-# it. ``made`` lists the process pools the script constructed.
+# Runs a script in a fresh interpreter in the default environment, where run_se_grid may fork;
+# any DeprecationWarning or RuntimeWarning fails it. ``made`` lists the process pools the
+# script constructed.
 POOL_PRELUDE = """
 import os, threading
 import concurrent.futures as cf
@@ -209,10 +209,9 @@ cf.ProcessPoolExecutor = CountedPool
 """
 
 
-def run_pinned(script: str) -> None:
+def run_fresh(script: str) -> None:
     src = str(Path(simulate.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-W", "error::RuntimeWarning",
                            "-c", POOL_PRELUDE + script], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0 and not done.stderr, done.stderr
@@ -222,7 +221,7 @@ class TestGridBatches:
     def test_pooled_grid_is_independent_of_workers_and_bitwise_run_se(self):
         # 2000 modes: 16 cells a batch, so the 36 beta != 0 cells take 3 or 4 batches; cells
         # diverge at several steps, in several batches, and some moments go negative
-        run_pinned("""
+        run_fresh("""
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.6, 0.9]
 grids = []
@@ -248,7 +247,7 @@ for i, a in enumerate(alphas):
 """)
 
     def test_pooled_stability_map_warns_nothing(self, tmp_path):
-        run_pinned(f"""
+        run_fresh(f"""
 from sgdphaselab.cli import main
 os.environ["SGDPHASELAB_THREADS"] = "2"
 assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "1000", "--batch", "10",
@@ -257,7 +256,7 @@ assert len(made) == 1, made
 """)
 
     def test_grid_runs_in_process_while_another_thread_lives(self):
-        run_pinned("""
+        run_fresh("""
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
 os.environ["SGDPHASELAB_THREADS"] = "2"
@@ -271,13 +270,28 @@ release = threading.Event()
 other = threading.Thread(target=release.wait)
 other.start()
 try:
-    assert simulate._thread_count() > 1
+    assert threading.active_count() > 1
     alone = run_se_grid(*args)
 finally:
     release.set()
     other.join(timeout=10)
 assert not other.is_alive()
 assert all(np.array_equal(alone[key], x) for key, x in pooled.items())
+""")
+
+    def test_grid_forks_while_the_blas_pool_lives(self):
+        run_fresh("""
+x = np.random.default_rng(0).standard_normal((256, 256))
+assert np.isfinite(x @ x).all()  # a GEMM, so OpenBLAS's thread pool is running
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
+os.environ["SGDPHASELAB_THREADS"] = "2"
+pooled = run_se_grid(*args)
+assert len(made) == 1, made
+os.environ["SGDPHASELAB_THREADS"] = "1"
+alone = run_se_grid(*args)
+assert len(made) == 1, made
+assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key, x in pooled.items())
 """)
 
     def test_worker_count(self, monkeypatch):
