@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
 from .serialize import json_ready
-from .simulate import LossTrajectory, _divergence_threshold, _se_kernel, _se_table
+from .simulate import LossTrajectory, _divergence_threshold, _noise_above_rounding, _se_kernel, _se_table
 from .spectrum import Spectrum
 
 _UV_BLOCK = 32  # generating-function coefficients (a power of 2) per GEMM in compute_UV_sequences
@@ -341,7 +341,7 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
     if horizon < 1:
         raise AnalysisDomainError(f"horizon must be >= 1, got {horizon}")
     lam = ctx.spectrum.lambdas
-    if ctx.gamma * (ctx.alpha * ctx.spectrum.lambda_max) ** 2 * horizon <= 1e-16:
+    if not _noise_above_rounding(ctx.gamma, ctx.alpha, ctx.spectrum.lambda_max, horizon):
         seed, zero = lam * lam, np.zeros_like(lam)
         sums = _se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
                           np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),

@@ -11,12 +11,17 @@ Regimes, from cheapest to most faithful:
 The SE recursion evolves the per-mode moments (C, J, V) of the heavy-ball
 iterate and its momentum in output-space normalization (states are
 ``lambda_k C_kk`` etc.), which keeps small-eigenvalue modes well-scaled and
-matches the spectrum's stored ``lambda_c0`` directly. One batched kernel
-(:func:`_se_kernel`) runs it for :func:`run_se`, :func:`run_se_grid` and
-:func:`run_additive_noise`: a per-mode 3x3 map plus a rank-one coupling
-through one scalar per cell. ``genfunc.compute_UV_sequences`` powers the same
-map, without the coupling, a block of steps at a time (it steps the kernel
-only when the noise is below rounding).
+matches the spectrum's stored ``lambda_c0`` directly. A step is a per-mode
+3x3 map plus a rank-one coupling through one scalar per cell, S = sum_k C_k.
+:func:`run_se` and :func:`run_se_grid` run it through :func:`_se_cells`:
+cells whose moments provably stay non-negative, with noise above rounding and
+block powers that keep their digits (:func:`_blocked_cells`), go to
+:func:`_se_blocked`, which takes k steps per round of numpy calls by solving
+each block's coupling with a Toeplitz inverse; the others, and
+:func:`run_additive_noise`, go to the step-by-step kernel :func:`_se_kernel`.
+``genfunc.compute_UV_sequences`` powers the same map, without the coupling,
+a block of steps at a time (it steps the kernel only when the noise is below
+rounding).
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ DIVERGENCE_FLOOR = 1e300  # absolute threshold when L(0) = 0
 FULL_MOMENT_DIM_LIMIT = 256
 _MC_BLOCK = 8  # Monte-Carlo steps whose batches one Philox stream draws
 _GRID_BATCH = 2**15  # cell-modes per run_se_grid batch: its <= 9 (cells, modes) arrays, ~2 MB, about one L2
+_SE_BUDGET = 2**20  # bytes of a blocked batch's rows and G, about one L2
+_SE_BLOCK = (4, 16)  # fewest and most steps per blocked round
+_SE_BLOCK_DECAY = 1e-3  # least share of its moments a blocked cell's slowest mode keeps over a block
+_SE_BLOCK_EDGE = 0.05  # least relative distance of a blocked cell's top mode from the heavy-ball edge
+
+
+def _is_count(x) -> bool:
+    """A positive integer; a bool is not a count, though it subclasses int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -78,9 +92,9 @@ class SGDParams:
             raise ValidationError(f"beta must lie in (-1, 1), got {self.beta!r}")
         if self.gamma is not None and not (0.0 <= self.gamma <= 1.0):
             raise ValidationError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if self.batch is not None and not (isinstance(self.batch, (int, np.integer)) and self.batch >= 1):
+        if self.batch is not None and not _is_count(self.batch):
             raise ValidationError(f"batch must be a positive integer, got {self.batch!r}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+        if not _is_count(self.steps):
             raise ValidationError(f"steps must be a positive integer, got {self.steps!r}")
         if not (math.isfinite(self.tau1) and math.isfinite(self.tau2)):
             raise ValidationError("tau1 and tau2 must be finite")
@@ -157,12 +171,14 @@ def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=Fa
     A step is ``(C, J, V) <- A_k (C, J, V) + w`` with ``w = r_k S`` (``source_k`` if r is None)
     and ``S = sum_k C_k``. A ``(m11,)`` table steps C alone; otherwise the step is in velocity
     form, 13 passes over two scratch buffers: ``h = beta J - a C``, ``V <- beta^2 V + w -
-    2 a beta J + (a^2 - q) C``, ``J <- h + V``, ``C <- C + h + J``. The lowest loss and moment
-    run on the live rows; a ``(m11,)`` run with m11, r, source and C >= 0 skips the moment, as
-    sums of non-negative products stay >= 0. A cell whose loss crosses ``threshold`` leaves the
-    batch. Returns per cell: the final loss (at the crossing if any), the lowest loss before it,
-    the lowest moment (0 if none < 0), the crossing step (-1 = never) and, with ``history``,
-    the (cells, steps + 1) sums S.
+    2 a beta J + (a^2 - q) C`` (:func:`_se_step`), ``J <- h + V``, ``C <- C + h + J``. The lowest
+    loss and moment run on the live rows; a ``(m11,)`` run with m11, r, source and C >= 0 skips
+    the moment, as sums of non-negative products stay >= 0. With gamma, tau1 >= 0, tau2 <= tau1
+    and C >= 0 no moment goes negative at any beta and m11 either (the congruence argument of
+    :func:`run_se`); most such runs take :func:`_se_blocked`. A cell whose loss crosses
+    ``threshold`` leaves the batch. Returns per cell: the final loss (at the crossing if any), the
+    lowest loss before it, the lowest moment (0 if none < 0), the crossing step (-1 = never) and,
+    with ``history``, the (cells, steps + 1) sums S.
     """
     fast, coef = len(table) == 1, [*table, r]
     cell = np.arange(c.shape[0])  # original index of each live row
@@ -175,22 +191,7 @@ def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=Fa
     t1, t2 = np.empty_like(c), np.empty_like(c)
     for t in range(1, steps + 1):
         w = source if coef[-1] is None else np.multiply(coef[-1], s[:, None], out=t1)
-        if fast:
-            np.multiply(coef[0], c, out=c)
-            if w is not None:
-                c += w
-        else:
-            a, beta, b2, m2, m1 = coef[:5]
-            v *= b2
-            if w is not None:
-                v += w
-            h = np.multiply(beta, j, out=t2)
-            h -= np.multiply(a, c, out=t1)
-            v += np.multiply(m2, j, out=t1)
-            v += np.multiply(m1, c, out=t1)
-            np.add(h, v, out=j)
-            c += h
-            c += j
+        _se_step(coef[:-1], c, j, v, w, t1, t2)
         s = c.sum(axis=1)
         loss = 0.5 * s
         if track:
@@ -218,12 +219,151 @@ def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=Fa
     return final, out[:, 0], out[:, 1], diverged, sums
 
 
-def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, stop=True, **kw):
-    """Run the (alpha[i], beta[i]) cells from the spectrum's initial state."""
+def _se_step(table, c, j, v, w, t1, t2):
+    """One SE step of :func:`_se_kernel` on c (and j, v), in place, adding ``w`` unless None."""
+    if len(table) == 1:
+        np.multiply(table[0], c, out=c)
+        if w is not None:
+            c += w
+        return
+    a, beta, b2, m2, m1 = table
+    v *= b2
+    if w is not None:
+        v += w
+    h = np.multiply(beta, j, out=t2)
+    h -= np.multiply(a, c, out=t1)
+    v += np.multiply(m2, j, out=t1)
+    v += np.multiply(m1, c, out=t1)
+    np.add(h, v, out=j)
+    c += h
+    c += j
+
+
+def _se_blocked(table, r, c, k, steps, threshold=None, history=False):
+    """:func:`_se_kernel` without ``source``, ``k`` steps per round of numpy calls.
+
+    With x the (cells, d, modes) state, d = 1 for a ``(m11,)`` table, else 3, the sums
+    S_t0..S_{t0+k-1} of a block solve ``(I - T_U) S = p``, ``p_j = sum_l e1^T A_l^j x_l`` over the
+    modes l, where T_U is strictly lower Toeplitz in ``U_n = sum_l e1^T A_l^{n-1} r_l 1``; its inverse
+    is lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n} U_i w_{n-i}``, so ``S_j = sum_i w_{j-i} p_i`` is one
+    contraction of x with the rows ``sum_i w_{j-i} e1^T A^i``. Then ``x <- A^k x + sum_i G_i S_i``,
+    ``G_i = A^{k-1-i} r 1``. The rows, A^k and G come from :func:`_se_step` on the d unit states
+    and the seed ``r 1``, once a call; the contractions are ``np.einsum`` calls, so no BLAS runs.
+    Every S_t is formed, so the crossing step and the final and lowest losses are the kernel's to
+    rounding. The lowest moment returned is 0: :func:`_se_cells` runs here only cells whose
+    moments stay >= 0 (see :func:`run_se`). Returns what :func:`_se_kernel` returns.
+    """
+    n, m = c.shape
+    d = 1 if len(table) == 1 else 3
+    state = np.zeros((d, n, d + 1, m))  # (moment, cell, unit state or the seed, mode)
+    for e in range(d):
+        state[e, :, e] = 1.0
+        state[e, :, d] = 0.0 if r is None else r
+    step = [x[:, None] for x in table]  # (cells, 1, modes): broadcasts over the states
+    rows, g = np.empty((n, k, d, m)), np.empty((n, k, d, m))
+    t1, t2 = np.empty_like(state[0]), np.empty_like(state[0])
+    for i in range(k):
+        rows[:, i] = state[0, :, :d]
+        g[:, k - 1 - i] = state[:, :, d].transpose(1, 0, 2)
+        _se_step(step, *state, *[None] * (3 - d), None, t1, t2)
+    ak = state[:, :, :d].transpose(1, 0, 2, 3).copy()  # A^k: (cell, moment, unit state, mode)
+    del state, t1, t2
+    u = g[:, ::-1, 0].sum(axis=2)  # u[:, i - 1] = U_i
+    w = np.zeros((n, k))
+    w[:, 0] = 1.0
+    for i in range(1, k):
+        w[:, i] = np.einsum("ci,ci->c", u[:, :i], w[:, i - 1 :: -1])
+    for i in range(k - 1, 0, -1):  # rows_i <- sum_j w_{i-j} rows_j, so that S_i = rows_i . x
+        rows[:, i] = np.einsum("ci,cidm->cdm", w[:, i::-1], rows[:, : i + 1])
+
+    s0 = c.sum(axis=1)
+    cell, final, diverged = np.arange(n), 0.5 * s0, np.full(n, -1)  # cell: original index of each live row
+    low, lowest = final.copy(), final.copy()  # lowest loss so far of the live rows, of every cell
+    sums = np.empty((n, steps + 1)) if history else None
+    x = np.zeros((n, d, m))
+    x[:, 0] = c
+    for t in range(0, steps + 1, k):
+        s = np.einsum("ckdm,cdm->ck", rows, x)[:, : steps + 1 - t]
+        if t == 0:
+            s[:, 0] = s0  # summed as the kernel sums it
+        if history:
+            sums[cell, t : t + s.shape[1]] = s
+        loss = 0.5 * s
+        if threshold is not None and not (loss.max() <= threshold):  # L(0) never crosses
+            over = ~(loss <= threshold)  # NaN crosses
+            crossed = over.any(axis=1)
+            first, hit = over.argmax(axis=1)[crossed], cell[crossed]
+            diverged[hit], final[hit] = t + first, loss[crossed, first]
+            before = np.where(np.arange(s.shape[1]) < first[:, None], loss[crossed], np.inf)
+            lowest[hit] = np.minimum(low[crossed], before.min(axis=1))
+            keep = ~crossed
+            cell, low, loss, s, rows, g, ak, x = (y[keep] for y in (cell, low, loss, s, rows, g, ak, x))
+            if not cell.size:
+                break
+        np.minimum(low, loss.min(axis=1), out=low)
+        if t + k > steps:
+            break
+        nxt = np.einsum("cedm,cdm->cem", ak, x)
+        nxt += np.einsum("ckdm,ck->cdm", g, s)
+        x = nxt
+    final[cell], lowest[cell] = loss[:, -1], low
+    return final, lowest, np.zeros(n), diverged, sums
+
+
+def _se_block_steps(d: int, modes: int) -> int:
+    """Steps per blocked round: the largest power of two up to ``_SE_BLOCK[1]`` whose rows and G,
+    ``2 d modes k`` doubles a cell, fit ``_SE_BUDGET``; 0 below ``_SE_BLOCK[0]``."""
+    k = _SE_BLOCK[1]
+    while k >= _SE_BLOCK[0] and 16 * d * modes * k > _SE_BUDGET:
+        k //= 2
+    return k if k >= _SE_BLOCK[0] else 0
+
+
+def _noise_above_rounding(gamma, alpha, lambda_max, steps):
+    """Whether the noise can reach the loss above rounding over ``steps``:
+    ``gamma (alpha lambda_max)^2 T > 1e-16`` (elementwise in alpha)."""
+    return gamma * (alpha * lambda_max) ** 2 * steps > 1e-16
+
+
+def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
+    """Which (alpha[i], beta[i]) cells :func:`_se_cells` runs blocked, and the block size k.
+
+    A cell runs blocked when its moments provably stay >= 0 (gamma >= 0, tau1 >= 0, tau2 <= tau1,
+    lambda_c0 >= 0), its noise is above rounding and the budget gives k >= ``_SE_BLOCK[0]`` for its
+    table (d = 1 if every beta is 0, as in :func:`_se_table`). Two more rules keep accuracy: the
+    block's contractions read the stepped powers A^j against the block-start state, so they lose
+    digits the kernel keeps where the loss falls by orders within a block or where the top mode's
+    powers swing (transients, alternating signs). So the slowest mode keeps at least
+    ``_SE_BLOCK_DECAY`` of its moments over a block, ``rho^(2k)`` with rho the largest spectral
+    radius of the heavy-ball matrices ``[[1 - a, beta], [-a, beta]]`` (unimodal in a, so the
+    extreme modes give it), and the top mode lies at least ``_SE_BLOCK_EDGE`` (relative) from the
+    edge ``a = 2 (1 + beta)``. The choice reads only the cell's parameters, modes and steps.
+    """
+    alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
+                                      np.reshape(np.asarray(beta, dtype=float), -1))
+    k = _se_block_steps(3 if beta.any() else 1, len(spectrum))
+    if not (k and gamma >= 0.0 and tau1 >= 0.0 and tau2 <= tau1 and np.all(spectrum.lambda_c0 >= 0.0)):
+        return np.zeros(alpha.size, dtype=bool), k
+    a = alpha[:, None] * np.array([spectrum.lambdas.min(), spectrum.lambda_max])
+    trace, det = 1.0 - a + beta[:, None], beta[:, None]
+    disc = trace * trace - 4.0 * det
+    rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(det)))
+    slow = rho.max(axis=1) ** (2 * k) >= _SE_BLOCK_DECAY
+    off_edge = np.abs(a[:, 1] / (2.0 * (1.0 + beta)) - 1.0) > _SE_BLOCK_EDGE
+    return slow & off_edge & _noise_above_rounding(gamma, alpha, spectrum.lambda_max, steps), k
+
+
+def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, stop=True, source=None, history=False):
+    """Run the (alpha[i], beta[i]) cells from the spectrum's initial state: on :func:`_se_blocked`
+    if :func:`_blocked_cells` picks every cell and there is no ``source``, else on
+    :func:`_se_kernel` (:func:`run_se_grid` never mixes the two in a batch)."""
     table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
     c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
     threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum())) if stop else None
-    return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, **kw)
+    blocked, k = _blocked_cells(spectrum, alpha, beta, gamma, tau1, tau2, steps)
+    if source is None and blocked.all():
+        return _se_blocked(table, r, c, k, steps, threshold, history)
+    return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, source, history)
 
 
 def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
@@ -232,6 +372,13 @@ def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
     Each step applies the heavy-ball map A_k of :func:`_se_table` and adds
     the noise increment ``gamma a^2 lam^2 (tau1 * sum_l lam_l C_ll - tau2 * lam_k C_kk)``
     to all three moments. Divergence is a recorded outcome, not an error.
+
+    ``min_output_moment`` is exactly 0 on the runs :func:`_se_blocked` takes (gamma, tau1 >= 0,
+    tau2 <= tau1, lambda_c0 >= 0). Per mode the step is the congruence ``M <- B M B^T +
+    sigma [[1, 1], [1, 1]]`` of the moment matrix ``M = [[C, J], [J, V]]``, with ``B = [[1 - a,
+    beta], [-a, beta]]`` and ``sigma = gamma a^2 (tau1 S - tau2 C_k)``. While every C_l >= 0,
+    S >= C_k and ``sigma >= gamma a^2 (tau1 - tau2) C_k >= 0``, so by induction every M stays PSD
+    and no C goes negative. Other runs record the kernel's tracked minimum.
     """
     gamma = params.resolve_gamma(spectrum.dataset_size)
     _, _, moment, diverged, sums = _se_cells(spectrum, params.alpha, params.beta, gamma, params.tau1,
@@ -259,27 +406,32 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
                 gamma: float, tau1: float, tau2: float, steps: int) -> dict:
     """Batched SE sweep over the (alpha, beta) product grid.
 
-    The beta = 0 cells and the others go into separate kernel batches of at most
-    ``_GRID_BATCH`` cell-modes (or one cell), so a batch's working set is about one core's L2
-    cache; a group that needs more batches than there are workers gets a multiple of the
-    worker count. Cells are dealt to the batches round-robin in grid order, which spreads the early-diverging
-    large-alpha cells; a diverged cell leaves its batch at its crossing step. The batches run
-    on up to ``SGDPHASELAB_THREADS`` forked worker processes where :func:`_map_batches` can
-    fork, else here one after another. A cell's arithmetic does not depend on its batch, so
-    each cell is bitwise its :func:`run_se` run whatever the split or the worker count.
-    Returns final/min losses, divergence steps (-1 = never) and the moment flags
-    ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
+    The cells fall into four groups: beta = 0 or not (a 1- or 3-moment table), and blocked or
+    not (:func:`_blocked_cells`, which reads only a cell's own parameters, the modes and the
+    steps). A kernel group goes into batches of at most ``_GRID_BATCH`` cell-modes, a blocked
+    group into batches whose rows and G fit ``_SE_BUDGET`` (or one cell), so a batch's working
+    set is about one core's L2 cache; a group that needs more batches than there are workers
+    gets a multiple of the worker count. Cells are dealt to the batches round-robin in grid
+    order, which spreads the early-diverging large-alpha cells; a diverged cell leaves its
+    batch at its crossing step. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker
+    processes where :func:`_map_batches` can fork, else here one after another. A cell's
+    arithmetic does not depend on its batch, so each cell is bitwise its :func:`run_se` run
+    whatever the split or the worker count. Returns final/min losses, divergence steps
+    (-1 = never) and the moment flags ``min_output_moment`` / ``negative_moments`` as
+    (len(alphas), len(betas)) arrays.
     """
     workers = _worker_count()  # first, so a bad SGDPHASELAB_THREADS fails on every grid
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
-    per_batch = max(1, _GRID_BATCH // len(spectrum))
     batches = []
-    for cells in (np.flatnonzero(b == 0.0), np.flatnonzero(b != 0.0)):
-        n = -(-cells.size // per_batch)
-        if n > workers:  # a multiple of the workers, so each does an equal share
-            n = min(cells.size, -(-n // workers) * workers)
-        batches += [cells[k::n] for k in range(n)]
+    for d, group in ((1, np.flatnonzero(b == 0.0)), (3, np.flatnonzero(b != 0.0))):
+        blocked, k = _blocked_cells(spectrum, a[group], b[group], gamma, tau1, tau2, steps)
+        sizes = _GRID_BATCH // len(spectrum), _SE_BUDGET // (16 * d * len(spectrum) * max(k, 1))
+        for cells, per_batch in zip((group[~blocked], group[blocked]), sizes):
+            n = -(-cells.size // max(1, per_batch))
+            if n > workers:  # a multiple of the workers, so each does an equal share
+                n = min(cells.size, -(-n // workers) * workers)
+            batches += [cells[i::n] for i in range(n)]
     runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps) for m in batches], workers)
     final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][:4])
     for m, run in zip(batches, runs):  # each batch back to its cells' places in the grid
@@ -294,9 +446,12 @@ def _worker_count() -> int:
     env = os.environ.get("SGDPHASELAB_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValidationError(f"SGDPHASELAB_THREADS={env!r} is not an integer") from None
+            workers = 0
+        if workers < 1:
+            raise ValidationError(f"SGDPHASELAB_THREADS={env!r} is not a positive integer")
+        return workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(8, cpus)
 
@@ -307,11 +462,12 @@ def _map_batches(fn, jobs: list[tuple], workers: int) -> list:
     A pool needs two jobs, two workers, ``os.fork`` and no live Python thread but this one: a
     fork copies only the calling thread, so a lock another thread held would stay locked in the
     child. Native thread pools, such as the one numpy's OpenBLAS starts at import, do not stop
-    the fork: ``fn`` calls only numpy's elementwise ufuncs and reductions, no BLAS or OpenMP
-    routine, so the child never takes a lock those pools hold; and OpenBLAS's atfork handler
-    joins its pool, so the process forks from one OS thread, the count Python 3.12 checks for
-    its fork-with-threads warning. Workers are forked, not spawned, so they start without
-    importing anything; ``fn`` must be a module-level function.
+    the fork: ``fn`` calls only numpy's elementwise ufuncs, reductions and ``np.einsum`` without
+    ``optimize`` (its own loops), no BLAS or OpenMP routine, so the child never takes a lock
+    those pools hold; and OpenBLAS's atfork handler joins its pool, so the process forks from
+    one OS thread, the count Python 3.12 checks for its fork-with-threads warning. Workers are
+    forked, not spawned, so they start without importing anything; ``fn`` must be a
+    module-level function.
     """
     workers = min(workers, len(jobs))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -494,7 +650,7 @@ def run_mc(problem: FeatureProblem, params: SGDParams, runs: int, seed: int) -> 
     zeroed, then ``proj psi^T / b``. Memory is O(runs (d + N) + runs _MC_BLOCK N) at any
     horizon; results are a pure function of (inputs, runs, seed).
     """
-    if not (isinstance(runs, (int, np.integer)) and runs >= 1):
+    if not _is_count(runs):
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
     if params.batch is None:
         raise ValidationError("Monte-Carlo path needs an explicit batch size")

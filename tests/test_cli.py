@@ -418,6 +418,13 @@ class TestThreadCap:
                    "--steps", "50", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_env_below_one_rejected(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("SGDPHASELAB_THREADS", threads)
+        rc = main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "20", "--batch", "10",
+                   "--grid-alpha", "0.2:1:3", "--grid-beta", "0:0.5:2", "--steps", "50", "--out", str(tmp_path / "x")])
+        assert rc == 2 and not (tmp_path / "x").exists()
+
 
 class TestStepsResolution:
     def _grid_steps(self, monkeypatch, tmp_path, extra):

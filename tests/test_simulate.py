@@ -42,7 +42,8 @@ class TestParams:
 
     @pytest.mark.parametrize("bad", [dict(alpha=0.0), dict(alpha=0.5, beta=1.0),
                                      dict(alpha=0.5, gamma=1.5), dict(alpha=0.5, steps=0),
-                                     dict(alpha=0.5, batch=0)])
+                                     dict(alpha=0.5, batch=0), dict(alpha=0.1, steps=True),
+                                     dict(alpha=0.1, batch=True)])
     def test_validation(self, bad):
         with pytest.raises(ValidationError):
             SGDParams(**bad)
@@ -127,16 +128,22 @@ class TestSeKernel:
             worst = max(worst, abs(det - float(eval_S(alpha, beta, tau2 * gamma, lam, z))))
         assert worst <= 1e-13
 
-    @pytest.mark.parametrize("gamma, tau1, betas", [(0.5, 0.1, [0.0, 0.3, 0.9]), (0.9, 0.0, [0.0])])
+    @pytest.mark.parametrize("gamma, tau1, betas", [(0.5, 0.1, [0.0, 0.3, 0.9]), (0.9, 0.0, [0.0]),
+                                                    (0.5, 1.0, [0.0, 0.3, 0.9])])
     def test_grid_cells_equal_run_se_bitwise(self, gamma, tau1, betas):
-        # > 1000 modes so the pairwise summation of the coupling sum is exercised;
-        # cells leave the batch at different steps and some moments go negative
+        # > 1000 modes so the pairwise summation of the coupling sum is exercised; cells leave
+        # the batch at different steps. At tau1 < tau2 every cell runs on the kernel and some
+        # moments go negative; at tau1 = tau2 every cell runs blocked but (2.5, 0.3), which lies
+        # within 5% of the heavy-ball edge alpha lambda_max = 2 (1 + beta).
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 1200))
         alphas = [0.2, 0.7, 1.5, 2.5, 3.5]
         grid = run_se_grid(spec, alphas, betas, gamma, tau1, 1.0, 600)
         steps = grid["diverged_at"][grid["diverged_at"] >= 0]
         assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
-        assert grid["negative_moments"].any()
+        for b in betas:
+            blocked = simulate._blocked_cells(spec, alphas, b, gamma, tau1, 1.0, 600)[0]
+            assert np.array_equal(blocked, [tau1 >= 1.0 and (a, b) != (2.5, 0.3) for a in alphas])
+        assert grid["negative_moments"].any() == (tau1 < 1.0)
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
                 traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=gamma, tau1=tau1, steps=600))
@@ -167,6 +174,7 @@ class TestSeKernel:
             state = (rows * state).sum(axis=1) + r * state[0].sum()
             ref.append(state[0].sum() / 2)
         traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau1=tau1, tau2=tau2, steps=steps))
+        assert simulate._blocked_cells(spec, alpha, beta, gamma, tau1, tau2, steps)[0].all()
         assert traj.diverged_at is None
         assert float(np.max(np.abs(traj.losses - np.array(ref)) / np.array(ref))) <= 1e-12
 
@@ -190,6 +198,112 @@ class TestSeKernel:
         assert traj.diverged_at is None
         assert traj.metadata["min_output_moment"] == low
         assert traj.metadata["negative_moments"] == negative == (low < 0.0)
+
+
+def kernel_run(spec, alpha, beta, gamma, tau1, tau2, steps):
+    """_se_kernel, one step a round, on (alpha[i], beta) cells from the spectrum's start."""
+    table, r = _se_table(spec.lambdas, alpha, beta, gamma, tau1, tau2)
+    c = np.tile(spec.lambda_c0, (table[0].shape[0], 1))
+    threshold = simulate._divergence_threshold(0.5 * float(spec.lambda_c0.sum()))
+    return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, history=True)
+
+
+class TestBlockedEngine:
+    @pytest.mark.parametrize("beta", [0.0, -0.4, 0.5, 0.95])
+    def test_matches_the_kernel_across_block_edges(self, beta):
+        # horizons 1, k - 1, k, k + 1 and 3k + 5 at the k run_se takes (16 on 300 modes) and at 4
+        # and 64, on three cells at once, one of them diverging: each S_t is the kernel's to rounding
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
+        d = 1 if beta == 0.0 else 3
+        alphas = np.array([0.2, 0.5, 0.8]) * 2.0 * (1.0 + beta) / spec.lambda_max
+        assert simulate._blocked_cells(spec, alphas, beta, 0.4, 1.0, 0.7, 1)[0].all()
+        assert simulate._se_block_steps(d, len(spec)) == 16
+        for k in (4, 16, 64):
+            for steps in (1, k - 1, k, k + 1, 3 * k + 5):
+                want = kernel_run(spec, alphas, beta, 0.4, 1.0, 0.7, steps)
+                table, r = _se_table(spec.lambdas, alphas, beta, 0.4, 1.0, 0.7)
+                got = simulate._se_blocked(table, r, np.tile(spec.lambda_c0, (3, 1)), k, steps,
+                                           simulate._divergence_threshold(0.5 * spec.lambda_c0.sum()), True)
+                assert np.array_equal(got[3], want[3])
+                for cell, end in enumerate(np.where(want[3] < 0, steps, want[3]) + 1):
+                    assert max_rel_err(got[4][cell, :end], want[4][cell, :end]) <= 1e-13, (k, steps)
+                assert np.array_equal(got[4][:, 0], want[4][:, 0])  # L(0) exactly
+                if k == 16:
+                    traj = run_se(spec, SGDParams(alpha=alphas[0], beta=beta, gamma=0.4, tau2=0.7, steps=steps))
+                    assert np.array_equal(traj.losses, 0.5 * got[4][0])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.4])
+    def test_divergence_step_and_losses_are_the_kernels(self, beta):
+        # crossings at 9..112 steps: inside blocks, at a block's first step and in the first block
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+        alphas = np.linspace(1.35, 4.0, 12) * (1.0 + beta)
+        want = kernel_run(spec, alphas, beta, 0.5, 1.0, 1.0, 500)
+        grid = run_se_grid(spec, alphas, [beta], 0.5, 1.0, 1.0, 500)
+        steps = want[3][want[3] >= 0]
+        assert steps.size >= 9 and len(set(steps.tolist())) >= 8
+        assert np.array_equal(grid["diverged_at"][:, 0], want[3])
+        assert max_rel_err(grid["final_loss"][:, 0], want[0]) <= 1e-13
+        assert max_rel_err(grid["min_loss"][:, 0], want[1]) <= 1e-13
+        for i, a in enumerate(alphas):
+            traj = run_se(spec, SGDParams(alpha=a, beta=beta, gamma=0.5, steps=500))
+            assert traj.diverged_at == (None if want[3][i] < 0 else want[3][i])
+            assert max_rel_err(traj.losses, 0.5 * want[4][i, : traj.losses.size]) <= 1e-13
+
+    def test_moment_minimum_is_zero_on_blocked_cells(self):
+        # tau2 <= tau1 keeps every 2x2 moment matrix PSD (see run_se); the kernel's own tracked
+        # minimum agrees on these draws, which include m11 < 0 and tau2 < 0
+        gen = np.random.default_rng(3)
+        blocked = 0
+        for _ in range(60):
+            spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, int(gen.integers(2, 60))))
+            beta = float(gen.uniform(-0.9, 0.95)) if gen.random() < 0.7 else 0.0
+            alpha = float(gen.uniform(0.05, 1.2)) * 2.0 * (1.0 + beta)
+            gamma, tau2 = float(gen.uniform(0.01, 1.0)), float(gen.uniform(-0.5, 1.0))
+            traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau2, steps=300))
+            assert kernel_run(spec, [alpha], beta, gamma, 1.0, tau2, 300)[2][0] == 0.0
+            if simulate._blocked_cells(spec, alpha, beta, gamma, 1.0, tau2, 300)[0].all():
+                blocked += 1
+                assert traj.metadata["min_output_moment"] == 0.0 and not traj.metadata["negative_moments"]
+        assert blocked >= 40
+
+    def test_kernel_keeps_unqualified_runs(self):
+        # tau1 < tau2, tau1 < 0, noise below rounding, every mode decaying fast, or too many
+        # modes for k >= 4
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 50))
+        for gamma, tau1, tau2, steps in ((0.5, 0.3, 1.0, 10), (0.5, -0.2, -0.5, 10), (1e-18, 1.0, 1.0, 10)):
+            assert not simulate._blocked_cells(spec, 0.5, 0.5, gamma, tau1, tau2, steps)[0].any()
+        assert simulate._blocked_cells(spec, 0.5, 0.5, 0.5, 1.0, 1.0, 10)[0].all()
+        # every mode of [1, 0.8, 0.6] at 0.9 of the heavy-ball edge, beta 0.3: moments fall by
+        # 0.3 a step, 4e-9 over a block of 16, where the slowest mode must keep 1e-3
+        few = Spectrum.from_c0([1.0, 0.8, 0.6], [1.0, 1.0, 1.0])
+        assert not simulate._blocked_cells(few, 0.9 * 2.6, 0.3, 0.1, 1.0, 1.0, 100)[0].any()
+        assert simulate._blocked_cells(few, 0.1, 0.3, 0.1, 1.0, 1.0, 100)[0].all()
+        # the top mode within 5% of the edge alpha lambda_max = 2 (1 + beta), on either side
+        edge = 2.0 * 1.5 / spec.lambda_max
+        assert simulate._blocked_cells(spec, [0.9 * edge, 0.96 * edge, 1.04 * edge, 1.1 * edge], 0.5,
+                                       0.1, 1.0, 1.0, 100)[0].tolist() == [True, False, False, True]
+        assert simulate._se_block_steps(3, 5461) == 4 and simulate._se_block_steps(3, 5462) == 0
+        assert simulate._se_block_steps(1, 16000) == 4 and simulate._se_block_steps(1, 50000) == 0
+
+    def test_blas_thread_count_does_not_change_results(self):
+        script = (
+            "import numpy as np\n"
+            "from sgdphaselab import PowerLawSpec, SGDParams, build_power_law, run_se, run_se_grid\n"
+            "spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))\n"
+            "out = [run_se(spec, SGDParams(alpha=0.4, beta=b, gamma=0.3, steps=600)).losses for b in (0.0, 0.5)]\n"
+            "grid = run_se_grid(spec, [0.4, 2.5], [0.0, 0.5], 0.3, 1.0, 1.0, 300)\n"
+            "out += [grid[key].astype(float) for key in sorted(grid)]\n"
+            "print(b''.join(x.tobytes() for x in out).hex())\n"
+        )
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            outs.append(done.stdout.strip())
+        assert outs[0] == outs[1] and len(outs[0]) > 1000
 
 
 # Runs a script in a fresh interpreter in the default environment, where run_se_grid may fork;
@@ -224,26 +338,30 @@ class TestGridBatches:
         run_fresh("""
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.6, 0.9]
-grids = []
-for workers in ("1", "2", "3"):
-    os.environ["SGDPHASELAB_THREADS"] = workers
-    grids.append(run_se_grid(spec, alphas, betas, 0.5, 0.1, 1.0, 400))
-    assert [pool[0] for pool in made] == [2, 3][: int(workers) - 1], made  # a pool of 2, then of 3
-for grid in grids[1:]:
-    assert grid.keys() == grids[0].keys()
-    for key, x in grid.items():
-        assert x.dtype == grids[0][key].dtype and np.array_equal(x, grids[0][key]), key
-grid = grids[0]
-steps = grid["diverged_at"][grid["diverged_at"] >= 0]
-assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
-assert grid["negative_moments"].any()
-for i, a in enumerate(alphas):
-    for j, b in enumerate(betas):
-        traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=0.5, tau1=0.1, steps=400))
-        assert grid["final_loss"][i, j] == traj.losses[-1]
-        assert grid["min_loss"][i, j] == np.min(traj.losses)
-        assert grid["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
-        assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
+for tau1 in (0.1, 1.0):  # every cell on the kernel, then every cell blocked
+    made.clear()
+    grids = []
+    for workers in ("1", "2", "3"):
+        os.environ["SGDPHASELAB_THREADS"] = workers
+        grids.append(run_se_grid(spec, alphas, betas, 0.5, tau1, 1.0, 400))
+        assert [pool[0] for pool in made] == [2, 3][: int(workers) - 1], made  # a pool of 2, then of 3
+    for grid in grids[1:]:
+        assert grid.keys() == grids[0].keys()
+        for key, x in grid.items():
+            assert x.dtype == grids[0][key].dtype and np.array_equal(x, grids[0][key]), key
+    grid = grids[0]
+    steps = grid["diverged_at"][grid["diverged_at"] >= 0]
+    assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
+    assert grid["negative_moments"].any() == (tau1 < 1.0)
+    # at tau1 = tau2 all but (2.6, 0.3), on the heavy-ball edge 2 (1 + beta), run blocked
+    assert simulate._blocked_cells(spec, alphas, 0.3, 0.5, tau1, 1.0, 400)[0].sum() == (11 if tau1 == 1.0 else 0)
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(betas):
+            traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=0.5, tau1=tau1, steps=400))
+            assert grid["final_loss"][i, j] == traj.losses[-1]
+            assert grid["min_loss"][i, j] == np.min(traj.losses)
+            assert grid["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
+            assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
 """)
 
     def test_pooled_stability_map_warns_nothing(self, tmp_path):
@@ -301,9 +419,15 @@ assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key
             assert simulate._worker_count() == 3
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
             assert simulate._worker_count() == 8
-        for text, workers in (("1", 1), ("0", 1), ("5", 5)):
+        for text, workers in (("1", 1), ("5", 5)):
             monkeypatch.setenv("SGDPHASELAB_THREADS", text)
             assert simulate._worker_count() == workers
+
+    @pytest.mark.parametrize("text", ["0", "-3", "lots", "2.5"])
+    def test_worker_count_below_one_rejected(self, monkeypatch, text):
+        monkeypatch.setenv("SGDPHASELAB_THREADS", text)
+        with pytest.raises(ValidationError, match="SGDPHASELAB_THREADS"):
+            simulate._worker_count()
 
     def test_bad_worker_env_rejected_on_a_one_batch_grid(self, monkeypatch):
         monkeypatch.setenv("SGDPHASELAB_THREADS", "lots")
@@ -312,7 +436,8 @@ assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key
             run_se_grid(spec, [0.5], [0.0], 0.1, 1.0, 1.0, 10)
 
     def test_batches_split_each_group_round_robin(self, monkeypatch):
-        # which cells share a batch: the map hands each batch its cells, in grid order
+        # which cells share a batch: the map hands each batch its cells, in grid order;
+        # tau1 < tau2 keeps every cell on the kernel, whose batches _GRID_BATCH sizes
         seen = []
 
         def record(fn, jobs, workers):
@@ -323,14 +448,38 @@ assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key
         monkeypatch.setattr(simulate, "_GRID_BATCH", 40)  # 2 cells a batch on 20 modes
         monkeypatch.setenv("SGDPHASELAB_THREADS", "2")
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
-        run_se_grid(spec, [1.0, 2.0, 3.0], [0.0, 0.5], 0.1, 1.0, 1.0, 10)
+        run_se_grid(spec, [1.0, 2.0, 3.0], [0.0, 0.5], 0.1, 0.5, 1.0, 10)
         # beta = 0: 3 cells need 2 batches; beta = 0.5: likewise
         assert seen == [([1.0, 3.0], [0.0, 0.0], 2), ([2.0], [0.0], 2),
                         ([1.0, 3.0], [0.5, 0.5], 2), ([2.0], [0.5], 2)]
         seen.clear()
         monkeypatch.setattr(simulate, "_GRID_BATCH", 20)  # 1 cell a batch: 3 batches, not 4 empty-padded
-        run_se_grid(spec, [1.0, 2.0, 3.0], [0.5], 0.1, 1.0, 1.0, 10)
+        run_se_grid(spec, [1.0, 2.0, 3.0], [0.5], 0.1, 0.5, 1.0, 10)
         assert [cells for cells, _, _ in seen] == [[1.0], [2.0], [3.0]]
+
+    def test_blocked_cells_batch_apart_within_the_budget(self, monkeypatch):
+        # alpha = 1 keeps its noise below rounding (5e-18 * 1^2 * 10 steps), so it runs on the
+        # kernel; the others run blocked, in batches whose rows and G fit _SE_BUDGET
+        seen = []
+
+        def record(fn, jobs, workers):
+            seen.extend((job[1].tolist(), job[2].tolist()) for job in jobs)
+            return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(simulate, "_map_batches", record)
+        monkeypatch.setattr(simulate, "_SE_BUDGET", 2 * 16 * 3 * 20 * 16)  # two d = 3 cells at k = 16
+        monkeypatch.setenv("SGDPHASELAB_THREADS", "2")
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
+        assert spec.lambda_max == 1.0
+        alphas = [1.0, 1.5, 2.5, 3.5, 4.5]  # off the heavy-ball edges 2 and 3
+        grid = run_se_grid(spec, alphas, [0.0, 0.5], 5e-18, 1.0, 1.0, 10)
+        assert seen == [([1.0], [0.0]), ([1.5, 2.5, 3.5, 4.5], [0.0] * 4),
+                        ([1.0], [0.5]), ([1.5, 3.5], [0.5, 0.5]), ([2.5, 4.5], [0.5, 0.5])]
+        for i, a in enumerate(alphas):
+            for j, b in enumerate([0.0, 0.5]):
+                traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=5e-18, steps=10))
+                assert grid["final_loss"][i, j] == traj.losses[-1]
+                assert grid["min_loss"][i, j] == np.min(traj.losses)
 
 
 class TestRunNoiseless:
@@ -442,8 +591,9 @@ class TestRunMc:
 
     def test_run_count_validation(self, rng):
         prob = random_problem(rng, 4, 4)
-        with pytest.raises(ValidationError):
-            run_mc(prob, SGDParams(alpha=0.1, batch=2, steps=5), runs=0, seed=1)
+        for runs in (0, True):  # a bool subclasses int, but is not a count
+            with pytest.raises(ValidationError):
+                run_mc(prob, SGDParams(alpha=0.1, batch=2, steps=5), runs=runs, seed=1)
         with pytest.raises(ValidationError):
             run_mc(prob, SGDParams(alpha=0.1, steps=5), runs=4, seed=1)
 
