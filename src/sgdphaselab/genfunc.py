@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
 from .serialize import json_ready
-from .simulate import LossTrajectory, _divergence_threshold, _noise_above_rounding, _se_kernel, _se_table
+from .simulate import LossTrajectory, _divergence_threshold, _noise_above_rounding, _se_kernel, _se_run, _se_table
 from .spectrum import Spectrum
 
 _UV_BLOCK = 32  # generating-function coefficients (a power of 2) per GEMM in compute_UV_sequences
@@ -343,9 +343,9 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
     lam = ctx.spectrum.lambdas
     if not _noise_above_rounding(ctx.gamma, ctx.alpha, ctx.spectrum.lambda_max, horizon):
         seed, zero = lam * lam, np.zeros_like(lam)
-        sums = _se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
-                          np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),
-                          np.stack([seed, zero]), horizon - 1, history=True)[4]
+        sums = _se_run(*_se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
+                                   np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),
+                                   np.stack([seed, zero])), horizon - 1, history=True)[4]
     else:
         sums = np.zeros((2, horizon))
         for lo in range(0, lam.size, _UV_CHUNK):
@@ -355,7 +355,7 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
 
 def _uv_step(ctx: GenFuncContext, lam: np.ndarray):
     """A_k as a double-double pair (hi, lo) of (3, 3, modes) arrays: the exact sums that the
-    velocity-form step of :func:`~sgdphaselab.simulate._se_kernel` makes of the coefficients of
+    velocity-form step of :func:`~sgdphaselab.simulate._se_step` makes of the coefficients of
     ``_se_table`` (the rows it documents). At beta = 0 only column 0 is nonzero, so C evolves
     alone by ``1 - 2a + a^2 - q``, the kernel's ``m11`` before its rounding."""
     a, beta = ctx.alpha * lam, np.full_like(lam, ctx.beta)

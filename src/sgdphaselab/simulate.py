@@ -13,14 +13,14 @@ iterate and its momentum in output-space normalization (states are
 ``lambda_k C_kk`` etc.), which keeps small-eigenvalue modes well-scaled and
 matches the spectrum's stored ``lambda_c0`` directly. A step is a per-mode
 3x3 map plus a rank-one coupling through one scalar per cell, S = sum_k C_k.
-:func:`run_se` and :func:`run_se_grid` run it through :func:`_se_cells`:
-cells whose moments provably stay non-negative, with noise above rounding and
-block powers that keep their digits (:func:`_blocked_cells`), go to
-:func:`_se_blocked`, which takes k steps per round of numpy calls by solving
-each block's coupling with a Toeplitz inverse; the others, and
-:func:`run_additive_noise`, go to the step-by-step kernel :func:`_se_kernel`.
+An engine advances it a round of steps at a time and one loop, :func:`_se_run`,
+records every run. Cells whose moments provably stay non-negative, with noise
+above rounding and block powers that keep their digits (:func:`_blocked_cells`),
+run on :func:`_se_blocked`, which takes k steps per round of numpy calls by
+solving each block's coupling with a Toeplitz inverse; the others, and
+:func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
 ``genfunc.compute_UV_sequences`` powers the same map, without the coupling,
-a block of steps at a time (it steps the kernel only when the noise is below
+a block of steps at a time (it runs the kernel only when the noise is below
 rounding).
 """
 
@@ -153,11 +153,10 @@ def _se_table(lam, alpha, beta, gamma, tau1, tau2):
     beta = 0 in every cell, else ``(a, beta, beta^2, -2 a beta, a^2 - q)``. Both give A_k with rows
     ``((1-a)^2 - q, 2 beta (1-a), beta^2)``, ``(a^2 - a - q, beta (1-2a), beta^2)`` and
     ``(a^2 - q, -2 a beta, beta^2)``, whose ``det(I - z A_k)`` is genfunc's cubic S_k(z). Per-cell
-    ``alpha``, ``beta`` broadcast to (cells, modes); no array is a view of an argument, as the
-    kernel compacts them in place.
+    ``alpha`` and ``beta`` broadcast to one row a cell.
     """
-    a = np.reshape(np.asarray(alpha, dtype=float), (-1, 1)) * lam
-    beta = np.array(beta, dtype=float).reshape(-1, 1)
+    alpha, beta = np.broadcast_arrays(*(np.reshape(np.asarray(x, dtype=float), (-1, 1)) for x in (alpha, beta)))
+    a = alpha * lam
     q = (tau2 * gamma) * (a * a)
     r = (tau1 * gamma) * (a * a) if tau1 * gamma != 0.0 else None
     if not beta.any():
@@ -165,62 +164,75 @@ def _se_table(lam, alpha, beta, gamma, tau1, tau2):
     return (a, beta, beta * beta, -2.0 * beta * a, a * a - q), r
 
 
-def _se_kernel(table, r, c, j, v, steps, threshold=None, source=None, history=False):
-    """Advance independent SE recursions held as (cells, modes) arrays, in place.
+def _se_run(engine, state, k, steps, threshold=None, history=False):
+    """Run SE recursions on an engine over steps 0..``steps``, in rounds of ``k``, and record them.
 
-    A step is ``(C, J, V) <- A_k (C, J, V) + w`` with ``w = r_k S`` (``source_k`` if r is None)
-    and ``S = sum_k C_k``. A ``(m11,)`` table steps C alone; otherwise the step is in velocity
-    form, 13 passes over two scratch buffers: ``h = beta J - a C``, ``V <- beta^2 V + w -
-    2 a beta J + (a^2 - q) C`` (:func:`_se_step`), ``J <- h + V``, ``C <- C + h + J``. The lowest
-    loss and moment run on the live rows; a ``(m11,)`` run with m11, r, source and C >= 0 skips
-    the moment, as sums of non-negative products stay >= 0. With gamma, tau1 >= 0, tau2 <= tau1
-    and C >= 0 no moment goes negative at any beta and m11 either (the congruence argument of
-    :func:`run_se`); most such runs take :func:`_se_blocked`. A cell whose loss crosses
-    ``threshold`` leaves the batch. Returns per cell: the final loss (at the crossing if any), the
-    lowest loss before it, the lowest moment (0 if none < 0), the crossing step (-1 = never) and,
-    with ``history``, the (cells, steps + 1) sums S.
+    ``state`` is a list of arrays (or None) of one row per run, ``state[0]`` an array, that
+    ``engine(state, t, n)`` advances n steps in place; it returns the (rows, n) sums S_t..S_{t+n-1}
+    and their per-step lowest moments (None if untracked). A run whose loss S/2 crosses
+    ``threshold`` (NaN crosses) leaves every array. Returns per run the final loss (at the crossing
+    if any), the lowest loss before it, the lowest moment up to it (0 if none < 0), the crossing
+    step (-1 = never) and, with ``history``, the (runs, steps + 1) sums S, undefined after a crossing.
     """
-    fast, coef = len(table) == 1, [*table, r]
-    cell = np.arange(c.shape[0])  # original index of each live row
-    s = c.sum(axis=1)
-    loss = 0.5 * s
-    live = np.stack([loss, c.min(axis=1, initial=0.0)], axis=1)  # lowest loss and moment so far
-    final, diverged, out = loss.copy(), np.full(cell.size, -1), live.copy()
-    track = not (fast and all(x is None or np.all(x >= 0.0) for x in (table[0], r, source, c)))
-    sums = np.full((cell.size, steps + 1), s[:, None]) if history else None
-    t1, t2 = np.empty_like(c), np.empty_like(c)
-    for t in range(1, steps + 1):
-        w = source if coef[-1] is None else np.multiply(coef[-1], s[:, None], out=t1)
-        _se_step(coef[:-1], c, j, v, w, t1, t2)
-        s = c.sum(axis=1)
-        loss = 0.5 * s
-        if track:
-            np.minimum(live[:, 1], c.min(axis=1), out=live[:, 1])
+    rows = state[0].shape[0]
+    cell, diverged = np.arange(rows), np.full(rows, -1)  # cell: original index of each live row
+    out, lowest, moment = np.empty((rows, 3)), np.full(rows, np.inf), np.zeros(rows)  # lowest, moment: the live rows
+    sums = np.empty((rows, steps + 1)) if history else None
+    for t in range(0, steps + 1, k):
+        s, low = engine(state, t, min(k, steps + 1 - t))
+        loss = kept = 0.5 * s
         if history:
-            sums[cell, t] = s
+            sums[cell, t : t + s.shape[1]] = s
         if threshold is not None and not (loss.max() <= threshold):  # one reduction; NaN crosses
-            crossed = ~(loss <= threshold)
-            final[cell[crossed]], diverged[cell[crossed]], out[cell[crossed]] = loss[crossed], t, live[crossed]
-            keep = np.flatnonzero(~crossed)
-            cell, s, loss = cell[keep], s[keep], loss[keep]
-
-            def shrink(x):  # kept rows move to the front of the same buffer
-                if x is None or x.shape[0] != crossed.size:
-                    return x
-                x[: keep.size] = x[keep]
-                return x[: keep.size]
-
-            c, j, v, live, *coef = (shrink(x) for x in (c, j, v, live, *coef))
-            t1, t2 = t1[: keep.size], t2[: keep.size]
-            if not keep.size:
+            over = ~(loss <= threshold)
+            seen = np.cumsum(over, axis=1)  # crossings up to each step
+            kept = np.where(seen == 0, loss, np.inf)  # the steps before the crossing
+            low = None if low is None else np.where(seen == over, low, 0.0)  # and the crossing
+        np.minimum(lowest, kept.min(axis=1), out=lowest)
+        if low is not None:
+            np.minimum(moment, low.min(axis=1), out=moment)
+        if kept is not loss:  # some run crossed
+            crossed = seen[:, -1] > 0
+            first, hit = over.argmax(axis=1)[crossed], cell[crossed]
+            diverged[hit], out[hit] = t + first, np.stack([loss[crossed, first], lowest[crossed], moment[crossed]], 1)
+            cell, loss, lowest, moment = cell[~crossed], loss[~crossed], lowest[~crossed], moment[~crossed]
+            state[:] = [x if x is None else x[~crossed] for x in state]
+            if not cell.size:
                 break
-        np.minimum(live[:, 0], loss, out=live[:, 0])
-    final[cell], out[cell] = loss, live
-    return final, out[:, 0], out[:, 1], diverged, sums
+    out[cell] = np.stack([loss[:, -1], lowest, moment], axis=1)
+    return *out.T, diverged, sums
+
+
+def _se_kernel(table, r, c, j, v, source=None):
+    """The step-by-step engine of :func:`_se_run`, its state and round size ``_SE_BLOCK[1]``, on the
+    (cells, modes) moments c, j, v (None for a ``(m11,)`` table), which it advances in place.
+
+    A step is ``(C, J, V) <- A_k (C, J, V) + w``, ``w = r_k S`` (``source_k`` if r is None), ``S =
+    sum_k C_k`` (:func:`_se_step`); each S but S_0 follows one, so a run takes exactly ``steps``.
+    It tracks no moment on a ``(m11,)`` table with m11, r and source >= 0: there the moments, sums of
+    non-negative products of the start (``Spectrum`` keeps lambda_c0 >= 0), stay >= 0.
+    """
+    track = not (len(table) == 1 and all(x is None or np.all(x >= 0.0) for x in (table[0], r, source)))
+
+    def advance(state, t, n):
+        c, j, v, s, r, *table = state
+        sums, low = np.empty((c.shape[0], n)), np.empty((c.shape[0], n)) if track else None
+        t1, t2 = np.empty_like(c), np.empty_like(c)
+        for i in range(n):
+            if t + i:
+                _se_step(table, c, j, v, source if r is None else np.multiply(r, s[:, None], out=t1), t1, t2)
+            s = state[3] = sums[:, i] = c.sum(axis=1)
+            if track:
+                low[:, i] = c.min(axis=1)
+        return sums, low
+
+    return advance, [c, j, v, None, r, *table], _SE_BLOCK[1]
 
 
 def _se_step(table, c, j, v, w, t1, t2):
-    """One SE step of :func:`_se_kernel` on c (and j, v), in place, adding ``w`` unless None."""
+    """One SE step, in place, adding ``w`` unless None: C alone for a ``(m11,)`` table, else 13 passes
+    over two scratch buffers in velocity form: ``h = beta J - a C``, ``V <- beta^2 V + w - 2 a beta
+    J + (a^2 - q) C``, ``J <- h + V``, ``C <- C + h + J``."""
     if len(table) == 1:
         np.multiply(table[0], c, out=c)
         if w is not None:
@@ -239,8 +251,8 @@ def _se_step(table, c, j, v, w, t1, t2):
     c += j
 
 
-def _se_blocked(table, r, c, k, steps, threshold=None, history=False):
-    """:func:`_se_kernel` without ``source``, ``k`` steps per round of numpy calls.
+def _se_blocked(table, r, c, k):
+    """:func:`_se_kernel` from c without ``source``, as an engine of :func:`_se_run`, k steps a round.
 
     With x the (cells, d, modes) state, d = 1 for a ``(m11,)`` table, else 3, the sums
     S_t0..S_{t0+k-1} of a block solve ``(I - T_U) S = p``, ``p_j = sum_l e1^T A_l^j x_l`` over the
@@ -249,65 +261,44 @@ def _se_blocked(table, r, c, k, steps, threshold=None, history=False):
     contraction of x with the rows ``sum_i w_{j-i} e1^T A^i``. Then ``x <- A^k x + sum_i G_i S_i``,
     ``G_i = A^{k-1-i} r 1``. The rows, A^k and G come from :func:`_se_step` on the d unit states
     and the seed ``r 1``, once a call; the contractions are ``np.einsum`` calls, so no BLAS runs.
-    Every S_t is formed, so the crossing step and the final and lowest losses are the kernel's to
-    rounding. The lowest moment returned is 0: :func:`_se_cells` runs here only cells whose
-    moments stay >= 0 (see :func:`run_se`). Returns what :func:`_se_kernel` returns.
+    Every S_t is formed, S_0 as the kernel sums it, so the crossing step and the final and lowest
+    losses are the kernel's to rounding. No moment is tracked: :func:`_se_cells` runs here only cells
+    whose moments stay >= 0 (see :func:`run_se`). Returns what :func:`_se_kernel` returns.
     """
-    n, m = c.shape
+    cells, m = c.shape
     d = 1 if len(table) == 1 else 3
-    state = np.zeros((d, n, d + 1, m))  # (moment, cell, unit state or the seed, mode)
-    for e in range(d):
-        state[e, :, e] = 1.0
-        state[e, :, d] = 0.0 if r is None else r
+    unit = np.zeros((d, cells, d + 1, m))  # (moment, cell, unit state or the seed, mode)
+    unit[range(d), :, range(d)] = 1.0
+    unit[:, :, d] = 0.0 if r is None else r
     step = [x[:, None] for x in table]  # (cells, 1, modes): broadcasts over the states
-    rows, g = np.empty((n, k, d, m)), np.empty((n, k, d, m))
-    t1, t2 = np.empty_like(state[0]), np.empty_like(state[0])
+    rows, g = np.empty((cells, k, d, m)), np.empty((cells, k, d, m))
+    t1, t2 = np.empty_like(unit[0]), np.empty_like(unit[0])
     for i in range(k):
-        rows[:, i] = state[0, :, :d]
-        g[:, k - 1 - i] = state[:, :, d].transpose(1, 0, 2)
-        _se_step(step, *state, *[None] * (3 - d), None, t1, t2)
-    ak = state[:, :, :d].transpose(1, 0, 2, 3).copy()  # A^k: (cell, moment, unit state, mode)
-    del state, t1, t2
+        rows[:, i] = unit[0, :, :d]
+        g[:, k - 1 - i] = unit[:, :, d].transpose(1, 0, 2)
+        _se_step(step, *unit, *[None] * (3 - d), None, t1, t2)
+    ak = unit[:, :, :d].transpose(1, 0, 2, 3).copy()  # A^k: (cell, moment, unit state, mode)
     u = g[:, ::-1, 0].sum(axis=2)  # u[:, i - 1] = U_i
-    w = np.zeros((n, k))
+    w = np.zeros((cells, k))
     w[:, 0] = 1.0
     for i in range(1, k):
         w[:, i] = np.einsum("ci,ci->c", u[:, :i], w[:, i - 1 :: -1])
     for i in range(k - 1, 0, -1):  # rows_i <- sum_j w_{i-j} rows_j, so that S_i = rows_i . x
         rows[:, i] = np.einsum("ci,cidm->cdm", w[:, i::-1], rows[:, : i + 1])
-
-    s0 = c.sum(axis=1)
-    cell, final, diverged = np.arange(n), 0.5 * s0, np.full(n, -1)  # cell: original index of each live row
-    low, lowest = final.copy(), final.copy()  # lowest loss so far of the live rows, of every cell
-    sums = np.empty((n, steps + 1)) if history else None
-    x = np.zeros((n, d, m))
+    s0, x = c.sum(axis=1), np.zeros((cells, d, m))
     x[:, 0] = c
-    for t in range(0, steps + 1, k):
-        s = np.einsum("ckdm,cdm->ck", rows, x)[:, : steps + 1 - t]
-        if t == 0:
-            s[:, 0] = s0  # summed as the kernel sums it
-        if history:
-            sums[cell, t : t + s.shape[1]] = s
-        loss = 0.5 * s
-        if threshold is not None and not (loss.max() <= threshold):  # L(0) never crosses
-            over = ~(loss <= threshold)  # NaN crosses
-            crossed = over.any(axis=1)
-            first, hit = over.argmax(axis=1)[crossed], cell[crossed]
-            diverged[hit], final[hit] = t + first, loss[crossed, first]
-            before = np.where(np.arange(s.shape[1]) < first[:, None], loss[crossed], np.inf)
-            lowest[hit] = np.minimum(low[crossed], before.min(axis=1))
-            keep = ~crossed
-            cell, low, loss, s, rows, g, ak, x = (y[keep] for y in (cell, low, loss, s, rows, g, ak, x))
-            if not cell.size:
-                break
-        np.minimum(low, loss.min(axis=1), out=low)
-        if t + k > steps:
-            break
-        nxt = np.einsum("cedm,cdm->cem", ak, x)
-        nxt += np.einsum("ckdm,ck->cdm", g, s)
-        x = nxt
-    final[cell], lowest[cell] = loss[:, -1], low
-    return final, lowest, np.zeros(n), diverged, sums
+
+    def advance(state, t, n):
+        x, rows, g, ak, s = state
+        if t:  # x moves past the block before, whose sums are s
+            x = state[0] = np.einsum("cedm,cdm->cem", ak, x)
+            x += np.einsum("ckdm,ck->cdm", g, s)
+        s = state[4] = np.einsum("ckdm,cdm->ck", rows, x)[:, :n]
+        if not t:
+            s[:, 0] = s0
+        return s, None
+
+    return advance, [x, rows, g, ak, None], k
 
 
 def _se_block_steps(d: int, modes: int) -> int:
@@ -328,9 +319,9 @@ def _noise_above_rounding(gamma, alpha, lambda_max, steps):
 def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
     """Which (alpha[i], beta[i]) cells :func:`_se_cells` runs blocked, and the block size k.
 
-    A cell runs blocked when its moments provably stay >= 0 (gamma >= 0, tau1 >= 0, tau2 <= tau1,
-    lambda_c0 >= 0), its noise is above rounding and the budget gives k >= ``_SE_BLOCK[0]`` for its
-    table (d = 1 if every beta is 0, as in :func:`_se_table`). Two more rules keep accuracy: the
+    A cell runs blocked when its moments provably stay >= 0 (gamma >= 0, tau1 >= 0, tau2 <= tau1;
+    ``Spectrum`` keeps the start lambda_c0 >= 0), its noise is above rounding and the budget gives
+    k >= ``_SE_BLOCK[0]`` for its table (d = 1 if every beta is 0). Two more rules keep accuracy: the
     block's contractions read the stepped powers A^j against the block-start state, so they lose
     digits the kernel keeps where the loss falls by orders within a block or where the top mode's
     powers swing (transients, alternating signs). So the slowest mode keeps at least
@@ -342,28 +333,30 @@ def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
     k = _se_block_steps(3 if beta.any() else 1, len(spectrum))
-    if not (k and gamma >= 0.0 and tau1 >= 0.0 and tau2 <= tau1 and np.all(spectrum.lambda_c0 >= 0.0)):
+    if not (k and gamma >= 0.0 and tau1 >= 0.0 and tau2 <= tau1):
         return np.zeros(alpha.size, dtype=bool), k
-    a = alpha[:, None] * np.array([spectrum.lambdas.min(), spectrum.lambda_max])
-    trace, det = 1.0 - a + beta[:, None], beta[:, None]
-    disc = trace * trace - 4.0 * det
-    rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(det)))
-    slow = rho.max(axis=1) ** (2 * k) >= _SE_BLOCK_DECAY
-    off_edge = np.abs(a[:, 1] / (2.0 * (1.0 + beta)) - 1.0) > _SE_BLOCK_EDGE
-    return slow & off_edge & _noise_above_rounding(gamma, alpha, spectrum.lambda_max, steps), k
+    with np.errstate(over="ignore", invalid="ignore"):  # inf from an overflow passes each test as it should
+        a = alpha[:, None] * np.array([spectrum.lambdas.min(), spectrum.lambda_max])
+        trace, det = 1.0 - a + beta[:, None], beta[:, None]
+        disc = trace * trace - 4.0 * det
+        rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(det)))
+        slow = rho.max(axis=1) >= _SE_BLOCK_DECAY ** (1.0 / (2 * k))  # rho^(2k) >= decay, which could overflow
+        off_edge = np.abs(a[:, 1] / (2.0 * (1.0 + beta)) - 1.0) > _SE_BLOCK_EDGE
+        return slow & off_edge & _noise_above_rounding(gamma, alpha, spectrum.lambda_max, steps), k
 
 
-def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, stop=True, source=None, history=False):
-    """Run the (alpha[i], beta[i]) cells from the spectrum's initial state: on :func:`_se_blocked`
-    if :func:`_blocked_cells` picks every cell and there is no ``source``, else on
-    :func:`_se_kernel` (:func:`run_se_grid` never mixes the two in a batch)."""
-    table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
-    c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
-    threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum())) if stop else None
-    blocked, k = _blocked_cells(spectrum, alpha, beta, gamma, tau1, tau2, steps)
-    if source is None and blocked.all():
-        return _se_blocked(table, r, c, k, steps, threshold, history)
-    return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, source, history)
+def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, history=False):
+    """:func:`_se_run` of the (alpha[i], beta[i]) cells from the spectrum's start to the divergence
+    threshold, on :func:`_se_blocked` if :func:`_blocked_cells` picks every cell, else on the kernel;
+    overflow goes unreported, as a non-finite loss crosses and what follows a crossing is dropped."""
+    threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
+        c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
+        blocked, k = _blocked_cells(spectrum, alpha, beta, gamma, tau1, tau2, steps)
+        engine = (_se_blocked(table, r, c, k) if blocked.all()
+                  else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)))
+        return _se_run(*engine, steps, threshold, history)
 
 
 def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
@@ -413,14 +406,18 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     set is about one core's L2 cache; a group that needs more batches than there are workers
     gets a multiple of the worker count. Cells are dealt to the batches round-robin in grid
     order, which spreads the early-diverging large-alpha cells; a diverged cell leaves its
-    batch at its crossing step. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker
-    processes where :func:`_map_batches` can fork, else here one after another. A cell's
-    arithmetic does not depend on its batch, so each cell is bitwise its :func:`run_se` run
-    whatever the split or the worker count. Returns final/min losses, divergence steps
-    (-1 = never) and the moment flags ``min_output_moment`` / ``negative_moments`` as
-    (len(alphas), len(betas)) arrays.
+    batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker processes where
+    :func:`_map_batches` can fork, else here one after another. A cell's arithmetic does not
+    depend on its batch, so each cell is bitwise its :func:`run_se` run whatever the split or
+    the worker count. Every value is checked as :class:`SGDParams` checks it. Returns final/min
+    losses, divergence steps (-1 = never) and the moment flags ``min_output_moment`` /
+    ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
     workers = _worker_count()  # first, so a bad SGDPHASELAB_THREADS fails on every grid
+    if not (len(alphas) and len(betas)):
+        raise ValidationError("the grid needs at least one alpha and one beta")
+    for alpha, beta in [(x, betas[0]) for x in alphas] + [(alphas[0], x) for x in betas]:
+        SGDParams(alpha, beta, gamma, None, tau1, tau2, steps).resolve_gamma(spectrum.dataset_size)
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
     batches = []
@@ -717,8 +714,9 @@ def run_additive_noise(spectrum: Spectrum, params: SGDParams, g_diag) -> tuple[L
         )
 
     # the noiseless SE step plus a constant injection, so G = 0 matches run_noiseless exactly
-    losses = 0.5 * _se_cells(spectrum, alpha, 0.0, 0.0, 1.0, 1.0, params.steps, stop=False,
-                             source=alpha**2 * lam * g, history=True)[4][0]
+    table, _ = _se_table(lam, alpha, 0.0, 0.0, 1.0, 1.0)
+    engine = _se_kernel(table, None, spectrum.lambda_c0[None].copy(), None, None, alpha**2 * lam * g)
+    losses = 0.5 * _se_run(*engine, params.steps, history=True)[4][0]
 
     l_inf = 0.5 * float(np.sum(alpha * g / (2.0 - alpha * lam)))
     meta = params.as_dict()

@@ -32,7 +32,7 @@ from sgdphaselab import (
 )
 from sgdphaselab import genfunc
 from sgdphaselab.genfunc import _UV_BLOCK, _UV_CHUNK, _uv_step
-from sgdphaselab.simulate import _se_kernel, _se_table
+from sgdphaselab.simulate import _se_kernel, _se_run, _se_table
 from conftest import max_rel_err, random_spectrum
 
 
@@ -338,7 +338,7 @@ def stepped_uv(ctx, horizon, per_mode=False):
     table, _ = _se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau)
     out = []
     for c, jv in ((lam * lam, lam * lam), (ctx.spectrum.lambda_c0.reshape(lam.shape), np.zeros_like(lam))):
-        sums = _se_kernel(table, None, c.copy(), jv.copy(), jv.copy(), horizon - 1, history=True)[4]
+        sums = _se_run(*_se_kernel(table, None, c.copy(), jv.copy(), jv.copy()), horizon - 1, history=True)[4]
         out.append(np.abs(sums).sum(axis=0) if per_mode else sums[0])
     return out
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from sgdphaselab import (
     se_noise_diagonal,
     simulate,
 )
-from sgdphaselab.simulate import _MC_BLOCK, _se_kernel, _se_table
+from sgdphaselab.simulate import _MC_BLOCK, _se_kernel, _se_run, _se_table
 from conftest import max_rel_err, random_problem, random_spectrum
 
 
@@ -54,6 +55,17 @@ class TestParams:
         assert p.resolve_gamma(100) == gamma_for_batch(100, 10)
         with pytest.raises(ValidationError):
             SGDParams(alpha=0.1).resolve_gamma(100)
+
+    @pytest.mark.parametrize("alphas, betas, gamma, steps", [
+        ([], [0.0], 0.1, 10), ([0.5], [], 0.1, 10), ([0.5], [0.0], 0.1, -3), ([0.5], [0.0], 0.1, True),
+        ([0.5], [0.0], -0.5, 10), ([0.5], [0.0], None, 10), ([0.5], [0.0, 1.5], 0.1, 10),
+        ([0.5, math.nan], [0.0], 0.1, 10),
+    ])
+    def test_grid_validation(self, alphas, betas, gamma, steps):
+        # every grid value and the shared gamma and steps are checked as SGDParams checks them
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
+        with pytest.raises(ValidationError):
+            run_se_grid(spec, alphas, betas, gamma, 1.0, 1.0, steps)
 
 
 class TestRunSe:
@@ -122,7 +134,7 @@ class TestSeKernel:
             lam, z = gen.uniform(0.01, 2.0), gen.uniform(-1.0, 1.0)
             table, _ = _se_table(np.array([lam]), alpha, beta, gamma, 1.0, tau2)
             c, j, v = (col[:, None].copy() for col in np.eye(3).T)
-            _se_kernel(table, None, c, j, v, 1)
+            _se_run(*_se_kernel(table, None, c, j, v), 1)
             a = np.hstack([c, j, v]).T
             det = np.linalg.det(np.eye(3) - z * a)
             worst = max(worst, abs(det - float(eval_S(alpha, beta, tau2 * gamma, lam, z))))
@@ -201,11 +213,11 @@ class TestSeKernel:
 
 
 def kernel_run(spec, alpha, beta, gamma, tau1, tau2, steps):
-    """_se_kernel, one step a round, on (alpha[i], beta) cells from the spectrum's start."""
+    """_se_kernel on (alpha[i], beta) cells from the spectrum's start."""
     table, r = _se_table(spec.lambdas, alpha, beta, gamma, tau1, tau2)
     c = np.tile(spec.lambda_c0, (table[0].shape[0], 1))
     threshold = simulate._divergence_threshold(0.5 * float(spec.lambda_c0.sum()))
-    return _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), steps, threshold, history=True)
+    return _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), steps, threshold, history=True)
 
 
 class TestBlockedEngine:
@@ -222,8 +234,8 @@ class TestBlockedEngine:
             for steps in (1, k - 1, k, k + 1, 3 * k + 5):
                 want = kernel_run(spec, alphas, beta, 0.4, 1.0, 0.7, steps)
                 table, r = _se_table(spec.lambdas, alphas, beta, 0.4, 1.0, 0.7)
-                got = simulate._se_blocked(table, r, np.tile(spec.lambda_c0, (3, 1)), k, steps,
-                                           simulate._divergence_threshold(0.5 * spec.lambda_c0.sum()), True)
+                got = _se_run(*simulate._se_blocked(table, r, np.tile(spec.lambda_c0, (3, 1)), k), steps,
+                              simulate._divergence_threshold(0.5 * spec.lambda_c0.sum()), True)
                 assert np.array_equal(got[3], want[3])
                 for cell, end in enumerate(np.where(want[3] < 0, steps, want[3]) + 1):
                     assert max_rel_err(got[4][cell, :end], want[4][cell, :end]) <= 1e-13, (k, steps)
@@ -304,6 +316,74 @@ class TestBlockedEngine:
                                   text=True, check=True)
             outs.append(done.stdout.strip())
         assert outs[0] == outs[1] and len(outs[0]) > 1000
+
+
+def stepped_reference(spec, alpha, beta, gamma, tau1, tau2, steps):
+    """The velocity-form SE step written out on one cell, in the kernel's order of operations:
+    the losses up to the divergence crossing, its step (None if none) and the lowest moment
+    through each step."""
+    lam = spec.lambdas
+    a = alpha * lam
+    q, r = (tau2 * gamma) * (a * a), (tau1 * gamma) * (a * a)
+    b2, m2, m1 = beta * beta, -2.0 * beta * a, a * a - q
+    c, j, v = spec.lambda_c0.copy(), np.zeros_like(lam), np.zeros_like(lam)
+    losses, lows = [0.5 * c.sum()], [min(0.0, c.min())]
+    threshold = simulate.DIVERGENCE_RATIO * losses[0]
+    for t in range(1, steps + 1):
+        w = r * c.sum()
+        h = beta * j - a * c
+        v = b2 * v + w + m2 * j + m1 * c
+        j = h + v
+        c = c + h + j
+        losses.append(0.5 * c.sum())
+        lows.append(min(lows[-1], c.min()))
+        if not losses[-1] <= threshold:
+            return losses, t, lows
+    return losses, None, lows
+
+
+class TestRoundLoop:
+    def test_crossing_bookkeeping_matches_a_stepped_reference(self):
+        # tau1 < tau2 puts every cell on the kernel, whose rounds are 16 steps, and moments go
+        # negative; cells cross in the first round and at steps that are no multiple of 16, and
+        # at tau1 < 0 some cells reach their lowest moment at the crossing step itself
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+        crossings, set_at_crossing = [], 0
+        for beta, gamma, tau1, tau2 in ((0.5, 0.5, 0.3, 1.0), (-0.4, 0.5, 0.3, 1.0), (0.5, 0.5, -0.5, 0.5)):
+            alphas = np.linspace(1.0, 8.0, 15) * (1.0 + beta)
+            grid = run_se_grid(spec, alphas, [beta], gamma, tau1, tau2, 300)
+            assert (grid["min_output_moment"] < 0.0).any()
+            for i, alpha in enumerate(alphas):
+                losses, crossed, lows = stepped_reference(spec, alpha, beta, gamma, tau1, tau2, 300)
+                traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau1=tau1, tau2=tau2, steps=300))
+                assert traj.diverged_at == crossed and np.array_equal(traj.losses, losses)
+                assert traj.metadata["min_output_moment"] == lows[-1]
+                assert grid["diverged_at"][i, 0] == (-1 if crossed is None else crossed)
+                assert grid["final_loss"][i, 0] == losses[-1]
+                assert grid["min_loss"][i, 0] == min(losses[:-1] if crossed else losses)
+                assert grid["min_output_moment"][i, 0] == lows[-1]
+                crossings.append(crossed)
+                set_at_crossing += crossed is not None and lows[-1] < lows[-2]
+        hit = [t for t in crossings if t is not None]
+        assert None in crossings and min(hit) < 16 and len([t for t in hit if t % 16]) >= 10
+        assert set_at_crossing >= 3
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("tau2", [0.5, 1.2])
+    @pytest.mark.parametrize("scale", [1e10, 1e200])
+    def test_immediate_divergence_warns_nothing(self, beta, tau2, scale):
+        # at alpha lambda_max = 1e10 a run crosses at step 1 on either engine (blocked at
+        # tau2 <= tau1); the overflow after the crossing, in a block's operators or in the rest of
+        # a kernel round, is dropped and not reported. At 1e200 the step's coefficients and the
+        # dispatch tests overflow too
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+        alpha = scale / spec.lambda_max
+        assert simulate._blocked_cells(spec, alpha, beta, 0.1, 1.0, tau2, 100)[0].all() == (tau2 <= 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=0.1, tau2=tau2, steps=100))
+            grid = run_se_grid(spec, [0.5 * alpha, alpha], [beta], 0.1, 1.0, tau2, 100)
+        assert traj.diverged_at == 1 and (grid["diverged_at"] == 1).all()
 
 
 # Runs a script in a fresh interpreter in the default environment, where run_se_grid may fork;
