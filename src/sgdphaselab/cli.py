@@ -217,6 +217,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     cfg.sgd_params()  # SGDParams rejects alpha, beta, gamma, batch, taus and steps out of range
     if cfg.runs < 1 or cfg.modes < 2:
         raise ValidationError("runs and modes must be positive (modes >= 2)")
+    if not 0 <= cfg.seed < 2**64:  # the Philox key of run_mc
+        raise ValidationError(f"--seed must be an integer in [0, 2^64), got {cfg.seed}")
     if not 0.0 < cfg.kernel_scale < math.inf:
         raise ValidationError(f"--kernel-scale must be finite and positive, got {cfg.kernel_scale}")
     regimes = cfg.regime.split(",")

@@ -552,13 +552,13 @@ def se_fit_error(problem: FeatureProblem, c_matrix: np.ndarray, tau1: float = 1.
 
 def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "exact",
                      moment_observer=None) -> LossTrajectory:
-    """Exact dense dynamics of the combined second-moment matrix.
+    """Exact dense dynamics of the combined second-moment matrix ``M = [[C, J], [J^T, V]]``.
 
-    ``noise="exact"`` uses the true batch-sampling covariance;
-    ``noise="se"`` substitutes the SE-family surrogate
-    ``tau1 H Tr(HC) - tau2 HCH`` (useful for invariance checks).
-    ``moment_observer(t, M)`` is called with the combined 2d x 2d moment
-    matrix after every step, for inspection.
+    A step is one congruence, ``M <- T M T^T + Sigma(C) (x) [[1, 1], [1, 1]]`` with ``T = [[I -
+    alpha H, beta I], [-alpha H, beta I]]`` and Sigma the noise times ``gamma alpha^2``:
+    ``noise="exact"`` the true batch-sampling covariance, ``noise="se"`` the SE-family surrogate
+    ``tau1 H Tr(HC) - tau2 HCH`` (useful for invariance checks). ``moment_observer(t, M)`` is
+    called with the 2d x 2d matrix M after every step, for inspection.
     """
     d = problem.dim
     if d > FULL_MOMENT_DIM_LIMIT:
@@ -566,38 +566,28 @@ def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "e
     if noise not in ("exact", "se"):
         raise ValidationError(f"noise must be 'exact' or 'se', got {noise!r}")
     gamma = params.resolve_gamma(problem.dataset_size)
-    h, n = problem.hessian, problem.dataset_size
-    alpha, beta = params.alpha, params.beta
-    a = np.eye(d) - alpha * h
+    h, n, alpha, beta = problem.hessian, problem.dataset_size, params.alpha, params.beta
+    step = np.block([[np.eye(d) - alpha * h, beta * np.eye(d)], [-alpha * h, beta * np.eye(d)]])
 
-    c = problem.initial_second_moment()
-    j = np.zeros_like(c)
-    v = np.zeros_like(c)
+    m = np.zeros((2 * d, 2 * d))
+    m[:d, :d] = problem.initial_second_moment()
     losses = np.empty(params.steps + 1)
-    losses[0] = 0.5 * float(np.sum(h * c))
-    threshold = _divergence_threshold(losses[0])
-    diverged_at = None
+    losses[0] = 0.5 * float(np.sum(h * m[:d, :d]))
+    threshold, diverged_at = _divergence_threshold(losses[0]), None
 
     for t in range(1, params.steps + 1):
+        c = m[:d, :d]
         if noise == "exact":
             sigma = exact_noise_covariance(problem, c)
         else:
             sigma = params.tau1 * h * float(np.sum(h * c)) - params.tau2 * h @ c @ h
             sigma = 0.5 * (sigma + sigma.T)
-        sigma = gamma * alpha**2 * sigma
-        ac = a @ c
-        aj = a @ j
-        c_new = ac @ a.T + beta * (aj + aj.T) + beta**2 * v
-        j_new = -alpha * (h @ (ac.T + beta * j)).T + beta * aj + beta**2 * v
-        hc, hj = h @ c, h @ j
-        v_new = alpha**2 * hc @ h.T - alpha * beta * (hj + hj.T) + beta**2 * v
-        c = c_new + sigma
-        j = j_new + sigma
-        v = v_new + sigma
-        loss = 0.5 * float(np.sum(h * c))
-        losses[t] = loss
+        m = step @ m @ step.T
+        blocks = m.reshape(2, d, 2, d)  # a view: Sigma goes into C, J, J^T and V
+        blocks += (gamma * alpha**2) * sigma[:, None, :]
+        loss = losses[t] = 0.5 * float(np.sum(h * m[:d, :d]))
         if moment_observer is not None:
-            moment_observer(t, np.block([[c, j], [j.T, v]]))
+            moment_observer(t, m)
         if not (loss <= threshold):
             diverged_at = t
             losses = losses[: t + 1]
@@ -620,19 +610,21 @@ def _batch_masks(runs: int, n: int, b: int, steps: int, seed: int):
     """Yield each step's (runs, N) batch mask: a uniform b-subset per run (Floyd's algorithm).
 
     Block k of ``_MC_BLOCK`` steps reads ``_philox_stream(seed, k)`` for all its rows at
-    once: for j in N-m .. N-1 a row draws x in [0, j] and takes j if x is taken. m is
-    min(b, N - b): for b > N/2 the mask of the N - b samples left out is inverted.
-    Every block draws all its rows, so a shorter horizon is a prefix of a longer one.
+    once: for j in N-m .. N-1 a row draws x in [0, j] and takes j if x is taken, indexing the
+    block's flat mask at ``row N + x``. m is min(b, N - b): for b > N/2 the mask of the N - b
+    samples left out is inverted. Every block draws all its rows, so a shorter horizon is a
+    prefix of a longer one.
     """
     m, mask = min(b, n - b), np.empty((_MC_BLOCK, runs, n), dtype=bool)
-    flat, rows = mask.reshape(-1, n), np.arange(_MC_BLOCK * runs)
+    flat, base = mask.reshape(-1), np.arange(0, mask.size, n)  # base: each row's offset
     for k, t in enumerate(range(0, steps, _MC_BLOCK)):
         g = _philox_stream(seed, k)
         flat[...] = False
         for j in range(n - m, n):
-            x = g.integers(0, j + 1, size=len(rows))
-            x[flat[rows, x]] = j
-            flat[rows, x] = True
+            x = g.integers(0, j + 1, size=base.size)
+            x += base
+            np.putmask(x, flat[x], base + j)
+            flat[x] = True
         if m < b:
             np.logical_not(mask, out=mask)
         yield from mask[: steps - t]
@@ -641,50 +633,56 @@ def _batch_masks(runs: int, n: int, b: int, steps: int, seed: int):
 def run_mc(problem: FeatureProblem, params: SGDParams, runs: int, seed: int) -> LossTrajectory:
     """Monte-Carlo mini-batch SGD: mean population loss and standard error.
 
-    Each step's batch is uniform without replacement; one Philox stream draws
-    ``_MC_BLOCK`` steps of all runs (:func:`_batch_masks`), so run r's batches depend on
-    ``runs`` too. A step is two GEMMs, ``proj = w psi`` with the unbatched columns
-    zeroed, then ``proj psi^T / b``. Memory is O(runs (d + N) + runs _MC_BLOCK N) at any
-    horizon; results are a pure function of (inputs, runs, seed).
+    Each step's batch is uniform without replacement; one Philox stream draws ``_MC_BLOCK`` steps
+    of all runs (:func:`_batch_masks`), so run r's batches depend on ``runs`` too. A step is two
+    GEMMs, ``proj = w psi``, whose ``|proj|^2 / 2N`` is the loss of w (H = psi psi^T / N), then with
+    the unbatched columns zeroed ``proj psi^T alpha / b``. A block of ``_MC_BLOCK`` steps forms its
+    statistics and meets the threshold at once; overflow after a crossing goes unreported. Memory
+    is O(runs (d + N) + runs _MC_BLOCK N) at any horizon; results are a pure function of (inputs,
+    runs, seed), the seed an integer in [0, 2^64).
     """
     if not _is_count(runs):
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if params.batch is None:
         raise ValidationError("Monte-Carlo path needs an explicit batch size")
     n, b = problem.dataset_size, int(params.batch)
     if b > n:
         raise ValidationError(f"batch size {b} exceeds dataset size {n}")
-    d, steps, psi, h = problem.dim, params.steps, problem.features, problem.hessian
-    alpha, beta = params.alpha, params.beta
+    d, steps, psi, beta = problem.dim, params.steps, problem.features, params.beta
+    scaled = psi.T * (params.alpha / b)  # proj @ scaled: alpha H(B_t) w per run
 
     masks = _batch_masks(runs, n, b, steps, seed) if b < n else None  # full batch: no draws
     w = np.broadcast_to(problem.deviation, (runs, d)).copy()
-    v, wh, grad, proj = np.zeros_like(w), np.empty_like(w), np.empty_like(w), np.empty((runs, n))
-
-    def loss_of(w):
-        return 0.5 * np.einsum("rd,rd->r", np.matmul(w, h, out=wh), w)
-
-    mean, err = np.empty(steps + 1), np.empty(steps + 1)
-    mean[0], err[0] = loss_of(w).mean(), 0.0
-    threshold = _divergence_threshold(mean[0])
+    v, grad, proj = np.zeros_like(w), np.empty_like(w), np.empty((runs, n))
+    block, mean, err = np.empty((_MC_BLOCK, runs)), np.empty(steps + 1), np.zeros(steps + 1)
     diverged_at = None
 
-    for t in range(1, steps + 1):
-        np.matmul(w, psi, out=proj)
-        if masks is not None:
-            proj *= next(masks)
-        np.matmul(proj, psi.T, out=grad)
-        grad /= b  # H(B_t) w per run
-        v *= beta
-        v -= np.multiply(alpha, grad, out=grad)
-        w += v
-        loss_r = loss_of(w)
-        mean[t] = loss_r.mean()
-        err[t] = loss_r.std(ddof=1) / math.sqrt(runs) if runs > 1 else 0.0
-        if not (mean[t] <= threshold):
-            diverged_at = t
-            mean, err = mean[: t + 1], err[: t + 1]
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps + 1):
+            np.matmul(w, psi, out=proj)
+            i, t0 = t % _MC_BLOCK, t - t % _MC_BLOCK
+            np.einsum("rn,rn->r", proj, proj, out=block[i])
+            if i == _MC_BLOCK - 1 or t == steps:  # the block's statistics
+                loss = block[: i + 1]
+                loss *= 0.5 / n
+                mean[t0 : t + 1] = loss.mean(axis=1)
+                if runs > 1:
+                    err[t0 : t + 1] = loss.std(axis=1, ddof=1) / math.sqrt(runs)
+                over = ~(mean[t0 : t + 1] <= _divergence_threshold(mean[0]))  # NaN crosses
+                if over.any():
+                    diverged_at = t0 + int(over.argmax())
+                    mean, err = mean[: diverged_at + 1], err[: diverged_at + 1]
+                    break
+            if t < steps:
+                if masks is not None:
+                    proj *= next(masks)
+                np.matmul(proj, scaled, out=grad)
+                v *= beta
+                v -= grad
+                w += v
+    err[0] = 0.0  # every run starts at the same w
 
     meta = params.as_dict()
     meta.update(regime="mc", runs=int(runs), seed=int(seed), dataset_size=n, dim=d,

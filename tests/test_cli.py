@@ -332,6 +332,10 @@ class TestExitCodes:
         # a repeated run would write the same trajectory_*.csv twice and list it twice in manifest.json
         ["--nu", "1.5", "--kappa", "3", "--regime", "se,noiseless,se"],
         ["--nu", "1.5", "--kappa", "3", "--batch-list", "4,8,4"],
+        # the seed keys run_mc's Philox streams: an integer in [0, 2^64)
+        ["--random-features", "4,6", "--regime", "mc", "--seed", "-1"],
+        ["--random-features", "4,6", "--regime", "mc", "--seed", str(2**64)],
+        ["--torus", "16", "--seed", "-3"],
     ], ids=" ".join)
     def test_bad_simulate_value_named(self, bad, tmp_path, capsys):
         out = tmp_path / "bad"

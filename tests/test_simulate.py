@@ -641,6 +641,49 @@ class TestFullMoments:
         with pytest.raises(ValidationError):
             run_full_moments(prob, SGDParams(alpha=0.1, batch=2, steps=1))
 
+    @pytest.mark.parametrize("noise", ["exact", "se"])
+    def test_matches_separate_moment_updates(self, rng, noise):
+        prob = random_problem(rng, 8, 12)
+        p = SGDParams(alpha=0.05, beta=0.4, batch=3, steps=150, tau1=1.2, tau2=0.7)
+        seen = []
+        dense = run_full_moments(prob, p, noise, moment_observer=lambda t, m: seen.append((t, m.copy())))
+        losses, blocks = separate_moments(prob, p, noise)
+        assert max_rel_err(dense.losses, losses) <= 1e-12
+        assert [t for t, _ in seen] == list(range(1, p.steps + 1))
+        for (_, m), want in zip(seen, blocks):
+            scale = np.abs(want).max()
+            assert m.shape == (16, 16)
+            assert np.abs(m - want).max() <= 1e-12 * scale
+            assert np.abs(m - m.T).max() <= 1e-12 * scale
+
+
+def separate_moments(prob, p, noise):
+    """Reference: C, J and V stepped as separate d x d matrices, with eight d x d products a step.
+
+    Returns the losses L(0..T) and each step's combined matrix ``[[C, J], [J^T, V]]``.
+    """
+    h, d, alpha, beta = prob.hessian, prob.dim, p.alpha, p.beta
+    gamma = p.resolve_gamma(prob.dataset_size)
+    a = np.eye(d) - alpha * h
+    c, j, v = prob.initial_second_moment(), np.zeros((d, d)), np.zeros((d, d))
+    losses, blocks = [0.5 * np.sum(h * c)], []
+    for _ in range(p.steps):
+        if noise == "exact":
+            sigma = exact_noise_covariance(prob, c)
+        else:
+            sigma = p.tau1 * h * np.sum(h * c) - p.tau2 * h @ c @ h
+            sigma = 0.5 * (sigma + sigma.T)
+        sigma = gamma * alpha**2 * sigma
+        ac, aj = a @ c, a @ j
+        c_new = ac @ a.T + beta * (aj + aj.T) + beta**2 * v
+        j_new = -alpha * (h @ (ac.T + beta * j)).T + beta * aj + beta**2 * v
+        hc, hj = h @ c, h @ j
+        v_new = alpha**2 * hc @ h.T - alpha * beta * (hj + hj.T) + beta**2 * v
+        c, j, v = c_new + sigma, j_new + sigma, v_new + sigma
+        losses.append(0.5 * np.sum(h * c))
+        blocks.append(np.block([[c, j], [j.T, v]]))
+    return np.array(losses), blocks
+
 
 class TestRunMc:
     def test_full_batch_deterministic(self, rng):
@@ -676,6 +719,15 @@ class TestRunMc:
                 run_mc(prob, SGDParams(alpha=0.1, batch=2, steps=5), runs=runs, seed=1)
         with pytest.raises(ValidationError):
             run_mc(prob, SGDParams(alpha=0.1, steps=5), runs=4, seed=1)
+
+    def test_seed_validation(self, rng):
+        prob = random_problem(rng, 4, 4)
+        p = SGDParams(alpha=0.1, batch=2, steps=5)
+        for seed in (-1, 2**64, True, 1.5, "3", None):  # the Philox key is an integer in [0, 2^64)
+            with pytest.raises(ValidationError):
+                run_mc(prob, p, runs=4, seed=seed)
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert run_mc(prob, p, runs=4, seed=seed).metadata["seed"] == int(seed)
 
 
 def naive_batches(n, b, runs, steps, seed):
@@ -740,6 +792,35 @@ class TestMcStreaming:
         mc = run_mc(prob, p, runs=20, seed=4)
         assert max_rel_err(mc.losses, naive_mc(prob, p, 20, 4)[0]) <= 1e-12
         assert np.all(mc.stderr <= 1e-12 * mc.losses)  # identical runs: the spread is roundoff
+
+    # b <= N/2 draws the batch, b > N/2 the samples left out; horizons below, at and off the block
+    @pytest.mark.parametrize("runs,n,b,steps", [(20, 9, 3, _MC_BLOCK - 1), (20, 9, 6, _MC_BLOCK),
+                                                (1, 9, 4, 2 * _MC_BLOCK + 3), (1, 9, 7, _MC_BLOCK - 1),
+                                                (5, 6, 3, 2 * _MC_BLOCK), (5, 6, 5, 3 * _MC_BLOCK + 5)])
+    def test_masks_are_the_naive_batches(self, runs, n, b, steps):
+        want, count = naive_batches(n, b, runs, steps, seed=7), 0
+        for t, mask in enumerate(simulate._batch_masks(runs, n, b, steps, seed=7)):
+            assert mask.shape == (runs, n)
+            assert [set(np.flatnonzero(row)) for row in mask] == [set(x) for x in want[t]], t
+            count += 1
+        assert count == steps
+
+    # 3.0 crosses at step 18, inside the third block; 1e30 crosses at step 1 and overflows later in the block
+    @pytest.mark.parametrize("scale", [3.0, 1e30])
+    def test_divergence_is_the_per_step_rule(self, rng, scale):
+        prob = random_problem(rng, 6, 9)
+        p = SGDParams(alpha=scale / eigendecompose(prob).spectrum.lambda_max, beta=0.3, batch=3, steps=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = run_mc(prob, p, runs=20, seed=4)
+        t = mc.diverged_at
+        assert t is not None and t % _MC_BLOCK not in (0, _MC_BLOCK - 1)
+        mean, err = naive_mc(prob, p.with_(steps=t), 20, 4)  # a shorter horizon draws a prefix
+        crossed = ~(mean <= simulate.DIVERGENCE_RATIO * mean[0])
+        assert crossed[t] and not crossed[:t].any()
+        assert mc.losses.shape == (t + 1,) and mc.stderr[0] == 0.0
+        assert max_rel_err(mc.losses, mean) <= 1e-12
+        assert max_rel_err(mc.stderr[1:], err[1:]) <= 1e-12
 
     def test_every_batch_holds_exactly_b_samples(self):
         gen = np.random.default_rng(17)
