@@ -14,14 +14,13 @@ iterate and its momentum in output-space normalization (states are
 matches the spectrum's stored ``lambda_c0`` directly. A step is a per-mode
 3x3 map plus a rank-one coupling through one scalar per cell, S = sum_k C_k.
 An engine advances it a round of steps at a time and one loop, :func:`_se_run`,
-records every run. Cells whose moments provably stay non-negative, with noise
-above rounding and block powers that keep their digits (:func:`_blocked_cells`),
-run on :func:`_se_blocked`, which takes k steps per round of numpy calls by
-solving each block's coupling with a Toeplitz inverse; the others, and
+records every run. Cells whose moments provably stay non-negative (:func:`_psd`),
+with noise above rounding and block powers that keep their digits, run on
+:func:`_se_blocked`, which takes k steps per round of numpy calls by solving
+each block's coupling with a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
-``genfunc.compute_UV_sequences`` powers the same map, without the coupling,
-a block of steps at a time (it runs the kernel only when the noise is below
-rounding).
+``genfunc.compute_UV_sequences`` powers the same map, without the coupling, a
+block of steps at a time (the kernel when the noise is below rounding).
 """
 
 from __future__ import annotations
@@ -203,16 +202,14 @@ def _se_run(engine, state, k, steps, threshold=None, history=False):
     return *out.T, diverged, sums
 
 
-def _se_kernel(table, r, c, j, v, source=None):
+def _se_kernel(table, r, c, j, v, source=None, track=False):
     """The step-by-step engine of :func:`_se_run`, its state and round size ``_SE_BLOCK[1]``, on the
     (cells, modes) moments c, j, v (None for a ``(m11,)`` table), which it advances in place.
 
     A step is ``(C, J, V) <- A_k (C, J, V) + w``, ``w = r_k S`` (``source_k`` if r is None), ``S =
     sum_k C_k`` (:func:`_se_step`); each S but S_0 follows one, so a run takes exactly ``steps``.
-    It tracks no moment on a ``(m11,)`` table with m11, r and source >= 0: there the moments, sums of
-    non-negative products of the start (``Spectrum`` keeps lambda_c0 >= 0), stay >= 0.
+    With ``track`` it returns each step's lowest moment, else None.
     """
-    track = not (len(table) == 1 and all(x is None or np.all(x >= 0.0) for x in (table[0], r, source)))
 
     def advance(state, t, n):
         c, j, v, s, r, *table = state
@@ -262,8 +259,7 @@ def _se_blocked(table, r, c, k):
     ``G_i = A^{k-1-i} r 1``. The rows, A^k and G come from :func:`_se_step` on the d unit states
     and the seed ``r 1``, once a call; the contractions are ``np.einsum`` calls, so no BLAS runs.
     Every S_t is formed, S_0 as the kernel sums it, so the crossing step and the final and lowest
-    losses are the kernel's to rounding. No moment is tracked: :func:`_se_cells` runs here only cells
-    whose moments stay >= 0 (see :func:`run_se`). Returns what :func:`_se_kernel` returns.
+    losses are the kernel's to rounding. Returns what :func:`_se_kernel` returns, tracking no moment.
     """
     cells, m = c.shape
     d = 1 if len(table) == 1 else 3
@@ -310,30 +306,33 @@ def _se_block_steps(d: int, modes: int) -> int:
     return k if k >= _SE_BLOCK[0] else 0
 
 
+def _psd(tau1, tau2) -> bool:
+    """Whether no moment can go negative (:func:`run_se`): only such runs go blocked or skip the minimum."""
+    return tau1 >= 0.0 and tau2 <= tau1
+
+
 def _noise_above_rounding(gamma, alpha, lambda_max, steps):
-    """Whether the noise can reach the loss above rounding over ``steps``:
-    ``gamma (alpha lambda_max)^2 T > 1e-16`` (elementwise in alpha)."""
+    """Whether the noise reaches the loss above rounding, ``gamma (alpha lambda_max)^2 T > 1e-16``."""
     return gamma * (alpha * lambda_max) ** 2 * steps > 1e-16
 
 
 def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
     """Which (alpha[i], beta[i]) cells :func:`_se_cells` runs blocked, and the block size k.
 
-    A cell runs blocked when its moments provably stay >= 0 (gamma >= 0, tau1 >= 0, tau2 <= tau1;
-    ``Spectrum`` keeps the start lambda_c0 >= 0), its noise is above rounding and the budget gives
-    k >= ``_SE_BLOCK[0]`` for its table (d = 1 if every beta is 0). Two more rules keep accuracy: the
-    block's contractions read the stepped powers A^j against the block-start state, so they lose
-    digits the kernel keeps where the loss falls by orders within a block or where the top mode's
-    powers swing (transients, alternating signs). So the slowest mode keeps at least
-    ``_SE_BLOCK_DECAY`` of its moments over a block, ``rho^(2k)`` with rho the largest spectral
-    radius of the heavy-ball matrices ``[[1 - a, beta], [-a, beta]]`` (unimodal in a, so the
-    extreme modes give it), and the top mode lies at least ``_SE_BLOCK_EDGE`` (relative) from the
-    edge ``a = 2 (1 + beta)``. The choice reads only the cell's parameters, modes and steps.
+    A cell runs blocked when :func:`_psd` holds and the budget gives k >= ``_SE_BLOCK[0]`` for its
+    table (d = 1 if every beta is 0). The block's contractions read the stepped powers A^j against
+    the block-start state, so they lose digits the kernel keeps where the loss falls by orders
+    within a block, where the top mode's powers swing (transients, alternating signs) or where a
+    noiseless loss dips far below its envelope. So its noise is above rounding (as for genfunc's
+    kernel fallback), its slowest mode keeps at least ``_SE_BLOCK_DECAY`` of its moments over a
+    block, ``rho^(2k)`` with rho the largest spectral radius of the heavy-ball matrices ``[[1 - a,
+    beta], [-a, beta]]`` (unimodal in a, so the extreme modes give it), and its top mode lies at
+    least ``_SE_BLOCK_EDGE`` (relative) from the edge ``a = 2 (1 + beta)``.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
     k = _se_block_steps(3 if beta.any() else 1, len(spectrum))
-    if not (k and gamma >= 0.0 and tau1 >= 0.0 and tau2 <= tau1):
+    if not (k and _psd(tau1, tau2)):
         return np.zeros(alpha.size, dtype=bool), k
     with np.errstate(over="ignore", invalid="ignore"):  # inf from an overflow passes each test as it should
         a = alpha[:, None] * np.array([spectrum.lambdas.min(), spectrum.lambda_max])
@@ -347,15 +346,16 @@ def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
 
 def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, history=False):
     """:func:`_se_run` of the (alpha[i], beta[i]) cells from the spectrum's start to the divergence
-    threshold, on :func:`_se_blocked` if :func:`_blocked_cells` picks every cell, else on the kernel;
-    overflow goes unreported, as a non-finite loss crosses and what follows a crossing is dropped."""
+    threshold, on :func:`_se_blocked` if :func:`_blocked_cells` picks every cell, else on the kernel,
+    tracking moments unless :func:`_psd`. Overflow goes unreported: a non-finite loss crosses, and
+    what follows a crossing is dropped."""
     threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum()))
     with np.errstate(over="ignore", invalid="ignore"):
         table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
         c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
         blocked, k = _blocked_cells(spectrum, alpha, beta, gamma, tau1, tau2, steps)
         engine = (_se_blocked(table, r, c, k) if blocked.all()
-                  else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)))
+                  else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), track=not _psd(tau1, tau2)))
         return _se_run(*engine, steps, threshold, history)
 
 
@@ -366,12 +366,11 @@ def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
     the noise increment ``gamma a^2 lam^2 (tau1 * sum_l lam_l C_ll - tau2 * lam_k C_kk)``
     to all three moments. Divergence is a recorded outcome, not an error.
 
-    ``min_output_moment`` is exactly 0 on the runs :func:`_se_blocked` takes (gamma, tau1 >= 0,
-    tau2 <= tau1, lambda_c0 >= 0). Per mode the step is the congruence ``M <- B M B^T +
-    sigma [[1, 1], [1, 1]]`` of the moment matrix ``M = [[C, J], [J, V]]``, with ``B = [[1 - a,
-    beta], [-a, beta]]`` and ``sigma = gamma a^2 (tau1 S - tau2 C_k)``. While every C_l >= 0,
-    S >= C_k and ``sigma >= gamma a^2 (tau1 - tau2) C_k >= 0``, so by induction every M stays PSD
-    and no C goes negative. Other runs record the kernel's tracked minimum.
+    ``min_output_moment`` is the kernel's tracked minimum, and 0 untracked where tau1 >= 0 and tau2
+    <= tau1: per mode a step is the congruence ``M <- B M B^T + sigma [[1, 1], [1, 1]]`` of ``M =
+    [[C, J], [J, V]]``, ``B = [[1 - a, beta], [-a, beta]]``, ``sigma = gamma a^2 (tau1 S - tau2
+    C_k)``. While every C_l >= 0, S >= C_k and ``sigma >= gamma a^2 (tau1 - tau2) C_k >= 0`` (gamma,
+    lambda_c0 >= 0 always hold), so by induction every M stays PSD and no C goes negative.
     """
     gamma = params.resolve_gamma(spectrum.dataset_size)
     _, _, moment, diverged, sums = _se_cells(spectrum, params.alpha, params.beta, gamma, params.tau1,

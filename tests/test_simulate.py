@@ -141,12 +141,14 @@ class TestSeKernel:
         assert worst <= 1e-13
 
     @pytest.mark.parametrize("gamma, tau1, betas", [(0.5, 0.1, [0.0, 0.3, 0.9]), (0.9, 0.0, [0.0]),
-                                                    (0.5, 1.0, [0.0, 0.3, 0.9])])
+                                                    (0.5, 1.0, [0.0, 0.3, 0.9]), (0.0, 1.0, [0.0, 0.25, 0.3])])
     def test_grid_cells_equal_run_se_bitwise(self, gamma, tau1, betas):
         # > 1000 modes so the pairwise summation of the coupling sum is exercised; cells leave
         # the batch at different steps. At tau1 < tau2 every cell runs on the kernel and some
-        # moments go negative; at tau1 = tau2 every cell runs blocked but (2.5, 0.3), which lies
-        # within 5% of the heavy-ball edge alpha lambda_max = 2 (1 + beta).
+        # moments go negative; at tau1 = tau2 every noisy cell runs blocked but (2.5, 0.3), which
+        # lies within 5% of the heavy-ball edge alpha lambda_max = 2 (1 + beta), and no cell on
+        # either engine reports a negative moment, though without noise the kernel's rounding takes
+        # moments of (0.7, 0.25), (1.5, 0.25) and (2.5, 0.25) below 0, down to -1e-323.
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 1200))
         alphas = [0.2, 0.7, 1.5, 2.5, 3.5]
         grid = run_se_grid(spec, alphas, betas, gamma, tau1, 1.0, 600)
@@ -154,7 +156,7 @@ class TestSeKernel:
         assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
         for b in betas:
             blocked = simulate._blocked_cells(spec, alphas, b, gamma, tau1, 1.0, 600)[0]
-            assert np.array_equal(blocked, [tau1 >= 1.0 and (a, b) != (2.5, 0.3) for a in alphas])
+            assert np.array_equal(blocked, [tau1 >= 1.0 and gamma > 0.0 and (a, b) != (2.5, 0.3) for a in alphas])
         assert grid["negative_moments"].any() == (tau1 < 1.0)
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
@@ -213,18 +215,27 @@ class TestSeKernel:
 
 
 def kernel_run(spec, alpha, beta, gamma, tau1, tau2, steps):
-    """_se_kernel on (alpha[i], beta) cells from the spectrum's start."""
+    """_se_kernel on (alpha[i], beta) cells from the spectrum's start, tracking the lowest moment."""
     table, r = _se_table(spec.lambdas, alpha, beta, gamma, tau1, tau2)
     c = np.tile(spec.lambda_c0, (table[0].shape[0], 1))
     threshold = simulate._divergence_threshold(0.5 * float(spec.lambda_c0.sum()))
-    return _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), steps, threshold, history=True)
+    engine = _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), track=True)
+    return _se_run(*engine, steps, threshold, history=True)
 
 
 class TestBlockedEngine:
-    @pytest.mark.parametrize("beta", [0.0, -0.4, 0.5, 0.95])
-    def test_matches_the_kernel_across_block_edges(self, beta):
+    @pytest.mark.parametrize("beta, gamma", [
+        *(pytest.param(beta, 0.4, id=str(beta)) for beta in (0.0, -0.4, 0.5, 0.95)),
+        *(pytest.param(beta, 0.0, id=f"{beta}-gamma0") for beta in (0.0, -0.4, 0.5)),
+        pytest.param(0.95, 0.0, id="0.95-gamma0", marks=pytest.mark.xfail(strict=True, reason=(
+            "without noise the third cell, 0.8 of the edge, oscillates without diverging; at its "
+            "loss minima the blocked sums drift 3e-13 to 1.5e-12 from the kernel's, and both are "
+            "about 1e-11 off an np.longdouble recursion"))),
+    ])
+    def test_matches_the_kernel_across_block_edges(self, beta, gamma):
         # horizons 1, k - 1, k, k + 1 and 3k + 5 at the k run_se takes (16 on 300 modes) and at 4
-        # and 64, on three cells at once, one of them diverging: each S_t is the kernel's to rounding
+        # and 64, on three cells at once, one of them diverging at gamma = 0.4: each S_t is the
+        # kernel's to rounding. gamma = 0 leaves no coupling (r is None), as tau1 = 0 does in a run
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
         d = 1 if beta == 0.0 else 3
         alphas = np.array([0.2, 0.5, 0.8]) * 2.0 * (1.0 + beta) / spec.lambda_max
@@ -232,16 +243,17 @@ class TestBlockedEngine:
         assert simulate._se_block_steps(d, len(spec)) == 16
         for k in (4, 16, 64):
             for steps in (1, k - 1, k, k + 1, 3 * k + 5):
-                want = kernel_run(spec, alphas, beta, 0.4, 1.0, 0.7, steps)
-                table, r = _se_table(spec.lambdas, alphas, beta, 0.4, 1.0, 0.7)
+                want = kernel_run(spec, alphas, beta, gamma, 1.0, 0.7, steps)
+                table, r = _se_table(spec.lambdas, alphas, beta, gamma, 1.0, 0.7)
+                assert (r is None) == (gamma == 0.0)
                 got = _se_run(*simulate._se_blocked(table, r, np.tile(spec.lambda_c0, (3, 1)), k), steps,
                               simulate._divergence_threshold(0.5 * spec.lambda_c0.sum()), True)
                 assert np.array_equal(got[3], want[3])
                 for cell, end in enumerate(np.where(want[3] < 0, steps, want[3]) + 1):
                     assert max_rel_err(got[4][cell, :end], want[4][cell, :end]) <= 1e-13, (k, steps)
                 assert np.array_equal(got[4][:, 0], want[4][:, 0])  # L(0) exactly
-                if k == 16:
-                    traj = run_se(spec, SGDParams(alpha=alphas[0], beta=beta, gamma=0.4, tau2=0.7, steps=steps))
+                if k == 16 and gamma:  # run_se keeps noiseless runs on the kernel
+                    traj = run_se(spec, SGDParams(alpha=alphas[0], beta=beta, gamma=gamma, tau2=0.7, steps=steps))
                     assert np.array_equal(traj.losses, 0.5 * got[4][0])
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, -0.4])
@@ -262,8 +274,9 @@ class TestBlockedEngine:
             assert max_rel_err(traj.losses, 0.5 * want[4][i, : traj.losses.size]) <= 1e-13
 
     def test_moment_minimum_is_zero_on_blocked_cells(self):
-        # tau2 <= tau1 keeps every 2x2 moment matrix PSD (see run_se); the kernel's own tracked
-        # minimum agrees on these draws, which include m11 < 0 and tau2 < 0
+        # tau2 <= tau1 keeps every 2x2 moment matrix PSD (see run_se), so run_se reports 0 on
+        # either engine; the kernel's own tracked minimum agrees on these draws, which include
+        # m11 < 0 and tau2 < 0
         gen = np.random.default_rng(3)
         blocked = 0
         for _ in range(60):
@@ -273,10 +286,9 @@ class TestBlockedEngine:
             gamma, tau2 = float(gen.uniform(0.01, 1.0)), float(gen.uniform(-0.5, 1.0))
             traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau2, steps=300))
             assert kernel_run(spec, [alpha], beta, gamma, 1.0, tau2, 300)[2][0] == 0.0
-            if simulate._blocked_cells(spec, alpha, beta, gamma, 1.0, tau2, 300)[0].all():
-                blocked += 1
-                assert traj.metadata["min_output_moment"] == 0.0 and not traj.metadata["negative_moments"]
-        assert blocked >= 40
+            assert traj.metadata["min_output_moment"] == 0.0 and not traj.metadata["negative_moments"]
+            blocked += simulate._blocked_cells(spec, alpha, beta, gamma, 1.0, tau2, 300)[0].all()
+        assert 40 <= blocked < 60
 
     def test_kernel_keeps_unqualified_runs(self):
         # tau1 < tau2, tau1 < 0, noise below rounding, every mode decaying fast, or too many
@@ -570,6 +582,15 @@ class TestRunNoiseless:
             alpha = 2.0 * (1.0 + beta) / spec.lambda_max + 0.01
             traj = run_noiseless(spec, SGDParams(alpha=alpha, beta=beta, steps=20000))
             assert traj.diverged_at is not None, beta
+
+    def test_preset_reports_no_negative_moment(self):
+        # the README's noiseless preset: its noise is below rounding, so it runs on the kernel,
+        # and tau2 <= tau1, so its moments provably stay >= 0 and it reports 0, not the -5e-324
+        # to which the kernel's rounding takes one
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+        assert not simulate._blocked_cells(spec, 0.3, 0.5, 0.0, 1.0, 1.0, 2000)[0].any()
+        traj = run_noiseless(spec, SGDParams(alpha=0.3, beta=0.5, steps=2000))
+        assert traj.metadata["min_output_moment"] == 0.0 and not traj.metadata["negative_moments"]
 
     def test_fast_convergence(self):
         spec = Spectrum.from_c0([1.0], [1.0])
