@@ -534,7 +534,9 @@ def _cmd_phase_diagram(cfg: ExperimentConfig, em: _Emitter) -> None:
                 spec = build_power_law(
                     PowerLawSpec(cfg.Lambda, nu, cfg.K, zeta * nu, cfg.modes, cfg.c0_mode)
                 )
-                ctx = _analysis_context(cfg, spec, cfg.alpha, cfg.beta, 0.1 if cfg.gamma is None else cfg.gamma)
+                # --gamma, else --batch against the dataset size (1/b on these infinite spectra), else 0.1
+                gamma = 0.1 if cfg.gamma is None and cfg.batch is None else _se_params(cfg, spec).gamma
+                ctx = _analysis_context(cfg, spec, cfg.alpha, cfg.beta, gamma)
                 if not ctx.violations() and eval_U1(ctx) < 1.0:
                     # the spectrum is an exact power law, so its exponents are known
                     fit = PowerLawFit(cfg.Lambda, nu, cfg.K, zeta * nu, 1, 0.0, 0.0)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
 from .serialize import json_ready
-from .simulate import LossTrajectory, _divergence_threshold, _noise_above_rounding, _se_kernel, _se_run, _se_table
+from .simulate import LossTrajectory, _divergence_threshold, _se_kernel, _se_run, _se_table
 from .spectrum import Spectrum
 
 _UV_BLOCK = 32  # generating-function coefficients (a power of 2) per GEMM in compute_UV_sequences
@@ -334,14 +334,15 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
     the block-start states, which powers of A_k then advance. Modes run in chunks of about
     512 KB of working set at any horizon, their partial sums added in mode order. A run whose
     noise stays below rounding, ``gamma (alpha lambda_max)^2 T <= 1e-16``, steps the SE kernel
-    instead: V_t then shares run_se's rounding near the loss's oscillation minima, where two
-    independent evaluations can differ by 3e-9 of the loss.
+    instead: V_t then shares the kernel's rounding near the loss's oscillation minima, where two
+    independent evaluations can differ by 3e-9 of the loss, and matches run_se bitwise where
+    run_se takes the kernel too (not on the runs it steps blocked).
     """
     ctx.require_valid()
     if horizon < 1:
         raise AnalysisDomainError(f"horizon must be >= 1, got {horizon}")
     lam = ctx.spectrum.lambdas
-    if not _noise_above_rounding(ctx.gamma, ctx.alpha, ctx.spectrum.lambda_max, horizon):
+    if not ctx.gamma * (ctx.alpha * ctx.spectrum.lambda_max) ** 2 * horizon > 1e-16:
         seed, zero = lam * lam, np.zeros_like(lam)
         sums = _se_run(*_se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
                                    np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),

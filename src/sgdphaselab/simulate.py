@@ -14,13 +14,13 @@ iterate and its momentum in output-space normalization (states are
 matches the spectrum's stored ``lambda_c0`` directly. A step is a per-mode
 3x3 map plus a rank-one coupling through one scalar per cell, S = sum_k C_k.
 An engine advances it a round of steps at a time and one loop, :func:`_se_run`,
-records every run. Cells whose moments provably stay non-negative (:func:`_psd`),
-with noise above rounding and block powers that keep their digits, run on
+records every run. Cells whose moments provably stay non-negative (:func:`_psd`)
+and whose block powers keep their digits, with or without noise, run on
 :func:`_se_blocked`, which takes k steps per round of numpy calls by solving
 each block's coupling with a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
 ``genfunc.compute_UV_sequences`` powers the same map, without the coupling, a
-block of steps at a time (the kernel when the noise is below rounding).
+block of steps at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _GRID_BATCH = 2**15  # cell-modes per run_se_grid batch: its <= 9 (cells, modes)
 _SE_BUDGET = 2**20  # bytes of a blocked batch's rows and G, about one L2
 _SE_BLOCK = (4, 16)  # fewest and most steps per blocked round
 _SE_BLOCK_DECAY = 1e-3  # least share of its moments a blocked cell's slowest mode keeps over a block
-_SE_BLOCK_EDGE = 0.05  # least relative distance of a blocked cell's top mode from the heavy-ball edge
+_SE_BLOCK_EDGE = 0.15  # least relative distance of a blocked cell's top mode from the heavy-ball edge
 
 
 def _is_count(x) -> bool:
@@ -311,23 +311,19 @@ def _psd(tau1, tau2) -> bool:
     return tau1 >= 0.0 and tau2 <= tau1
 
 
-def _noise_above_rounding(gamma, alpha, lambda_max, steps):
-    """Whether the noise reaches the loss above rounding, ``gamma (alpha lambda_max)^2 T > 1e-16``."""
-    return gamma * (alpha * lambda_max) ** 2 * steps > 1e-16
-
-
-def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
+def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2):
     """Which (alpha[i], beta[i]) cells :func:`_se_cells` runs blocked, and the block size k.
 
     A cell runs blocked when :func:`_psd` holds and the budget gives k >= ``_SE_BLOCK[0]`` for its
     table (d = 1 if every beta is 0). The block's contractions read the stepped powers A^j against
     the block-start state, so they lose digits the kernel keeps where the loss falls by orders
-    within a block, where the top mode's powers swing (transients, alternating signs) or where a
-    noiseless loss dips far below its envelope. So its noise is above rounding (as for genfunc's
-    kernel fallback), its slowest mode keeps at least ``_SE_BLOCK_DECAY`` of its moments over a
-    block, ``rho^(2k)`` with rho the largest spectral radius of the heavy-ball matrices ``[[1 - a,
-    beta], [-a, beta]]`` (unimodal in a, so the extreme modes give it), and its top mode lies at
-    least ``_SE_BLOCK_EDGE`` (relative) from the edge ``a = 2 (1 + beta)``.
+    within a block, or where the top mode's powers swing (transients, alternating signs) and the
+    loss dips far below its envelope at its oscillation minima, as a near-edge run's does with
+    little or no noise. So its slowest mode keeps at least ``_SE_BLOCK_DECAY`` of its moments over
+    a block, ``rho^(2k)`` with rho the largest spectral radius of the heavy-ball matrices ``[[1 -
+    a, beta], [-a, beta]]`` (unimodal in a, so the extreme modes give it), and its top mode lies
+    more than ``_SE_BLOCK_EDGE`` (relative) from the edge ``a = 2 (1 + beta)``. The noise and the
+    horizon play no part: a zero-noise run takes the engine its noisy cell takes.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
@@ -341,7 +337,7 @@ def _blocked_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
         rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(det)))
         slow = rho.max(axis=1) >= _SE_BLOCK_DECAY ** (1.0 / (2 * k))  # rho^(2k) >= decay, which could overflow
         off_edge = np.abs(a[:, 1] / (2.0 * (1.0 + beta)) - 1.0) > _SE_BLOCK_EDGE
-        return slow & off_edge & _noise_above_rounding(gamma, alpha, spectrum.lambda_max, steps), k
+        return slow & off_edge, k
 
 
 def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, history=False):
@@ -353,7 +349,7 @@ def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, history
     with np.errstate(over="ignore", invalid="ignore"):
         table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
         c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
-        blocked, k = _blocked_cells(spectrum, alpha, beta, gamma, tau1, tau2, steps)
+        blocked, k = _blocked_cells(spectrum, alpha, beta, tau1, tau2)
         engine = (_se_blocked(table, r, c, k) if blocked.all()
                   else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), track=not _psd(tau1, tau2)))
         return _se_run(*engine, steps, threshold, history)
@@ -399,8 +395,8 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     """Batched SE sweep over the (alpha, beta) product grid.
 
     The cells fall into four groups: beta = 0 or not (a 1- or 3-moment table), and blocked or
-    not (:func:`_blocked_cells`, which reads only a cell's own parameters, the modes and the
-    steps). A kernel group goes into batches of at most ``_GRID_BATCH`` cell-modes, a blocked
+    not (:func:`_blocked_cells`, which reads only a cell's own alpha and beta, tau1, tau2 and the
+    modes). A kernel group goes into batches of at most ``_GRID_BATCH`` cell-modes, a blocked
     group into batches whose rows and G fit ``_SE_BUDGET`` (or one cell), so a batch's working
     set is about one core's L2 cache; a group that needs more batches than there are workers
     gets a multiple of the worker count. Cells are dealt to the batches round-robin in grid
@@ -421,7 +417,7 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
     batches = []
     for d, group in ((1, np.flatnonzero(b == 0.0)), (3, np.flatnonzero(b != 0.0))):
-        blocked, k = _blocked_cells(spectrum, a[group], b[group], gamma, tau1, tau2, steps)
+        blocked, k = _blocked_cells(spectrum, a[group], b[group], tau1, tau2)
         sizes = _GRID_BATCH // len(spectrum), _SE_BUDGET // (16 * d * len(spectrum) * max(k, 1))
         for cells, per_batch in zip((group[~blocked], group[blocked]), sizes):
             n = -(-cells.size // max(1, per_batch))

@@ -248,11 +248,13 @@ class TestRunCommands:
     def test_asymptotics_command_reports_empirical_slope(self, tmp_path):
         out = tmp_path / "asym"
         rc = main(["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "400",
-                   "--alpha", "0.2", "--gamma", "1", "--steps", "3000", "--out", str(out)])
+                   "--alpha", "0.2", "--gamma", "1", "--steps", "3000", "--out", str(out), "--plot"])
         assert rc == 0
         rep = json.loads((out / "asymptote_report.json").read_text())
         assert rep["phase"] == "noise_dominated"
         assert abs(rep["empirical"]["slope"] - rep["exponent"]) < 0.4
+        assert (out / "asymptotics.svg").read_text().startswith("<svg")
+        assert "asymptotics.svg" in {f["path"] for f in read_manifest(out)["files"]}
 
     def test_fit_command(self, tmp_path):
         out = tmp_path / "fit"
@@ -306,6 +308,7 @@ class TestRunCommands:
 
         assert table("--gamma", "0.1") == table()  # unset gamma defaults to 0.1
         assert table("--gamma", "0") != table("--gamma", "0.1")
+        assert table("--batch", "4") == table("--gamma", "0.25")  # 1/b on these infinite spectra
 
 
 class TestExitCodes:
@@ -371,7 +374,7 @@ class TestExitCodes:
         assert not (out / "manifest.json").exists()
         assert list(out.glob("*.csv")) == []
 
-    def test_failed_run_removes_the_out_dir_it_created(self, tmp_path):
+    def test_failed_run_removes_the_out_dir_it_created(self, tmp_path, monkeypatch):
         cfg = tmp_path / "bogus.cfg"  # only PowerLawSpec checks c0_mode, after --out is made
         cfg.write_text("command = simulate\nnu = 1.5\nkappa = 3\nc0_mode = bogus\n")
         out, kept = tmp_path / "new" / "out", tmp_path / "kept"
@@ -382,6 +385,18 @@ class TestExitCodes:
         assert kept.is_dir()  # a directory the run did not create stays
         assert main(["--config", str(cfg), "--out", str(kept / "a" / "b")]) == 2
         assert kept.is_dir() and not (kept / "a").exists()  # an existing parent stays
+
+        # a failure after the run wrote files: they go, a file it did not write stays. Every
+        # command computes before it writes, so the failure is injected into the chart
+        def failing_chart(*args, **kwargs):
+            assert {p.name for p in kept.iterdir()} == {"notes.txt", "trajectory_se.csv", "trajectory_se.meta.json"}
+            raise ValidationError("chart failed")
+
+        monkeypatch.setattr(cli.svg, "loglog_chart", failing_chart)
+        (kept / "notes.txt").write_text("mine")
+        assert main(["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", "--steps", "20",
+                     "--plot", "--out", str(kept)]) == 2
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
     def test_fuzzed_config_keys_exit_2(self, tmp_path):
         rng = np.random.default_rng(77)

@@ -145,18 +145,20 @@ class TestSeKernel:
     def test_grid_cells_equal_run_se_bitwise(self, gamma, tau1, betas):
         # > 1000 modes so the pairwise summation of the coupling sum is exercised; cells leave
         # the batch at different steps. At tau1 < tau2 every cell runs on the kernel and some
-        # moments go negative; at tau1 = tau2 every noisy cell runs blocked but (2.5, 0.3), which
-        # lies within 5% of the heavy-ball edge alpha lambda_max = 2 (1 + beta), and no cell on
-        # either engine reports a negative moment, though without noise the kernel's rounding takes
-        # moments of (0.7, 0.25), (1.5, 0.25) and (2.5, 0.25) below 0, down to -1e-323.
+        # moments go negative; at tau1 = tau2 every cell runs blocked, with or without noise, but
+        # (2.5, 0.3), (3.5, 0.9) and (2.5, 0.25), within 15% of the heavy-ball edge alpha lambda_max
+        # = 2 (1 + beta), and no cell on either engine reports a negative moment, though without
+        # noise a tracking kernel's rounding takes moments of (0.7, 0.25), (1.5, 0.25) and (2.5,
+        # 0.25) below 0, down to -1e-323.
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 1200))
         alphas = [0.2, 0.7, 1.5, 2.5, 3.5]
         grid = run_se_grid(spec, alphas, betas, gamma, tau1, 1.0, 600)
         steps = grid["diverged_at"][grid["diverged_at"] >= 0]
         assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
         for b in betas:
-            blocked = simulate._blocked_cells(spec, alphas, b, gamma, tau1, 1.0, 600)[0]
-            assert np.array_equal(blocked, [tau1 >= 1.0 and gamma > 0.0 and (a, b) != (2.5, 0.3) for a in alphas])
+            blocked = simulate._blocked_cells(spec, alphas, b, tau1, 1.0)[0]
+            near_edge = {(2.5, 0.3), (3.5, 0.9), (2.5, 0.25)}
+            assert np.array_equal(blocked, [tau1 >= 1.0 and (a, b) not in near_edge for a in alphas])
         assert grid["negative_moments"].any() == (tau1 < 1.0)
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
@@ -167,13 +169,17 @@ class TestSeKernel:
                 assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
                 assert grid["negative_moments"][i, j] == traj.metadata["negative_moments"]
 
-    @pytest.mark.parametrize("beta", [-0.4, 0.9, 0.98])
-    def test_agrees_with_extended_precision_recursion(self, beta):
+    @pytest.mark.parametrize("beta, gamma", [
+        *(pytest.param(beta, 0.5, id=str(beta)) for beta in (-0.4, 0.9, 0.98)),
+        *(pytest.param(beta, 0.0, id=f"{beta}-gamma0") for beta in (-0.4, 0.9, 0.98)),
+    ])
+    def test_agrees_with_extended_precision_recursion(self, beta, gamma):
         # a rewrite of the step that loses accuracy on slow modes fails this: in lag
         # coordinates (E x_t^2, E x_t x_{t-1}, E x_{t-1}^2) the error here is 7e-12 at
-        # beta = 0.9 and 4e-10 at beta = 0.98; the velocity form stays below 1e-14
+        # beta = 0.9 and 4e-10 at beta = 0.98; the velocity form stays below 1e-14. Both runs
+        # are blocked: without noise too, as its cell is far from the heavy-ball edge
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
-        alpha, gamma, tau1, tau2, steps = 0.5 * (1.0 - beta), 0.5, 1.0, 0.8, 3000
+        alpha, tau1, tau2, steps = 0.5 * (1.0 - beta), 1.0, 0.8, 3000
         ld = np.longdouble
         a = ld(alpha) * spec.lambdas.astype(ld)
         q, r, b = ld(tau2 * gamma) * a * a, ld(tau1 * gamma) * a * a, ld(beta)
@@ -188,7 +194,7 @@ class TestSeKernel:
             state = (rows * state).sum(axis=1) + r * state[0].sum()
             ref.append(state[0].sum() / 2)
         traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau1=tau1, tau2=tau2, steps=steps))
-        assert simulate._blocked_cells(spec, alpha, beta, gamma, tau1, tau2, steps)[0].all()
+        assert simulate._blocked_cells(spec, alpha, beta, tau1, tau2)[0].all()
         assert traj.diverged_at is None
         assert float(np.max(np.abs(traj.losses - np.array(ref)) / np.array(ref))) <= 1e-12
 
@@ -239,7 +245,7 @@ class TestBlockedEngine:
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
         d = 1 if beta == 0.0 else 3
         alphas = np.array([0.2, 0.5, 0.8]) * 2.0 * (1.0 + beta) / spec.lambda_max
-        assert simulate._blocked_cells(spec, alphas, beta, 0.4, 1.0, 0.7, 1)[0].all()
+        assert simulate._blocked_cells(spec, alphas, beta, 1.0, 0.7)[0].all()
         assert simulate._se_block_steps(d, len(spec)) == 16
         for k in (4, 16, 64):
             for steps in (1, k - 1, k, k + 1, 3 * k + 5):
@@ -252,7 +258,7 @@ class TestBlockedEngine:
                 for cell, end in enumerate(np.where(want[3] < 0, steps, want[3]) + 1):
                     assert max_rel_err(got[4][cell, :end], want[4][cell, :end]) <= 1e-13, (k, steps)
                 assert np.array_equal(got[4][:, 0], want[4][:, 0])  # L(0) exactly
-                if k == 16 and gamma:  # run_se keeps noiseless runs on the kernel
+                if k == 16:  # noiseless runs too: the engine choice reads no gamma
                     traj = run_se(spec, SGDParams(alpha=alphas[0], beta=beta, gamma=gamma, tau2=0.7, steps=steps))
                     assert np.array_equal(traj.losses, 0.5 * got[4][0])
 
@@ -287,25 +293,25 @@ class TestBlockedEngine:
             traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau2, steps=300))
             assert kernel_run(spec, [alpha], beta, gamma, 1.0, tau2, 300)[2][0] == 0.0
             assert traj.metadata["min_output_moment"] == 0.0 and not traj.metadata["negative_moments"]
-            blocked += simulate._blocked_cells(spec, alpha, beta, gamma, 1.0, tau2, 300)[0].all()
+            blocked += simulate._blocked_cells(spec, alpha, beta, 1.0, tau2)[0].all()
         assert 40 <= blocked < 60
 
     def test_kernel_keeps_unqualified_runs(self):
-        # tau1 < tau2, tau1 < 0, noise below rounding, every mode decaying fast, or too many
-        # modes for k >= 4
+        # tau1 < tau2, tau1 < 0, every mode decaying fast, the top mode near the heavy-ball edge,
+        # or too many modes for k >= 4
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 50))
-        for gamma, tau1, tau2, steps in ((0.5, 0.3, 1.0, 10), (0.5, -0.2, -0.5, 10), (1e-18, 1.0, 1.0, 10)):
-            assert not simulate._blocked_cells(spec, 0.5, 0.5, gamma, tau1, tau2, steps)[0].any()
-        assert simulate._blocked_cells(spec, 0.5, 0.5, 0.5, 1.0, 1.0, 10)[0].all()
-        # every mode of [1, 0.8, 0.6] at 0.9 of the heavy-ball edge, beta 0.3: moments fall by
+        for tau1, tau2 in ((0.3, 1.0), (-0.2, -0.5)):
+            assert not simulate._blocked_cells(spec, 0.5, 0.5, tau1, tau2)[0].any()
+        assert simulate._blocked_cells(spec, 0.5, 0.5, 1.0, 1.0)[0].all()
+        # every mode of [1, 0.8, 0.6] at 0.7 of the heavy-ball edge, beta 0.3: moments fall by
         # 0.3 a step, 4e-9 over a block of 16, where the slowest mode must keep 1e-3
         few = Spectrum.from_c0([1.0, 0.8, 0.6], [1.0, 1.0, 1.0])
-        assert not simulate._blocked_cells(few, 0.9 * 2.6, 0.3, 0.1, 1.0, 1.0, 100)[0].any()
-        assert simulate._blocked_cells(few, 0.1, 0.3, 0.1, 1.0, 1.0, 100)[0].all()
-        # the top mode within 5% of the edge alpha lambda_max = 2 (1 + beta), on either side
+        assert not simulate._blocked_cells(few, 0.7 * 2.6, 0.3, 1.0, 1.0)[0].any()
+        assert simulate._blocked_cells(few, 0.1, 0.3, 1.0, 1.0)[0].all()
+        # the top mode within 15% of the edge alpha lambda_max = 2 (1 + beta), on either side
         edge = 2.0 * 1.5 / spec.lambda_max
-        assert simulate._blocked_cells(spec, [0.9 * edge, 0.96 * edge, 1.04 * edge, 1.1 * edge], 0.5,
-                                       0.1, 1.0, 1.0, 100)[0].tolist() == [True, False, False, True]
+        assert simulate._blocked_cells(spec, [0.8 * edge, 0.88 * edge, 1.12 * edge, 1.2 * edge], 0.5,
+                                       1.0, 1.0)[0].tolist() == [True, False, False, True]
         assert simulate._se_block_steps(3, 5461) == 4 and simulate._se_block_steps(3, 5462) == 0
         assert simulate._se_block_steps(1, 16000) == 4 and simulate._se_block_steps(1, 50000) == 0
 
@@ -390,7 +396,7 @@ class TestRoundLoop:
         # dispatch tests overflow too
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
         alpha = scale / spec.lambda_max
-        assert simulate._blocked_cells(spec, alpha, beta, 0.1, 1.0, tau2, 100)[0].all() == (tau2 <= 1.0)
+        assert simulate._blocked_cells(spec, alpha, beta, 1.0, tau2)[0].all() == (tau2 <= 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=0.1, tau2=tau2, steps=100))
@@ -430,7 +436,7 @@ class TestGridBatches:
         run_fresh("""
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.6, 0.9]
-for tau1 in (0.1, 1.0):  # every cell on the kernel, then every cell blocked
+for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
     made.clear()
     grids = []
     for workers in ("1", "2", "3"):
@@ -445,8 +451,8 @@ for tau1 in (0.1, 1.0):  # every cell on the kernel, then every cell blocked
     steps = grid["diverged_at"][grid["diverged_at"] >= 0]
     assert len(set(steps.tolist())) >= 3 and (grid["diverged_at"] < 0).any()
     assert grid["negative_moments"].any() == (tau1 < 1.0)
-    # at tau1 = tau2 all but (2.6, 0.3), on the heavy-ball edge 2 (1 + beta), run blocked
-    assert simulate._blocked_cells(spec, alphas, 0.3, 0.5, tau1, 1.0, 400)[0].sum() == (11 if tau1 == 1.0 else 0)
+    # at tau1 = tau2 all but 2.3, 2.6 and 2.9, within 15% of the heavy-ball edge 2 (1 + beta), run blocked
+    assert simulate._blocked_cells(spec, alphas, 0.3, tau1, 1.0)[0].sum() == (9 if tau1 == 1.0 else 0)
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
             traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=0.5, tau1=tau1, steps=400))
@@ -550,8 +556,8 @@ assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key
         assert [cells for cells, _, _ in seen] == [[1.0], [2.0], [3.0]]
 
     def test_blocked_cells_batch_apart_within_the_budget(self, monkeypatch):
-        # alpha = 1 keeps its noise below rounding (5e-18 * 1^2 * 10 steps), so it runs on the
-        # kernel; the others run blocked, in batches whose rows and G fit _SE_BUDGET
+        # alpha = 2 lies within 15% of both heavy-ball edges, 2 and 2.1, so it runs on the kernel;
+        # the others run blocked, in batches whose rows and G fit _SE_BUDGET
         seen = []
 
         def record(fn, jobs, workers):
@@ -563,13 +569,13 @@ assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key
         monkeypatch.setenv("SGDPHASELAB_THREADS", "2")
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
         assert spec.lambda_max == 1.0
-        alphas = [1.0, 1.5, 2.5, 3.5, 4.5]  # off the heavy-ball edges 2 and 3
-        grid = run_se_grid(spec, alphas, [0.0, 0.5], 5e-18, 1.0, 1.0, 10)
-        assert seen == [([1.0], [0.0]), ([1.5, 2.5, 3.5, 4.5], [0.0] * 4),
-                        ([1.0], [0.5]), ([1.5, 3.5], [0.5, 0.5]), ([2.5, 4.5], [0.5, 0.5])]
+        alphas = [1.0, 2.0, 3.0, 4.0, 5.0]
+        grid = run_se_grid(spec, alphas, [0.0, 0.05], 0.1, 1.0, 1.0, 10)
+        assert seen == [([2.0], [0.0]), ([1.0, 3.0, 4.0, 5.0], [0.0] * 4),
+                        ([2.0], [0.05]), ([1.0, 4.0], [0.05, 0.05]), ([3.0, 5.0], [0.05, 0.05])]
         for i, a in enumerate(alphas):
-            for j, b in enumerate([0.0, 0.5]):
-                traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=5e-18, steps=10))
+            for j, b in enumerate([0.0, 0.05]):
+                traj = run_se(spec, SGDParams(alpha=a, beta=b, gamma=0.1, steps=10))
                 assert grid["final_loss"][i, j] == traj.losses[-1]
                 assert grid["min_loss"][i, j] == np.min(traj.losses)
 
@@ -584,11 +590,11 @@ class TestRunNoiseless:
             assert traj.diverged_at is not None, beta
 
     def test_preset_reports_no_negative_moment(self):
-        # the README's noiseless preset: its noise is below rounding, so it runs on the kernel,
-        # and tau2 <= tau1, so its moments provably stay >= 0 and it reports 0, not the -5e-324
-        # to which the kernel's rounding takes one
+        # the README's noiseless preset: it runs blocked, as its noisy cell does, and tau2 <=
+        # tau1, so its moments provably stay >= 0 and it reports 0 on either engine, not the
+        # -5e-324 to which the kernel's rounding takes one
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
-        assert not simulate._blocked_cells(spec, 0.3, 0.5, 0.0, 1.0, 1.0, 2000)[0].any()
+        assert simulate._blocked_cells(spec, 0.3, 0.5, 1.0, 1.0)[0].all()
         traj = run_noiseless(spec, SGDParams(alpha=0.3, beta=0.5, steps=2000))
         assert traj.metadata["min_output_moment"] == 0.0 and not traj.metadata["negative_moments"]
 
@@ -656,6 +662,18 @@ class TestFullMoments:
         run_full_moments(prob, SGDParams(alpha=0.05, beta=0.3, batch=3, steps=150),
                          moment_observer=observer)
         assert worst[0] >= -1e-10
+
+    def test_divergence_cuts_the_trajectory(self, rng):
+        # the top mode at 1.5 of the heavy-ball edge: the losses stop at the first one above the
+        # threshold, and up to it they are the separately stepped reference's
+        prob = random_problem(rng, 6, 8)
+        p = SGDParams(alpha=3.0 / np.linalg.eigvalsh(prob.hessian)[-1], beta=0.0, batch=2, steps=200)
+        traj = run_full_moments(prob, p)
+        losses, _ = separate_moments(prob, p, "exact")
+        threshold = simulate.DIVERGENCE_RATIO * losses[0]
+        assert traj.diverged_at == len(traj.losses) - 1 < p.steps
+        assert traj.losses[-1] > threshold and np.all(traj.losses[:-1] <= threshold)
+        assert max_rel_err(traj.losses, losses[: len(traj.losses)]) <= 1e-12
 
     def test_dimension_limit(self, rng):
         prob = random_problem(rng, 300, 4)
