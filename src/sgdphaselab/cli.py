@@ -10,14 +10,16 @@ phase-diagram  phase grid over (zeta, 1/nu)
 fit            power-law exponents fitted to a spectrum
 se-error       quadratic SE-approximation error of the exact noise term
 
-Every run writes a manifest with sha256 checksums of the emitted files.
+Each command computes its files; once it has returned, they are written to
+``--out`` with a manifest of their sha256 checksums. A failed run writes no
+file and creates no directory, and an ``--out`` that cannot be a writable
+directory is refused before any computation.
 Exit codes: 0 success, 2 validation error, 3 analysis-domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
@@ -228,6 +230,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     for key, items in (("regime", regimes), ("batch-list", cfg.batch_list or [])):
         if len(set(items)) < len(items):  # each run writes trajectory_<item>.csv
             raise ValidationError(f"--{key} repeats a value: {items}")
+    if cfg.batch_list and regimes != ["se"]:
+        raise ValidationError(f"--batch-list runs the se regime per batch size; --regime {cfg.regime} cannot join it")
     return cfg
 
 
@@ -277,63 +281,15 @@ def _se_params(cfg: ExperimentConfig, spectrum: Spectrum, **changes) -> SGDParam
 
 
 # ---------------------------------------------------------------------------
-# emission helpers
+# emission
 
 
-class _Emitter:
-    """Tracks written files so failures can clean up and manifests can checksum."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.paths: list[Path] = []
-        self.created = sum(not d.exists() for d in (out_dir, *out_dir.parents))  # levels mkdir makes
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if not os.access(out_dir, os.W_OK):
-            raise ValidationError(f"output directory {out_dir} is not writable")
-
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.paths.append(p)
-        return p
-
-    def write_text(self, name: str, text: str) -> Path:
-        p = self.path(name)
-        p.write_text(text, encoding="utf-8")
-        return p
-
-    def write_json(self, name: str, obj) -> Path:
-        return self.write_text(name, json.dumps(json_ready(obj), indent=2, sort_keys=True) + "\n")
-
-    def cleanup(self) -> None:
-        for p in self.paths:
-            with contextlib.suppress(OSError):
-                p.unlink()
-        with contextlib.suppress(OSError):  # stops at the first directory that is not empty
-            for d in (self.out_dir, *self.out_dir.parents)[: self.created]:
-                d.rmdir()
-
-    def manifest(self, cfg: ExperimentConfig, wall_time: float) -> Path:
-        files = []
-        for p in self.paths:
-            digest = hashlib.sha256(p.read_bytes()).hexdigest()
-            files.append({"path": p.name, "sha256": digest, "bytes": p.stat().st_size})
-        doc = {
-            "tool": "sgdphaselab",
-            "version": __version__,
-            "command": cfg.command,
-            "config": cfg.echo(),
-            "seed": cfg.seed,
-            "wall_time_s": wall_time,
-            "files": files,
-        }
-        p = self.out_dir / "manifest.json"
-        p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return p
+def _json(obj) -> str:
+    return json.dumps(json_ready(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _write_trajectory(em: _Emitter, name: str, cfg: ExperimentConfig, traj, spectrum: Spectrum) -> None:
-    """``trajectory_<name>.csv`` and its ``.meta.json`` sidecar."""
-    traj.save_csv(em.path(f"trajectory_{name}.csv"))
+def _trajectory_files(name: str, cfg: ExperimentConfig, traj, spectrum: Spectrum) -> list:
+    """``trajectory_<name>.csv``, written by ``traj.save_csv``, and its ``.meta.json`` sidecar."""
     doc = {
         "parameters": traj.metadata,
         "seed": cfg.seed,
@@ -342,7 +298,41 @@ def _write_trajectory(em: _Emitter, name: str, cfg: ExperimentConfig, traj, spec
     }
     if "tail_estimates" in spectrum.meta:
         doc["truncation_tail_estimate"] = spectrum.meta["tail_estimates"]
-    em.write_json(f"trajectory_{name}.meta.json", doc)
+    return [(f"trajectory_{name}.csv", traj.save_csv), (f"trajectory_{name}.meta.json", _json(doc))]
+
+
+def _check_out(out: Path) -> None:
+    """``--out`` must be a writable directory or creatable in one; nothing is created here."""
+    base = next(d for d in (out, *out.parents) if os.path.lexists(d))  # a dangling link blocks too
+    if not (base.is_dir() and os.access(base, os.W_OK)):
+        raise ValidationError(f"--out {out}: {base} is not a writable directory")
+
+
+def _emit(cfg: ExperimentConfig, files: list, start: float) -> None:
+    """Write a finished command's files into ``--out``, then ``manifest.json`` with their checksums.
+
+    Each file is ``(name, content)``: the text, or a writer called with the file's path.
+    """
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    listed = []
+    for name, content in files:
+        p = out / name
+        if callable(content):
+            content(p)
+        else:
+            p.write_text(content, encoding="utf-8")
+        data = p.read_bytes()
+        listed.append({"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
+    (out / "manifest.json").write_text(_json({
+        "tool": "sgdphaselab",
+        "version": __version__,
+        "command": cfg.command,
+        "config": cfg.echo(),
+        "seed": cfg.seed,
+        "wall_time_s": time.monotonic() - start,
+        "files": listed,
+    }), encoding="utf-8")
 
 
 def _positive_series(losses: np.ndarray):
@@ -355,7 +345,7 @@ def _positive_series(losses: np.ndarray):
 # commands
 
 
-def _cmd_simulate(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_simulate(cfg: ExperimentConfig) -> list:
     spectrum, problem = _build_problem(cfg)
     # (file name, plot label, x scale, trajectory) per run
     if cfg.batch_list:  # SE runs per batch size, each with its gamma, plotted against the budget b*t
@@ -371,14 +361,15 @@ def _cmd_simulate(cfg: ExperimentConfig, em: _Emitter) -> None:
         }
         runs = [(regime, regime, 1, regimes[regime]()) for regime in cfg.regime.split(",")]
         chart, title, xlabel = "trajectories.svg", "loss trajectories", "t"
-    series = []
+    files, series = [], []
     for name, label, scale, traj in runs:
-        _write_trajectory(em, name, cfg, traj, spectrum)
+        files += _trajectory_files(name, cfg, traj, spectrum)
         ts, ls = _positive_series(traj.losses)
         if ts.size:
             series.append((label, scale * ts, ls))
     if cfg.plot and series:
-        em.write_text(chart, svg.loglog_chart(series, title=title, xlabel=xlabel))
+        files.append((chart, svg.loglog_chart(series, title=title, xlabel=xlabel)))
+    return files
 
 
 def _stability_grids(cfg: ExperimentConfig):
@@ -392,7 +383,7 @@ def _stability_grids(cfg: ExperimentConfig):
     return alphas, betas
 
 
-def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_stability_map(cfg: ExperimentConfig) -> list:
     alphas, betas = _stability_grids(cfg)
     spectrum, _ = _build_problem(cfg)
     gamma = _se_params(cfg, spectrum).gamma
@@ -420,14 +411,15 @@ def _cmd_stability_map(cfg: ExperimentConfig, em: _Emitter) -> None:
                 f"{_csv_float(alpha)},{_csv_float(beta)},{_csv_float(fl)},"
                 f"{_csv_float(u1[i, j])},{_csv_float(boundary[j])}"
             )
-    em.write_text("stability_map.csv", "\n".join(lines) + "\n")
+    files = [("stability_map.csv", "\n".join(lines) + "\n")]
     if cfg.plot:
         cells = np.where(diverged >= 0, math.nan, final)
         pts = [(boundary[j], betas[j]) for j in range(betas.size) if math.isfinite(boundary[j])]
-        em.write_text("stability_map.svg", svg.heatmap_chart(
+        files.append(("stability_map.svg", svg.heatmap_chart(
             alphas, betas, cells, boundary=pts,
             title="final loss over (alpha, beta); dark = diverged",
-        ))
+        )))
+    return files
 
 
 def _analysis_context(cfg: ExperimentConfig, spectrum: Spectrum, alpha, beta, gamma: float) -> GenFuncContext:
@@ -446,7 +438,7 @@ def _fit_for(cfg: ExperimentConfig, spectrum: Spectrum):
     return fit_power_law(spectrum, tail)
 
 
-def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_divergence(cfg: ExperimentConfig) -> list:
     spectrum, _ = _build_problem(cfg)
     params = _se_params(cfg, spectrum)
     ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, params.gamma)
@@ -461,8 +453,7 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
         report["blowup"] = {"not_applicable": str(exc)}
 
     traj = run_se(spectrum, params)
-    _write_trajectory(em, "se", cfg, traj, spectrum)
-    em.write_json("divergence_report.json", report)
+    files = [*_trajectory_files("se", cfg, traj, spectrum), ("divergence_report.json", _json(report))]
     if cfg.plot:
         ts, ls = _positive_series(traj.losses)
         markers = []
@@ -472,14 +463,15 @@ def _cmd_divergence(cfg: ExperimentConfig, em: _Emitter) -> None:
             tb = report["blowup"]["t_blowup"]
             if tb < len(traj.losses):
                 markers.append(("t_blowup", tb, float(np.interp(tb, ts, ls))))
-        em.write_text("divergence.svg", svg.loglog_chart(
+        files.append(("divergence.svg", svg.loglog_chart(
             [("se", ts, ls)],
             guides=[(-fit.zeta, 1.0, traj.losses[0], "early branch slope")],
             markers=markers, title="divergent trajectory",
-        ))
+        )))
+    return files
 
 
-def _cmd_asymptotics(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_asymptotics(cfg: ExperimentConfig) -> list:
     spectrum, _ = _build_problem(cfg)
     params = _se_params(cfg, spectrum)
     ctx = _analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, params.gamma)
@@ -504,19 +496,20 @@ def _cmd_asymptotics(cfg: ExperimentConfig, em: _Emitter) -> None:
         }
     else:
         doc["empirical"] = {"note": "trajectory diverged or window too short"}
-    em.write_json("asymptote_report.json", doc)
+    files = [("asymptote_report.json", _json(doc))]
     if cfg.plot:
         ts, ls = _positive_series(traj.losses)
         t_ref = float(ts[-1])
-        em.write_text("asymptotics.svg", svg.loglog_chart(
+        files.append(("asymptotics.svg", svg.loglog_chart(
             [("se", ts, ls)],
             guides=[(report.exponent, t_ref, report.constant * t_ref**report.exponent,
                      f"slope {report.exponent:.3g}")],
             title="loss vs analytic asymptote",
-        ))
+        )))
+    return files
 
 
-def _cmd_phase_diagram(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_phase_diagram(cfg: ExperimentConfig) -> list:
     zetas = np.linspace(0.125, 3.0, 24)
     inv_nus = np.linspace(0.125, 3.0, 24)
     lines = ["nu,zeta,phase,exponent,constant"]
@@ -548,37 +541,38 @@ def _cmd_phase_diagram(cfg: ExperimentConfig, em: _Emitter) -> None:
                 f"{_csv_float(nu)},{_csv_float(zeta)},{phase.value},"
                 f"{_csv_float(exponent)},{_csv_float(constant)}"
             )
-    em.write_text("phase_diagram.csv", "\n".join(lines) + "\n")
+    return [("phase_diagram.csv", "\n".join(lines) + "\n")]
 
 
-def _cmd_fit(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_fit(cfg: ExperimentConfig) -> list:
     spectrum, _ = _build_problem(cfg)
     fit = _fit_for(cfg, spectrum)
     doc = fit.as_dict()
     doc["modes"] = len(spectrum)
     doc["phase"] = classify_phase(fit.nu, fit.zeta).value
-    em.write_json("power_law_fit.json", doc)
+    files = [("power_law_fit.json", _json(doc))]
     if cfg.plot:
         k = np.arange(1, len(spectrum) + 1, dtype=float)
-        em.write_text("spectrum_fit.svg", svg.loglog_chart(
+        files.append(("spectrum_fit.svg", svg.loglog_chart(
             [("lambda_k", k, spectrum.lambdas),
              ("S_k", k, spectrum.partial_weight_sums())],
             guides=[(-fit.nu, 1.0, fit.Lambda, f"slope -{fit.nu:.3g}"),
                     (-fit.kappa, 1.0, fit.K, f"slope -{fit.kappa:.3g}")],
             title="spectrum power-law fit", xlabel="k", ylabel="value",
-        ))
+        )))
+    return files
 
 
-def _cmd_se_error(cfg: ExperimentConfig, em: _Emitter) -> None:
+def _cmd_se_error(cfg: ExperimentConfig) -> list:
     from .simulate import se_fit_error
 
     problem = _features(_build_problem(cfg)[1])
     report = se_fit_error(problem, problem.initial_second_moment(), cfg.tau1, cfg.tau2)
-    em.write_json("se_error.json", {
+    return [("se_error.json", _json({
         "E2": report.e2, "tau1": report.tau1, "tau2": report.tau2,
         "coefficients": report.coefficients,
         "tau2_opt_on_tau1_eq_1": report.tau2_opt, "E2_opt": report.e2_opt,
-    })
+    }))]
 
 
 _DISPATCH = {
@@ -593,20 +587,18 @@ _DISPATCH = {
 
 
 def run_command(cfg: ExperimentConfig) -> int:
-    """Execute the configured command; returns the process exit code."""
+    """Execute the configured command, then emit its files; returns the process exit code."""
     start = time.monotonic()
-    em = _Emitter(Path(cfg.out))
     try:
-        _DISPATCH[cfg.command](cfg, em)
+        _check_out(Path(cfg.out))
+        files = _DISPATCH[cfg.command](cfg)
     except ValidationError as exc:
-        em.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalysisDomainError as exc:
-        em.cleanup()
         print(f"analysis error: {exc}", file=sys.stderr)
         return 3
-    em.manifest(cfg, time.monotonic() - start)
+    _emit(cfg, files, start)
     return 0
 
 

@@ -256,6 +256,22 @@ class TestRunCommands:
         assert (out / "asymptotics.svg").read_text().startswith("<svg")
         assert "asymptotics.svg" in {f["path"] for f in read_manifest(out)["files"]}
 
+    def test_divergence_where_blowup_does_not_apply(self, tmp_path):
+        out = tmp_path / "div"
+        assert main(["divergence", "--nu", "1.5", "--kappa", "3", "--modes", "50", "--alpha", "1.5",
+                     "--gamma", "1", "--steps", "200", "--out", str(out), "--plot"]) == 0
+        rep = json.loads((out / "divergence_report.json").read_text())
+        assert "nu" in rep["blowup"]["not_applicable"]
+        assert 2 < rep["t_div"] < 2.6
+        assert ">t_div<" in (out / "divergence.svg").read_text()
+
+    def test_asymptotics_window_too_short(self, tmp_path):
+        out = tmp_path / "asym"
+        assert main(["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "400", "--alpha", "0.2",
+                     "--gamma", "1", "--steps", "5", "--out", str(out)]) == 0
+        rep = json.loads((out / "asymptote_report.json").read_text())
+        assert rep["empirical"] == {"note": "trajectory diverged or window too short"}
+
     def test_fit_command(self, tmp_path):
         out = tmp_path / "fit"
         rc = main(["fit", "--nu", "1.5", "--kappa", "3", "--modes", "64", "--out", str(out), "--plot"])
@@ -339,6 +355,8 @@ class TestExitCodes:
         ["--random-features", "4,6", "--regime", "mc", "--seed", "-1"],
         ["--random-features", "4,6", "--regime", "mc", "--seed", str(2**64)],
         ["--torus", "16", "--seed", "-3"],
+        # --batch-list runs the se regime alone, once per batch size
+        ["--nu", "1.5", "--kappa", "3", "--batch-list", "4,8", "--regime", "mc"],
     ], ids=" ".join)
     def test_bad_simulate_value_named(self, bad, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -386,10 +404,10 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(kept / "a" / "b")]) == 2
         assert kept.is_dir() and not (kept / "a").exists()  # an existing parent stays
 
-        # a failure after the run wrote files: they go, a file it did not write stays. Every
-        # command computes before it writes, so the failure is injected into the chart
+        # a failure after the trajectory ran: nothing of the run is on disk yet, since a
+        # command's files are written only once it returns, and a file it did not write stays
         def failing_chart(*args, **kwargs):
-            assert {p.name for p in kept.iterdir()} == {"notes.txt", "trajectory_se.csv", "trajectory_se.meta.json"}
+            assert {p.name for p in kept.iterdir()} == {"notes.txt"}
             raise ValidationError("chart failed")
 
         monkeypatch.setattr(cli.svg, "loglog_chart", failing_chart)
@@ -397,6 +415,19 @@ class TestExitCodes:
         assert main(["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", "--steps", "20",
                      "--plot", "--out", str(kept)]) == 2
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+    @pytest.mark.parametrize("link, below", [(False, ()), (False, ("sub",)), (True, ())],
+                             ids=["file", "under-file", "dangling-link"])
+    def test_out_blocked_by_a_file_exits_2(self, link, below, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        if link:
+            blocker.symlink_to(tmp_path / "gone")
+        else:
+            blocker.write_text("mine")
+        out = blocker.joinpath(*below)
+        assert main(["fit", "--nu", "1.5", "--kappa", "3", "--out", str(out)]) == 2
+        assert f"--out {out}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]  # nothing created, nothing written
 
     def test_fuzzed_config_keys_exit_2(self, tmp_path):
         rng = np.random.default_rng(77)

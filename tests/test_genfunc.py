@@ -505,6 +505,19 @@ class TestReconstructLoss:
         n = min(len(a.losses), len(b.losses))
         assert max_rel_err(a.losses[:n], b.losses[:n]) <= 1e-10
 
+    @pytest.mark.parametrize("beta", [0.0, -0.3])
+    @pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (0.5, 0.6)])
+    def test_divergence_cut_matches_simulator(self, beta, gamma, tau):
+        # diverging runs: the oracle stops where run_se stops, and agrees with it up to there
+        spec = random_spectrum(np.random.default_rng(11), 40, lam_lo=0.5)
+        alpha = 0.45 * (1.0 + beta) / spec.lambda_max
+        al = alpha * spec.lambdas
+        assert np.all((1.0 - al) ** 2 >= tau * gamma * al * al)  # inside the oracle's domain
+        a = reconstruct_loss(GenFuncContext(spec, alpha, beta, gamma, tau), 400)
+        b = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau, steps=400))
+        assert a.diverged_at is not None and a.diverged_at == b.diverged_at
+        assert max_rel_err(a.losses, b.losses) <= 1e-10
+
     def test_zero_gamma_is_pure_signal(self, rng):
         spec = random_spectrum(rng, 10)
         ctx = GenFuncContext(spec, 0.3, 0.3, 0.0, 1.0)
