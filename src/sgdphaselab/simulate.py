@@ -19,6 +19,9 @@ and whose block powers keep their digits, with or without noise, run on
 :func:`_se_blocked`, which takes k steps per round of numpy calls by solving
 each block's coupling with a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
+Where no moment is tracked, the modes would not get a full blocked round and an
+error estimate trusts them, a run steps Gauss nodes of the spectrum's two
+measures instead of its modes (:func:`_se_modes`).
 ``genfunc.compute_UV_sequences`` powers the same map, without the coupling, a
 block of steps at a time.
 """
@@ -34,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisDomainError, ValidationError
+from .numerics import gauss_rules
 from .spectrum import FeatureProblem, Spectrum, gamma_for_batch
 
 __all__ = [
@@ -61,6 +65,8 @@ _SE_BUDGET = 2**20  # bytes of a blocked batch's rows and G, about one L2
 _SE_BLOCK = (4, 16)  # fewest and most steps per blocked round
 _SE_BLOCK_DECAY = 1e-3  # least share of its moments a blocked cell's slowest mode keeps over a block
 _SE_BLOCK_EDGE = 0.15  # least relative distance of a blocked cell's top mode from the heavy-ball edge
+_SE_NODES = (256, 4)  # log-lambda bins and Gauss nodes per measure of a compressed spectrum (_se_nodes)
+_SE_NODE_ERROR = 1e-14  # largest estimated error of a bin's Gauss rule, relative to its measure's loss
 
 
 def _is_count(x) -> bool:
@@ -311,45 +317,138 @@ def _psd(tau1, tau2) -> bool:
     return tau1 >= 0.0 and tau2 <= tau1
 
 
-def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2):
+def _heavy_ball(a, beta):
+    """The spectral radius of the heavy-ball matrices ``[[1 - a, beta], [-a, beta]]``, their trace
+    and the discriminant of their characteristic polynomial."""
+    trace = 1.0 - a + beta
+    disc = trace * trace - 4.0 * beta
+    rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(beta)))
+    return rho, trace, disc
+
+
+def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, modes=None):
     """Which (alpha[i], beta[i]) cells :func:`_se_cells` runs blocked, and the block size k.
 
     A cell runs blocked when :func:`_psd` holds and the budget gives k >= ``_SE_BLOCK[0]`` for its
-    table (d = 1 if every beta is 0). The block's contractions read the stepped powers A^j against
+    table (d = 1 if every beta is 0) on ``modes`` modes, the spectrum's count unless its run steps
+    Gauss nodes (:func:`_se_modes`). The block's contractions read the stepped powers A^j against
     the block-start state, so they lose digits the kernel keeps where the loss falls by orders
     within a block, or where the top mode's powers swing (transients, alternating signs) and the
     loss dips far below its envelope at its oscillation minima, as a near-edge run's does with
     little or no noise. So its slowest mode keeps at least ``_SE_BLOCK_DECAY`` of its moments over
     a block, ``rho^(2k)`` with rho the largest spectral radius of the heavy-ball matrices ``[[1 -
-    a, beta], [-a, beta]]`` (unimodal in a, so the extreme modes give it), and its top mode lies
-    more than ``_SE_BLOCK_EDGE`` (relative) from the edge ``a = 2 (1 + beta)``. The noise and the
-    horizon play no part: a zero-noise run takes the engine its noisy cell takes.
+    a, beta], [-a, beta]]`` (unimodal in a, so the extreme modes of the spectrum give it; nodes lie
+    within them), and its top mode lies more than ``_SE_BLOCK_EDGE`` (relative) from the edge ``a =
+    2 (1 + beta)``. The noise and the horizon play no part: a zero-noise run takes the engine its
+    noisy cell takes.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
-    k = _se_block_steps(3 if beta.any() else 1, len(spectrum))
+    k = _se_block_steps(3 if beta.any() else 1, len(spectrum) if modes is None else modes)
     if not (k and _psd(tau1, tau2)):
         return np.zeros(alpha.size, dtype=bool), k
     with np.errstate(over="ignore", invalid="ignore"):  # inf from an overflow passes each test as it should
         a = alpha[:, None] * np.array([spectrum.lambdas.min(), spectrum.lambda_max])
-        trace, det = 1.0 - a + beta[:, None], beta[:, None]
-        disc = trace * trace - 4.0 * det
-        rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(det)))
+        rho = _heavy_ball(a, beta[:, None])[0]
         slow = rho.max(axis=1) >= _SE_BLOCK_DECAY ** (1.0 / (2 * k))  # rho^(2k) >= decay, which could overflow
         off_edge = np.abs(a[:, 1] / (2.0 * (1.0 + beta)) - 1.0) > _SE_BLOCK_EDGE
         return slow & off_edge, k
 
 
-def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, history=False):
-    """:func:`_se_run` of the (alpha[i], beta[i]) cells from the spectrum's start to the divergence
-    threshold, on :func:`_se_blocked` if :func:`_blocked_cells` picks every cell, else on the kernel,
-    tracking moments unless :func:`_psd`. Overflow goes unreported: a non-finite loss crosses, and
-    what follows a crossing is dropped."""
+def _se_nodes(spectrum: Spectrum, noise: bool):
+    """The spectrum compressed to Gauss nodes, as the (lambda, start, coupling weight) of each, and
+    its bins, as the lowest and highest lambda, the mass of each measure and whether it has rules.
+
+    The loss reads two measures: the signal measure ``sum_k lambda_k C0_k delta(lambda -
+    lambda_k)``, through the start, and the counting measure ``sum_k delta(lambda - lambda_k)``,
+    through the coupling ``r_k S`` every mode takes. log lambda splits into ``_SE_NODES[0]`` equal
+    bins. A bin of at most 2n modes, n = ``_SE_NODES[1]``, stays exact (start ``lambda C0``, weight
+    1); a larger one gets the n-node ``numerics.gauss_rules`` of each measure. A signal node
+    starts at its quadrature weight and takes no coupling; a noise node starts at 0 and takes its
+    weight times ``r(lambda)``. Both step the usual A(lambda) and S sums both. Without ``noise``
+    (r is None) the noise nodes, which would stay 0, are left out, and so is the noise mass, which
+    is the bin's ``sum lambda^2``, as r is lambda^2 times a cell's constant.
+    """
+    bins, n = _SE_NODES
+    lam, lc0 = spectrum.lambdas, spectrum.lambda_c0  # sorted non-increasing
+    log = np.log(lam)
+    ids = np.minimum((log[0] - log) * (bins / (log[0] - log[-1]) if log[0] > log[-1] else 0.0), bins - 1)
+    ids = ids.astype(np.intp)
+    count = np.bincount(ids, minlength=bins)
+    mass = np.stack([np.bincount(ids, weights=w, minlength=bins)[count > 0] for w in (lc0, lam * lam)[: 1 + noise]])
+    count = count[count > 0]  # the bins that hold modes, each a run of them
+    big = count > 2 * n
+    gauss, ends = np.repeat(big, count), np.cumsum(count)
+    signal = gauss_rules(lam, np.where(gauss, lc0, 0.0), count, n)
+    noisy = gauss_rules(lam, gauss * 1.0, count, n) if noise else (np.empty(0), np.empty(0))
+    exact = ~gauss
+    return (np.concatenate([lam[exact], signal[0], noisy[0]]),
+            np.concatenate([lc0[exact], signal[1], 0.0 * noisy[1]]),
+            np.concatenate([np.ones(np.count_nonzero(exact)), 0.0 * signal[1], noisy[1]]),
+            (lam[ends - 1], lam[ends - count], mass, big))
+
+
+def _gauss_holds(bins, alpha, beta, steps):
+    """Which (alpha[i], beta[i]) cells the Gauss nodes of ``bins`` (:func:`_se_nodes`) step to
+    rounding over ``steps``.
+
+    Over t steps a mode responds as ``mu^(2t)``, mu the larger eigenvalue of the heavy-ball matrix
+    ``[[1 - a, beta], [-a, beta]]``. A bin's rule then errs by about Gauss-Legendre's ``c
+    kappa^(2n)``, kappa the spread of ``2t log mu`` (phase included) over the bin, times its mass m
+    and its slowest ``|mu|^(2t)``. The loss is a sum of packets that evolve freely: the start,
+    whose bins hold their signal mass, and each step's noise, whose bins hold ``sum lambda^2`` (r
+    is lambda^2 times a cell's constant). A packet is at least the largest ``m' |mu'|^(2t)`` of its
+    bins, mu' at the bin's fastest lambda, and the PSD noise (:func:`_psd`) only adds to the loss.
+    So a cell holds when at no share ``x = t/steps``, taken on a grid of ratio 2^(1/4) from one
+    step to the end, any bin's ``c (x kappa)^(2n) m |mu|^(2t)`` exceeds ``_SE_NODE_ERROR`` times
+    that largest term of its measure. The estimate's log is concave in x, so it has one peak,
+    which the grid samples.
+    """
+    n = _SE_NODES[1]
+    lo, hi, mass, rules = bins
+    log_c = math.log(math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3))
+    x = 2.0 ** -(np.arange(math.ceil(4 * math.log2(max(steps, 1))) + 1)[:, None] / 4)
+    alpha, beta = np.broadcast_arrays(np.reshape(alpha, -1), np.reshape(beta, -1))
+    holds = np.zeros(alpha.size, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_m = np.log(mass)[:, None]  # -inf for a bin without mass; (measures, 1, bins)
+        for i in range(alpha.size):  # a (measures, shares, bins) array a cell, so the scratch stays small
+            rho, trace, disc = _heavy_ball(alpha[i] * np.stack([lo, hi]), beta[i])
+            phase = 2.0 * steps * np.arctan2(np.sqrt(np.maximum(-disc, 0.0)), trace)  # pi for a negative root
+            log = 2.0 * steps * np.log(rho)
+            kappa = np.hypot(log[1] - log[0], phase[1] - phase[0])[rules]
+            packet = (log_m + x * log.min(axis=0)).max(axis=2, keepdims=True)
+            error = log_c + 2 * n * np.log(x * kappa) + log_m[..., rules] + x * log.max(axis=0)[rules] - packet
+            holds[i] = np.all(error <= math.log(_SE_NODE_ERROR))  # NaN (an overflow) does not hold
+    return holds
+
+
+def _se_modes(spectrum: Spectrum, d: int, alpha, beta, gamma, tau1, tau2, steps):
+    """Which (alpha[i], beta[i]) cells of a d-moment table step the spectrum's Gauss nodes, and
+    the nodes' (lambda, start, coupling weight) (None if none were built). Nodes are built where
+    no moment is tracked (:func:`_psd`) and the modes would not get a full blocked round of
+    ``_SE_BLOCK[1]`` steps; a cell steps them where :func:`_gauss_holds` says their loss is the
+    modes' to rounding, else the modes (:func:`_se_cells`)."""
+    if not (_psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]):
+        return np.zeros(np.size(alpha), dtype=bool), None
+    *nodes, bins = _se_nodes(spectrum, tau1 * gamma != 0.0)
+    return _gauss_holds(bins, alpha, beta, steps), tuple(nodes)
+
+
+def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, nodes=None, history=False):
+    """:func:`_se_run` of the (alpha[i], beta[i]) cells on the Gauss ``nodes`` (:func:`_se_modes`),
+    else on the spectrum's modes, from their start to the spectrum's divergence threshold, on
+    :func:`_se_blocked` if :func:`_blocked_cells` picks every cell, else on the kernel, tracking
+    moments unless :func:`_psd`. Overflow goes unreported: a non-finite loss crosses, and what
+    follows a crossing is dropped."""
+    lam, c0, weight = (spectrum.lambdas, spectrum.lambda_c0, None) if nodes is None else nodes
     threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum()))
     with np.errstate(over="ignore", invalid="ignore"):
-        table, r = _se_table(spectrum.lambdas, alpha, beta, gamma, tau1, tau2)
-        c = np.tile(spectrum.lambda_c0, (table[0].shape[0], 1))
-        blocked, k = _blocked_cells(spectrum, alpha, beta, tau1, tau2)
+        table, r = _se_table(lam, alpha, beta, gamma, tau1, tau2)
+        if r is not None and weight is not None:
+            r *= weight
+        c = np.tile(c0, (table[0].shape[0], 1))
+        blocked, k = _blocked_cells(spectrum, alpha, beta, tau1, tau2, lam.size)
         engine = (_se_blocked(table, r, c, k) if blocked.all()
                   else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), track=not _psd(tau1, tau2)))
         return _se_run(*engine, steps, threshold, history)
@@ -366,11 +465,15 @@ def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
     <= tau1: per mode a step is the congruence ``M <- B M B^T + sigma [[1, 1], [1, 1]]`` of ``M =
     [[C, J], [J, V]]``, ``B = [[1 - a, beta], [-a, beta]]``, ``sigma = gamma a^2 (tau1 S - tau2
     C_k)``. While every C_l >= 0, S >= C_k and ``sigma >= gamma a^2 (tau1 - tau2) C_k >= 0`` (gamma,
-    lambda_c0 >= 0 always hold), so by induction every M stays PSD and no C goes negative.
+    lambda_c0 >= 0 always hold), so by induction every M stays PSD and no C goes negative. A run
+    that steps Gauss nodes (:func:`_se_modes`) does so only there: its 0 is this proof about the
+    physical modes, as a signal node alone is no mode and its C may go negative.
     """
     gamma = params.resolve_gamma(spectrum.dataset_size)
+    use, nodes = _se_modes(spectrum, 3 if params.beta else 1, params.alpha, params.beta, gamma, params.tau1,
+                           params.tau2, params.steps)
     _, _, moment, diverged, sums = _se_cells(spectrum, params.alpha, params.beta, gamma, params.tau1,
-                                             params.tau2, params.steps, history=True)
+                                             params.tau2, params.steps, nodes if use[0] else None, history=True)
     diverged_at = int(diverged[0]) if diverged[0] >= 0 else None
     losses = 0.5 * sums[0, : None if diverged_at is None else diverged_at + 1]
 
@@ -394,19 +497,20 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
                 gamma: float, tau1: float, tau2: float, steps: int) -> dict:
     """Batched SE sweep over the (alpha, beta) product grid.
 
-    The cells fall into four groups: beta = 0 or not (a 1- or 3-moment table), and blocked or
-    not (:func:`_blocked_cells`, which reads only a cell's own alpha and beta, tau1, tau2 and the
-    modes). A kernel group goes into batches of at most ``_GRID_BATCH`` cell-modes, a blocked
-    group into batches whose rows and G fit ``_SE_BUDGET`` (or one cell), so a batch's working
-    set is about one core's L2 cache; a group that needs more batches than there are workers
-    gets a multiple of the worker count. Cells are dealt to the batches round-robin in grid
-    order, which spreads the early-diverging large-alpha cells; a diverged cell leaves its
-    batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker processes where
-    :func:`_map_batches` can fork, else here one after another. A cell's arithmetic does not
-    depend on its batch, so each cell is bitwise its :func:`run_se` run whatever the split or
-    the worker count. Every value is checked as :class:`SGDParams` checks it. Returns final/min
-    losses, divergence steps (-1 = never) and the moment flags ``min_output_moment`` /
-    ``negative_moments`` as (len(alphas), len(betas)) arrays.
+    The cells fall into groups: beta = 0 or not (a 1- or 3-moment table), then on the Gauss
+    nodes or the modes (:func:`_se_modes`, built here once a table, not once a batch), then
+    blocked or not (:func:`_blocked_cells`); each choice reads only a cell's own alpha and beta,
+    gamma, tau1, tau2, the horizon and the modes. A kernel group goes into batches of at most
+    ``_GRID_BATCH`` cell-modes, a blocked group into batches whose rows and G fit ``_SE_BUDGET``
+    (or one cell), so a batch's working set is about one core's L2 cache; a group that needs
+    more batches than there are workers gets a multiple of the worker count. Cells are dealt to
+    the batches round-robin in grid order, which spreads the early-diverging large-alpha cells;
+    a diverged cell leaves its batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked
+    worker processes where :func:`_map_batches` can fork, else here one after another. A cell's
+    arithmetic does not depend on its batch, so each cell is bitwise its :func:`run_se` run
+    whatever the split or the worker count. Every value is checked as :class:`SGDParams` checks
+    it. Returns final/min losses, divergence steps (-1 = never) and the moment flags
+    ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
     workers = _worker_count()  # first, so a bad SGDPHASELAB_THREADS fails on every grid
     if not (len(alphas) and len(betas)):
@@ -417,16 +521,22 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
     batches = []
     for d, group in ((1, np.flatnonzero(b == 0.0)), (3, np.flatnonzero(b != 0.0))):
-        blocked, k = _blocked_cells(spectrum, a[group], b[group], tau1, tau2)
-        sizes = _GRID_BATCH // len(spectrum), _SE_BUDGET // (16 * d * len(spectrum) * max(k, 1))
-        for cells, per_batch in zip((group[~blocked], group[blocked]), sizes):
-            n = -(-cells.size // max(1, per_batch))
-            if n > workers:  # a multiple of the workers, so each does an equal share
-                n = min(cells.size, -(-n // workers) * workers)
-            batches += [cells[i::n] for i in range(n)]
-    runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps) for m in batches], workers)
+        if not group.size:
+            continue
+        use, nodes = _se_modes(spectrum, d, a[group], b[group], gamma, tau1, tau2, steps)
+        for part, modes in ((group[~use], None), (group[use], nodes)):
+            m = len(spectrum) if modes is None else modes[0].size
+            blocked, k = _blocked_cells(spectrum, a[part], b[part], tau1, tau2, m)
+            sizes = _GRID_BATCH // m, _SE_BUDGET // (16 * d * m * max(k, 1))
+            for cells, per_batch in zip((part[~blocked], part[blocked]), sizes):
+                n = -(-cells.size // max(1, per_batch))
+                if n > workers:  # a multiple of the workers, so each does an equal share
+                    n = min(cells.size, -(-n // workers) * workers)
+                batches += [(cells[i::n], modes) for i in range(n)]
+    runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps, modes)
+                                    for m, modes in batches], workers)
     final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][:4])
-    for m, run in zip(batches, runs):  # each batch back to its cells' places in the grid
+    for (m, _), run in zip(batches, runs):  # each batch back to its cells' places in the grid
         final[m], low[m], moment[m], diverged[m] = run[:4]
     out = {"final_loss": final, "min_loss": low, "diverged_at": diverged,
            "min_output_moment": moment, "negative_moments": moment < 0.0}

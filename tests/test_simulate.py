@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgdphaselab import (
     AnalysisDomainError,
     FeatureProblem,
+    GenFuncContext,
     PowerLawSpec,
     SGDParams,
     Spectrum,
@@ -21,6 +24,7 @@ from sgdphaselab import (
     build_torus_problem,
     eigendecompose,
     eval_S,
+    eval_U1,
     exact_noise_covariance,
     gamma_for_batch,
     run_additive_noise,
@@ -31,10 +35,12 @@ from sgdphaselab import (
     run_se_grid,
     se_fit_error,
     se_noise_diagonal,
+    cli,
     simulate,
 )
+from sgdphaselab.numerics import gauss_rules
 from sgdphaselab.simulate import _MC_BLOCK, _se_kernel, _se_run, _se_table
-from conftest import max_rel_err, random_problem, random_spectrum
+from conftest import exp_kernel, max_rel_err, random_problem, random_spectrum
 
 
 class TestParams:
@@ -460,6 +466,43 @@ for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
             assert grid["min_loss"][i, j] == np.min(traj.losses)
             assert grid["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
             assert grid["min_output_moment"][i, j] == traj.metadata["min_output_moment"]
+""")
+
+    def test_compressed_grid_is_bitwise_run_se_and_builds_nodes_once_here(self):
+        # 4000 modes: beta = 0 cells step the modes (k = 16 fits), the others their Gauss nodes,
+        # but for the beta = 0.95 cells that _gauss_holds does not trust; on nodes, the cells near
+        # the heavy-ball edge run on the kernel, the others blocked. The nodes are built once a
+        # grid, in the process that called it, and once a run_se
+        run_fresh("""
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 4000))
+alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.95]
+parent, calls, build = os.getpid(), [], simulate._se_nodes
+def counted(*args):
+    assert os.getpid() == parent, "nodes built in a worker"
+    calls.append(args[0])
+    return build(*args)
+simulate._se_nodes = counted
+grids = []
+for workers in ("1", "2"):
+    os.environ["SGDPHASELAB_THREADS"] = workers
+    calls.clear()
+    made.clear()
+    grids.append(run_se_grid(spec, alphas, betas, 0.5, 1.0, 1.0, 400))
+    assert calls == [spec] and len(made) == int(workers) - 1, (calls, made)
+assert all(np.array_equal(x, grids[0][key]) for key, x in grids[1].items())
+a, b = np.repeat(alphas, 2), np.tile(betas[1:], alphas.size)
+use, nodes = simulate._se_modes(spec, 3, a, b, 0.5, 1.0, 1.0, 400)
+blocked = simulate._blocked_cells(spec, a[use], b[use], 1.0, 1.0, nodes[0].size)[0]
+assert use.any() and not use.all() and blocked.any() and not blocked.all()
+assert (grids[0]["diverged_at"] >= 0).any() and (grids[0]["diverged_at"] < 0).any()
+for i, alpha in enumerate(alphas):
+    for j, beta in enumerate(betas):
+        calls.clear()
+        traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=0.5, steps=400))
+        assert len(calls) == (beta != 0.0)
+        assert grids[0]["final_loss"][i, j] == traj.losses[-1]
+        assert grids[0]["min_loss"][i, j] == np.min(traj.losses)
+        assert grids[0]["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
 """)
 
     def test_pooled_stability_map_warns_nothing(self, tmp_path):
@@ -1088,3 +1131,201 @@ class TestSePathVsExactPath:
             dense = run_full_moments(tor.feature_problem, p, noise="exact")
             diag = run_se(tor.spectrum(), p)
             assert max_rel_err(dense.losses, diag.losses) <= 1e-10
+
+
+def mode_and_node_runs(spec, params, engine=None):
+    """run_se's cell stepped by one engine on its Gauss nodes and on the spectrum's modes: per
+    run the losses up to the crossing and its step (None if none). ``engine`` None steps each on
+    the engine run_se's dispatch picks for it, "kernel" both on the kernel."""
+    gamma = params.resolve_gamma(spec.dataset_size)
+    use, nodes = simulate._se_modes(spec, 3 if params.beta else 1, params.alpha, params.beta, gamma,
+                                    params.tau1, params.tau2, params.steps)
+    assert nodes is not None and use.tolist() == [True]
+    runs = []
+    for modes in (nodes, None):
+        if engine is None:
+            run = simulate._se_cells(spec, params.alpha, params.beta, gamma, params.tau1, params.tau2,
+                                     params.steps, modes, history=True)
+        else:
+            lam, c0, weight = (spec.lambdas, spec.lambda_c0, None) if modes is None else modes
+            with np.errstate(over="ignore", invalid="ignore"):
+                table, r = _se_table(lam, params.alpha, params.beta, gamma, params.tau1, params.tau2)
+                if r is not None and weight is not None:
+                    r *= weight
+                c = c0[None].copy()
+                run = _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), params.steps,
+                              simulate._divergence_threshold(0.5 * spec.lambda_c0.sum()), history=True)
+        crossed = None if run[3][0] < 0 else int(run[3][0])
+        runs.append((0.5 * run[4][0, : None if crossed is None else crossed + 1], crossed))
+    return runs
+
+
+def cli_preset(argv):
+    cfg = cli.parse_config(argv)
+    spec, _ = cli._build_problem(cfg)
+    return spec, cli._se_params(cfg, spec)
+
+
+class TestCompressedSpectrum:
+    # Gauss nodes against the modes they stand for; the largest relative loss errors seen are in
+    # CHANGES.md. A few 1e-12 misses of the blocked engine near the heavy-ball edge at high beta
+    # are the engine's own (it loses them on the modes as much), so drawn spectra compare the
+    # kernel on both
+    @pytest.mark.parametrize("argv, nodes", [
+        (["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "50000", "--alpha", "0.08",
+          "--gamma", "1"], 1244),
+        (["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "16000", "--alpha", "0.3",
+          "--gamma", "1", "--beta", "0.5"], 1126),
+    ])
+    def test_long_horizon_presets(self, argv, nodes):
+        # both README presets are over the blocked budget on their modes and take it, k = 16, on
+        # their nodes; the parent stepped them on the kernel
+        spec, params = cli_preset(argv)
+        (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params)
+        assert params.steps == 10_000 and crossed == want_crossed
+        assert max_rel_err(got, want) <= 1e-12
+        assert np.array_equal(run_se(spec, params).losses, got)
+        d = 3 if params.beta else 1
+        assert simulate._se_block_steps(d, len(spec)) < 4
+        assert simulate._blocked_cells(spec, params.alpha, params.beta, 1.0, 1.0, nodes) == (True, 16)
+        assert simulate._se_nodes(spec, True)[0].size == nodes
+
+    def test_oracle_points(self):
+        # the benchmark oracle's spectrum, 2000 modes in 809 nodes, at its seed-0 points
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+        gen = np.random.default_rng(0)
+        for frac, beta, gamma, tau in [gen.uniform((0.1, -0.4, 0.0, 0.3), (0.7, 0.8, 0.5, 1.0)) for _ in range(4)]:
+            alpha = frac * 2.0 * (1.0 + beta) / spec.lambda_max
+            if eval_U1(GenFuncContext(spec, alpha, beta, gamma, tau)) >= 0.98:  # as the oracle does
+                gamma *= 0.1
+            params = SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau, steps=5000)
+            (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params)
+            assert crossed is None and want_crossed is None
+            assert max_rel_err(got, want) <= 1e-12
+        assert simulate._se_nodes(spec, True)[0].size == 809
+
+    def test_through_a_divergence(self):
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 4000))
+        params = SGDParams(alpha=1.0, beta=0.3, gamma=1.0, steps=2000)
+        (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params)
+        assert crossed == want_crossed and 20 < crossed < 2000
+        assert max_rel_err(got, want) <= 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), power_law=st.booleans(), extra=st.integers(0, 1900),
+        nu=st.floats(0.5, 2.5), kappa=st.floats(0.2, 4.0), floor=st.sampled_from([0.05, 1e-3, 1e-6]),
+        beta=st.one_of(st.just(0.0), st.floats(-0.95, 0.95)), frac=st.floats(0.05, 1.2),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-6.0, 0.0).map(lambda x: 10.0**x)),
+        tau1=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0), steps=st.integers(20, 1500),
+        start=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_spectra(self, seed, power_law, extra, nu, kappa, floor, beta, frac, gamma, tau1, share, steps,
+                           start):
+        # power laws and uniform random spectra (lambda from the floor to 1), through divergences
+        # too, on enough modes to build nodes, with a start on all modes or on the top ``start``
+        # share only; a cell whose rules _gauss_holds does not trust steps the modes and is
+        # skipped here
+        modes = (4100 if beta == 0.0 else 1400) + extra
+        spec = (build_power_law(PowerLawSpec(1.0, nu, 1.0, kappa, modes)) if power_law
+                else random_spectrum(np.random.default_rng(seed), modes, floor))
+        spec = Spectrum.from_c0(spec.lambdas, np.where(np.arange(modes) < start * modes, spec.c0, 0.0))
+        params = SGDParams(alpha=frac * 2.0 * (1.0 + beta) / spec.lambda_max, beta=beta, gamma=gamma,
+                           tau1=tau1, tau2=share * tau1, steps=steps)
+        use, _ = simulate._se_modes(spec, 3 if beta else 1, params.alpha, beta, gamma, tau1, params.tau2, steps)
+        assume(use[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params, "kernel")
+        assert crossed == want_crossed
+        assert max_rel_err(got, want) <= 1e-12
+
+
+class TestDegenerateNodes:
+    # inputs the node builder must take without a Lanczos breakdown or a RuntimeWarning; a
+    # Gauss rule on a bin of m <= n distinct lambdas is exact, so these runs agree to rounding
+    def run_both(self, spec, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params, "kernel")
+        assert crossed == want_crossed and max_rel_err(got, want) <= 1e-12
+
+    def test_torus_with_repeated_eigenvalues(self):
+        # a 64 x 64 torus: every eigenvalue 4 to 8 times, in pairs that differ by some ulps
+        k = exp_kernel(64)
+        lam = np.fft.fft2(k[:, None] * k[None, :]).real.ravel() / 64.0
+        spec = Spectrum.from_c0(lam, np.random.default_rng(5).uniform(0.0, 2.0, lam.size))
+        distinct = np.count_nonzero(np.diff(spec.lambdas) < -1e-12 * spec.lambdas[1:]) + 1
+        assert len(spec) == 4096 and distinct == 33 * 34 // 2 < np.unique(spec.lambdas).size
+        self.run_both(spec, SGDParams(alpha=0.5 / spec.lambda_max, beta=0.5, gamma=0.3, steps=800))
+
+    def test_rule_shrinks_to_the_distinct_lambdas(self):
+        # 100 values 20 times each, at most one a bin, and one bin with 2 values 10 times each:
+        # each measure takes one node a value
+        values = np.geomspace(1.0, 1e-3, 100)
+        lam = np.concatenate([np.repeat(values, 20), np.repeat([0.05, 0.05 * (1 + 1e-3)], 10)])
+        spec = Spectrum.from_c0(lam, np.ones(lam.size))
+        nodes, c0, weight, edges = simulate._se_nodes(spec, True)
+        assert nodes.size == 2 * 102 and np.all(weight[c0 > 0] == 0.0)
+        assert np.allclose(np.sort(nodes[c0 > 0]), np.sort(np.unique(lam)), rtol=1e-14, atol=0.0)
+        assert np.allclose(np.sort(weight[c0 == 0]), np.sort(np.unique(lam, return_counts=True)[1]), rtol=1e-14)
+        self.run_both(spec, SGDParams(alpha=0.7, beta=0.4, gamma=0.01, steps=400))
+
+    def test_bin_without_start_gets_no_signal_node(self):
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 3000))
+        c0 = spec.c0.copy()
+        c0[1500:2200] = 0.0
+        spec = Spectrum.from_c0(spec.lambdas, c0)
+        nodes, start, weight, edges = simulate._se_nodes(spec, True)
+        signal = nodes[(weight == 0.0)]
+        inside = (signal >= spec.lambdas[2199]) & (signal <= spec.lambdas[1500])
+        assert signal.size and not inside.any() and np.all(start[weight == 0.0] > 0.0)
+        self.run_both(spec, SGDParams(alpha=0.5, beta=0.5, gamma=0.5, steps=600))
+
+    @pytest.mark.parametrize("gamma, tau1", [(0.0, 1.0), (0.5, 0.0)])
+    def test_no_noise_nodes_without_coupling(self, gamma, tau1):
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 3000))
+        params = SGDParams(alpha=0.5, beta=0.5, gamma=gamma, tau1=tau1, tau2=0.0, steps=600)
+        use, (lam, c0, weight) = simulate._se_modes(spec, 3, 0.5, 0.5, gamma, tau1, 0.0, 600)
+        noisy = simulate._se_nodes(spec, True)[0].size
+        assert use[0] and np.all(np.isin(weight, (0.0, 1.0))) and np.all(c0[weight == 0.0] > 0.0)
+        assert lam.size < noisy  # with the noise nodes left out
+        self.run_both(spec, params)
+
+    @pytest.mark.parametrize("beta, gamma", [(0.0, 0.0), (0.0, 1e-6), (0.5, 0.0)])
+    def test_zero_start_on_the_slow_modes(self, beta, gamma):
+        # 5000 modes from 1 to 1e-4, no start below 0.01: the loss ends in the slowest bins that
+        # have a start, whose rules err by 1e-5 of them at 10^4 steps, so the mass-weighed
+        # estimate must step the modes or the nodes must match them
+        lam = np.geomspace(1.0, 1e-4, 5000)
+        spec = Spectrum.from_c0(lam, np.where(lam > 0.01, 1.0 / lam, 0.0))
+        params = SGDParams(alpha=0.5, beta=beta, gamma=gamma, steps=10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_se(spec, params).losses
+            table, r = _se_table(spec.lambdas, 0.5, beta, gamma, 1.0, 1.0)
+            c = spec.lambda_c0[None].copy()
+            run = _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), params.steps, history=True)
+        assert simulate._se_nodes(spec, gamma != 0.0)[0].size < len(spec)
+        assert max_rel_err(got, 0.5 * run[4][0]) <= 1e-12
+
+    def test_rules_match_the_moments(self):
+        # runs of 1 to 40 points, some on fewer than 4 distinct values and one without mass: each
+        # rule of m nodes integrates 1, y, ..., y^(2m - 1) of its run's measure
+        gen = np.random.default_rng(4)
+        count = gen.integers(1, 40, 300)
+        x = np.concatenate([np.sort(gen.choice(gen.uniform(0.5, 1.5, 3), m) if i % 3 == 0
+                                    else gen.uniform(0.5, 1.5, m)) for i, m in enumerate(count)])
+        w = gen.uniform(0.0, 1.0, x.size)
+        w[: count[0]] = 0.0
+        nodes, weights = gauss_rules(x, w, count, 4)
+        run = np.repeat(np.arange(count.size), count)
+        distinct = np.array([np.unique(x[run == i]).size for i in range(count.size)])
+        size = np.where(np.arange(count.size) == 0, 0, np.minimum(distinct, 4))
+        assert nodes.size == size.sum() and np.all(weights > 0.0)
+        at = np.repeat(np.arange(count.size), size)
+        for p in range(8):
+            want = np.bincount(run, weights=w * x**p)
+            got = np.bincount(at, weights=weights * nodes**p, minlength=count.size)
+            exact = 2 * size > p
+            assert np.abs(got - want)[exact].max() <= 1e-13 * want.max()
