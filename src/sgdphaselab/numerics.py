@@ -1,9 +1,9 @@
-"""Numerics: bisection and the gamma function for the analysis modules, and the
-Gauss rules with which the SE simulator compresses large spectra.
+"""Numerics: the bracketed root solver and the gamma function for the analysis modules, and
+the Gauss rules with which the SE simulator compresses large spectra.
 
-Root finding is plain bisection on purpose: every equation we solve is
-monotone on its bracket, and robustness matters more than iteration count
-at this scale.
+Every equation the analysis solves is monotone on a bracket. The solver shrinks the bracket
+to adjacent floats by interpolating steps, superlinear on the smooth spectral sums, that never
+fall more than a halving behind bisection.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = ["bisect_monotone", "gamma_fn", "gauss_rules"]
 
 RULE_BREAK = 1e-10  # Lanczos coefficient, relative to the run's mean point, at which a rule stops
 RULE_CHUNK = 2**13  # points whose runs one vectorised Lanczos pass takes
+N0 = 1  # halvings by which the root bracket may lag plain bisection's (ITP's n0)
 
 
 def bisect_monotone(
@@ -30,9 +31,21 @@ def bisect_monotone(
 ) -> float:
     """Root of ``f`` on ``[lo, hi]`` where f(lo) and f(hi) differ in sign.
 
-    With ``xtol=0`` the bracket is shrunk until its endpoints are adjacent
-    floats; the endpoint with the smaller |f| is returned. A 200-iteration
-    cap with a convergence check guards against a bad bracket.
+    Each step evaluates f at one point inside the bracket and keeps the part where the sign
+    changes. The point is the ITP step (Oliveira & Takahashi, ACM TOMS 47(1), 2021) of width
+    w0 at the start and w now: the false-position point, with Anderson & Björck's weighting
+    of an end that two steps in a row keep (BIT 13, 1973); moved ``0.2 w^2 / w0`` toward the
+    midpoint; then, at step j, projected to within ``w0 2^(N0 - j - 1) - w / 2`` of the
+    midpoint. After j steps the bracket is thus no wider than plain bisection's after j - N0,
+    and a solve takes at most N0 + 1 = 2 evaluations more than bisection on the same bracket
+    (the one over N0 for the rounding of float midpoints); on smooth f it converges
+    superlinearly.
+
+    With ``xtol=0`` the bracket is shrunk until its endpoints are adjacent floats; the
+    endpoint with the smaller |f| is returned, or at once a point where f is 0. A bracket
+    that bisection would shrink within ``maxiter`` steps converges; one that is still wider
+    than 4 ulps (or xtol) after maxiter + N0 + 1 evaluations inside it raises
+    AnalysisDomainError, as does a bracket without a sign change.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -43,17 +56,27 @@ def bisect_monotone(
         raise AnalysisDomainError(
             f"no sign change on bracket [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
-    for _ in range(maxiter):
+    ends, fs, gs, last, w0 = [lo, hi], [flo, fhi], [flo, fhi], None, hi - lo  # gs: weighted fs
+    for j in range(maxiter + N0 + 1):
+        (lo, hi), w = ends, ends[1] - ends[0]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or (hi - lo) <= xtol:
+        if mid <= lo or mid >= hi or w <= xtol:
             break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+        t = gs[0] / (gs[0] - gs[1])
+        x = lo + w * t if 0.0 <= t <= 1.0 else mid
+        delta = 0.2 * w * (w / w0)
+        x = x + math.copysign(delta, mid - x) if delta <= abs(mid - x) else mid
+        r = math.ldexp(w0, N0 - j - 1) - 0.5 * w
+        x = min(max(x, mid - r, math.nextafter(lo, hi)), mid + r, math.nextafter(hi, lo)) if r > 0.0 else mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        side = int((fx > 0) != (fs[0] > 0))  # the end x replaces: 0 lo, 1 hi
+        if side == last:  # the other end is kept twice in a row: weigh it down
+            m = 1.0 - fx / fs[side]
+            gs[1 - side] *= m if m > 0.0 else 0.5
+        ends[side], fs[side], gs[side], last = x, fx, fx, side
+    (lo, hi), (flo, fhi) = ends, fs
     if not (hi - lo) <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300))):
         raise AnalysisDomainError(
             f"bisection failed to converge within {maxiter} iterations: bracket [{lo!r}, {hi!r}]"

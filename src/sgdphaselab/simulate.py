@@ -663,7 +663,9 @@ def run_full_moments(problem: FeatureProblem, params: SGDParams, noise: str = "e
     alpha H, beta I], [-alpha H, beta I]]`` and Sigma the noise times ``gamma alpha^2``:
     ``noise="exact"`` the true batch-sampling covariance, ``noise="se"`` the SE-family surrogate
     ``tau1 H Tr(HC) - tau2 HCH`` (useful for invariance checks). ``moment_observer(t, M)`` is
-    called with the 2d x 2d matrix M after every step, for inspection.
+    called with the 2d x 2d matrix M after every step, for inspection. The result is a pure
+    function of the inputs only at a fixed BLAS thread count: at d = 256 the congruence's GEMMs
+    change their bits with the threads that split them.
     """
     d = problem.dim
     if d > FULL_MOMENT_DIM_LIMIT:
@@ -744,7 +746,8 @@ def run_mc(problem: FeatureProblem, params: SGDParams, runs: int, seed: int) -> 
     the unbatched columns zeroed ``proj psi^T alpha / b``. A block of ``_MC_BLOCK`` steps forms its
     statistics and meets the threshold at once; overflow after a crossing goes unreported. Memory
     is O(runs (d + N) + runs _MC_BLOCK N) at any horizon; results are a pure function of (inputs,
-    runs, seed), the seed an integer in [0, 2^64).
+    runs, seed), the seed an integer in [0, 2^64), only at a fixed BLAS thread count: a large GEMM
+    (runs 1000, d 256, N 300) changes its bits with the threads that split it.
     """
     if not _is_count(runs):
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")

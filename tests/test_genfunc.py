@@ -30,8 +30,8 @@ from sgdphaselab import (
     solve_lambda_crit,
     stability_report,
 )
-from sgdphaselab import genfunc
-from sgdphaselab.genfunc import _UV_BLOCK, _UV_CHUNK, _uv_step
+from sgdphaselab import asymptotics, cli, genfunc
+from sgdphaselab.genfunc import _UV_BLOCK, _UV_CHUNK, _u_of_z, _uv_step
 from sgdphaselab.simulate import _se_kernel, _se_run, _se_table
 from conftest import max_rel_err, random_spectrum
 
@@ -294,6 +294,84 @@ class TestSolveDivergence:
         m = (t >= 5 * rep.t_div) & (t <= 10 * rep.t_div)
         rate = np.polyfit(t[m], np.log(traj.losses[m]), 1)[0]
         assert rate == pytest.approx(-math.log(rep.r_l), rel=0.05)
+
+
+def plain_bisection(f, lo, hi, xtol=0.0, maxiter=200):
+    """The midpoint loop the analysis solved its roots with before the interpolating steps."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(maxiter):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi or (hi - lo) <= xtol:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    if not (hi - lo) <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300))):
+        raise AnalysisDomainError(f"bisection failed to converge: bracket [{lo!r}, {hi!r}]")
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+def ulps_apart(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.fixture(scope="module")
+def divergence_preset():
+    """The README divergence preset: its config, spectrum and analysis context."""
+    cfg = cli.parse_config(["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "50000",
+                            "--alpha", "0.08", "--gamma", "1"])
+    spectrum, _ = cli._build_problem(cfg)
+    gamma = cli._se_params(cfg, spectrum).gamma
+    return cfg, spectrum, cli._analysis_context(cfg, spectrum, cfg.alpha, cfg.beta, gamma)
+
+
+class TestRootsAgreeWithBisection:
+    """Every analysis root lies within 4 ulps of the one plain bisection finds."""
+
+    @staticmethod
+    def bisected(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(genfunc, "bisect_monotone", plain_bisection)
+            m.setattr(asymptotics, "bisect_monotone", plain_bisection)
+            return fn(*args)
+
+    def test_divergence_radius_and_blowup_crossover(self, monkeypatch, divergence_preset):
+        cfg, spectrum, ctx = divergence_preset
+        fit = cli._fit_for(cfg, spectrum)
+        div, ref = solve_divergence(ctx), self.bisected(monkeypatch, solve_divergence, ctx)
+        assert ulps_apart(div.r_l, ref.r_l) <= 4
+        a_star = asymptotics.blowup_time(ctx, fit, div).a_star
+        assert ulps_apart(a_star, self.bisected(monkeypatch, asymptotics.blowup_time, ctx, fit, div).a_star) <= 4
+
+    def test_critical_rates_over_the_reduced_map(self, monkeypatch):
+        cfg = cli.parse_config(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "200",
+                                "--batch", "10"])
+        alphas, betas = cli._stability_grids(cfg)
+        spectrum, _ = cli._build_problem(cfg)
+        gamma = cli._se_params(cfg, spectrum).gamma
+        assert betas.size == 20
+        for beta in betas:
+            alpha = min(alphas[0], (1.0 + beta) / spectrum.lambda_max)
+            ctx = cli._analysis_context(cfg, spectrum, alpha, beta, gamma)
+            rep, ref = stability_report(ctx), self.bisected(monkeypatch, stability_report, ctx)
+            assert ulps_apart(rep.alpha_eff_critical, ref.alpha_eff_critical) <= 4
+        for tau in (1.0, 0.5, 0.1):
+            lam_crit = solve_lambda_crit(spectrum, tau)
+            assert ulps_apart(lam_crit, self.bisected(monkeypatch, solve_lambda_crit, spectrum, tau)) <= 4
+
+    def test_hoisted_noise_function_is_bitwise_eval_uv(self, divergence_preset):
+        ctx = divergence_preset[2]
+        u = _u_of_z(ctx)
+        for z in (0.5, 0.9, solve_divergence(ctx).r_l):
+            assert u(z) == eval_UV(ctx, z).u
 
 
 class TestUVSequences:
