@@ -21,7 +21,7 @@ each block's coupling with a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
 Where no moment is tracked, the modes would not get a full blocked round and an
 error estimate trusts them, a run steps Gauss nodes of the spectrum's two
-measures instead of its modes (:func:`_se_modes`).
+measures instead of its modes; :func:`_se_plan` picks every cell's engine.
 ``genfunc.compute_UV_sequences`` powers the same map, without the coupling, a
 block of steps at a time.
 """
@@ -327,11 +327,11 @@ def _heavy_ball(a, beta):
 
 
 def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, modes=None):
-    """Which (alpha[i], beta[i]) cells :func:`_se_cells` runs blocked, and the block size k.
+    """Which (alpha[i], beta[i]) cells :func:`_se_plan` runs blocked, and the block size k.
 
     A cell runs blocked when :func:`_psd` holds and the budget gives k >= ``_SE_BLOCK[0]`` for its
     table (d = 1 if every beta is 0) on ``modes`` modes, the spectrum's count unless its run steps
-    Gauss nodes (:func:`_se_modes`). The block's contractions read the stepped powers A^j against
+    Gauss nodes (:func:`_se_nodes`). The block's contractions read the stepped powers A^j against
     the block-start state, so they lose digits the kernel keeps where the loss falls by orders
     within a block, or where the top mode's powers swing (transients, alternating signs) and the
     loss dips far below its envelope at its oscillation minima, as a near-edge run's does with
@@ -389,8 +389,8 @@ def _se_nodes(spectrum: Spectrum, noise: bool):
 
 
 def _gauss_holds(bins, alpha, beta, steps):
-    """Which (alpha[i], beta[i]) cells the Gauss nodes of ``bins`` (:func:`_se_nodes`) step to
-    rounding over ``steps``.
+    """Which (alpha[i], beta[i]) cells, two equal-length arrays, the Gauss nodes of ``bins``
+    (:func:`_se_nodes`) step to rounding over ``steps``.
 
     Over t steps a mode responds as ``mu^(2t)``, mu the larger eigenvalue of the heavy-ball matrix
     ``[[1 - a, beta], [-a, beta]]``. A bin's rule then errs by about Gauss-Legendre's ``c
@@ -408,7 +408,6 @@ def _gauss_holds(bins, alpha, beta, steps):
     lo, hi, mass, rules = bins
     log_c = math.log(math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3))
     x = 2.0 ** -(np.arange(math.ceil(4 * math.log2(max(steps, 1))) + 1)[:, None] / 4)
-    alpha, beta = np.broadcast_arrays(np.reshape(alpha, -1), np.reshape(beta, -1))
     holds = np.zeros(alpha.size, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_m = np.log(mass)[:, None]  # -inf for a bin without mass; (measures, 1, bins)
@@ -423,24 +422,40 @@ def _gauss_holds(bins, alpha, beta, steps):
     return holds
 
 
-def _se_modes(spectrum: Spectrum, d: int, alpha, beta, gamma, tau1, tau2, steps):
-    """Which (alpha[i], beta[i]) cells of a d-moment table step the spectrum's Gauss nodes, and
-    the nodes' (lambda, start, coupling weight) (None if none were built). Nodes are built where
-    no moment is tracked (:func:`_psd`) and the modes would not get a full blocked round of
-    ``_SE_BLOCK[1]`` steps; a cell steps them where :func:`_gauss_holds` says their loss is the
-    modes' to rounding, else the modes (:func:`_se_cells`)."""
-    if not (_psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]):
-        return np.zeros(np.size(alpha), dtype=bool), None
-    *nodes, bins = _se_nodes(spectrum, tau1 * gamma != 0.0)
-    return _gauss_holds(bins, alpha, beta, steps), tuple(nodes)
+def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
+    """The (alpha[i], beta[i]) cells' engines, as groups of cells that run alike: (cells, the Gauss
+    nodes or None for the modes, k, cells a batch), k the blocked round or 0 for the kernel.
+
+    A cell's table holds d = 1 moment at beta = 0, else 3. Where no moment is tracked (:func:`_psd`)
+    and the modes would not get a full blocked round of ``_SE_BLOCK[1]`` steps at that d, a cell
+    steps the nodes (:func:`_se_nodes`, built at most once a call) if :func:`_gauss_holds` trusts
+    them, else the modes; on either, :func:`_blocked_cells` picks k. A batch holds at most
+    ``_GRID_BATCH`` kernel cell-modes or the blocked cells whose rows and G fit ``_SE_BUDGET``, and
+    at least one cell. Each choice reads only a cell's own alpha and beta and the run's inputs.
+    """
+    alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
+                                      np.reshape(np.asarray(beta, dtype=float), -1))
+    nodes, plan = None, []
+    for d, group in ((1, np.flatnonzero(beta == 0.0)), (3, np.flatnonzero(beta != 0.0))):
+        use = np.zeros(group.size, dtype=bool)
+        if group.size and _psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]:
+            if nodes is None:
+                *nodes, bins = _se_nodes(spectrum, tau1 * gamma != 0.0)
+            use = _gauss_holds(bins, alpha[group], beta[group], steps)
+        for part, modes in ((group[~use], None), (group[use], nodes)):
+            m = len(spectrum) if modes is None else modes[0].size
+            blocked, k = _blocked_cells(spectrum, alpha[part], beta[part], tau1, tau2, m)
+            plan += [(cells, modes, k, max(1, size)) for cells, k, size in (
+                (part[~blocked], 0, _GRID_BATCH // m), (part[blocked], k, _SE_BUDGET // (16 * d * m * max(k, 1))))
+                if cells.size]
+    return plan
 
 
-def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, nodes=None, history=False):
-    """:func:`_se_run` of the (alpha[i], beta[i]) cells on the Gauss ``nodes`` (:func:`_se_modes`),
-    else on the spectrum's modes, from their start to the spectrum's divergence threshold, on
-    :func:`_se_blocked` if :func:`_blocked_cells` picks every cell, else on the kernel, tracking
-    moments unless :func:`_psd`. Overflow goes unreported: a non-finite loss crosses, and what
-    follows a crossing is dropped."""
+def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, nodes, k, history=False):
+    """:func:`_se_run` of the (alpha[i], beta[i]) cells to the spectrum's divergence threshold, on
+    the Gauss ``nodes`` (None: the modes) and :func:`_se_blocked` in rounds of ``k`` steps (0: the
+    kernel, tracking moments unless :func:`_psd`), as a group of :func:`_se_plan` gives them.
+    Overflow goes unreported: a non-finite loss crosses, and what follows a crossing is dropped."""
     lam, c0, weight = (spectrum.lambdas, spectrum.lambda_c0, None) if nodes is None else nodes
     threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum()))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -448,8 +463,7 @@ def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, nodes=N
         if r is not None and weight is not None:
             r *= weight
         c = np.tile(c0, (table[0].shape[0], 1))
-        blocked, k = _blocked_cells(spectrum, alpha, beta, tau1, tau2, lam.size)
-        engine = (_se_blocked(table, r, c, k) if blocked.all()
+        engine = (_se_blocked(table, r, c, k) if k
                   else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), track=not _psd(tau1, tau2)))
         return _se_run(*engine, steps, threshold, history)
 
@@ -457,23 +471,22 @@ def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, nodes=N
 def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
     """Evolve the per-mode (C, J, V) moments under the SE noise closure.
 
-    Each step applies the heavy-ball map A_k of :func:`_se_table` and adds
-    the noise increment ``gamma a^2 lam^2 (tau1 * sum_l lam_l C_ll - tau2 * lam_k C_kk)``
-    to all three moments. Divergence is a recorded outcome, not an error.
+    Each step applies the heavy-ball map A_k of :func:`_se_table` and adds the noise increment
+    ``gamma a^2 lam^2 (tau1 * sum_l lam_l C_ll - tau2 * lam_k C_kk)`` to all three moments, on the
+    engine :func:`_se_plan` picks. Divergence is a recorded outcome, not an error.
 
     ``min_output_moment`` is the kernel's tracked minimum, and 0 untracked where tau1 >= 0 and tau2
     <= tau1: per mode a step is the congruence ``M <- B M B^T + sigma [[1, 1], [1, 1]]`` of ``M =
     [[C, J], [J, V]]``, ``B = [[1 - a, beta], [-a, beta]]``, ``sigma = gamma a^2 (tau1 S - tau2
     C_k)``. While every C_l >= 0, S >= C_k and ``sigma >= gamma a^2 (tau1 - tau2) C_k >= 0`` (gamma,
     lambda_c0 >= 0 always hold), so by induction every M stays PSD and no C goes negative. A run
-    that steps Gauss nodes (:func:`_se_modes`) does so only there: its 0 is this proof about the
-    physical modes, as a signal node alone is no mode and its C may go negative.
+    that steps Gauss nodes does so only there: its 0 is this proof about the physical modes, as a
+    signal node alone is no mode and its C may go negative.
     """
     gamma = params.resolve_gamma(spectrum.dataset_size)
-    use, nodes = _se_modes(spectrum, 3 if params.beta else 1, params.alpha, params.beta, gamma, params.tau1,
-                           params.tau2, params.steps)
-    _, _, moment, diverged, sums = _se_cells(spectrum, params.alpha, params.beta, gamma, params.tau1,
-                                             params.tau2, params.steps, nodes if use[0] else None, history=True)
+    cell = (spectrum, params.alpha, params.beta, gamma, params.tau1, params.tau2, params.steps)
+    ((_, nodes, k, _),) = _se_plan(*cell)
+    _, _, moment, diverged, sums = _se_cells(*cell, nodes, k, history=True)
     diverged_at = int(diverged[0]) if diverged[0] >= 0 else None
     losses = 0.5 * sums[0, : None if diverged_at is None else diverged_at + 1]
 
@@ -497,20 +510,15 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
                 gamma: float, tau1: float, tau2: float, steps: int) -> dict:
     """Batched SE sweep over the (alpha, beta) product grid.
 
-    The cells fall into groups: beta = 0 or not (a 1- or 3-moment table), then on the Gauss
-    nodes or the modes (:func:`_se_modes`, built here once a table, not once a batch), then
-    blocked or not (:func:`_blocked_cells`); each choice reads only a cell's own alpha and beta,
-    gamma, tau1, tau2, the horizon and the modes. A kernel group goes into batches of at most
-    ``_GRID_BATCH`` cell-modes, a blocked group into batches whose rows and G fit ``_SE_BUDGET``
-    (or one cell), so a batch's working set is about one core's L2 cache; a group that needs
-    more batches than there are workers gets a multiple of the worker count. Cells are dealt to
-    the batches round-robin in grid order, which spreads the early-diverging large-alpha cells;
-    a diverged cell leaves its batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked
-    worker processes where :func:`_map_batches` can fork, else here one after another. A cell's
-    arithmetic does not depend on its batch, so each cell is bitwise its :func:`run_se` run
-    whatever the split or the worker count. Every value is checked as :class:`SGDParams` checks
-    it. Returns final/min losses, divergence steps (-1 = never) and the moment flags
-    ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
+    Each group of :func:`_se_plan` goes into batches of its size, a multiple of the worker count
+    if it needs more batches than there are workers. Cells are dealt to the batches round-robin
+    in grid order, which spreads the early-diverging large-alpha cells; a diverged cell leaves
+    its batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker processes where
+    :func:`_map_batches` can fork, else here one after another; the nodes are built here, before
+    any fork. A cell's arithmetic does not depend on its batch, so each cell is bitwise its
+    :func:`run_se` run whatever the split or the worker count. Every value is checked as
+    :class:`SGDParams` checks it. Returns final/min losses, divergence steps (-1 = never) and the
+    moment flags ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
     workers = _worker_count()  # first, so a bad SGDPHASELAB_THREADS fails on every grid
     if not (len(alphas) and len(betas)):
@@ -520,23 +528,15 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
     batches = []
-    for d, group in ((1, np.flatnonzero(b == 0.0)), (3, np.flatnonzero(b != 0.0))):
-        if not group.size:
-            continue
-        use, nodes = _se_modes(spectrum, d, a[group], b[group], gamma, tau1, tau2, steps)
-        for part, modes in ((group[~use], None), (group[use], nodes)):
-            m = len(spectrum) if modes is None else modes[0].size
-            blocked, k = _blocked_cells(spectrum, a[part], b[part], tau1, tau2, m)
-            sizes = _GRID_BATCH // m, _SE_BUDGET // (16 * d * m * max(k, 1))
-            for cells, per_batch in zip((part[~blocked], part[blocked]), sizes):
-                n = -(-cells.size // max(1, per_batch))
-                if n > workers:  # a multiple of the workers, so each does an equal share
-                    n = min(cells.size, -(-n // workers) * workers)
-                batches += [(cells[i::n], modes) for i in range(n)]
-    runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps, modes)
-                                    for m, modes in batches], workers)
+    for cells, nodes, k, size in _se_plan(spectrum, a, b, gamma, tau1, tau2, steps):
+        n = -(-cells.size // size)
+        if n > workers:  # a multiple of the workers, so each does an equal share
+            n = min(cells.size, -(-n // workers) * workers)
+        batches += [(cells[i::n], nodes, k) for i in range(n)]
+    runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps, nodes, k)
+                                    for m, nodes, k in batches], workers)
     final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][:4])
-    for (m, _), run in zip(batches, runs):  # each batch back to its cells' places in the grid
+    for (m, _, _), run in zip(batches, runs):  # each batch back to its cells' places in the grid
         final[m], low[m], moment[m], diverged[m] = run[:4]
     out = {"final_loss": final, "min_loss": low, "diverged_at": diverged,
            "min_output_moment": moment, "negative_moments": moment < 0.0}

@@ -468,6 +468,17 @@ class TestThreadCap:
                    "--steps", "50", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_bad_thread_env_ignored_off_the_grid(self, tmp_path, monkeypatch):
+        # only stability-map runs a grid, so only it reads the variable
+        args = ["divergence", "--nu", "1.5", "--kappa", "3", "--modes", "50", "--alpha", "1.5", "--gamma", "1",
+                "--steps", "200", "--out"]
+        monkeypatch.delenv("SGDPHASELAB_THREADS", raising=False)
+        assert main(args + [str(tmp_path / "unset")]) == 0
+        monkeypatch.setenv("SGDPHASELAB_THREADS", "lots")
+        assert main(args + [str(tmp_path / "lots")]) == 0
+        for name in ("divergence_report.json", "trajectory_se.csv"):
+            assert (tmp_path / "lots" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_env_below_one_rejected(self, tmp_path, monkeypatch, threads):
         monkeypatch.setenv("SGDPHASELAB_THREADS", threads)

@@ -469,12 +469,13 @@ for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
 """)
 
     def test_compressed_grid_is_bitwise_run_se_and_builds_nodes_once_here(self):
-        # 4000 modes: beta = 0 cells step the modes (k = 16 fits), the others their Gauss nodes,
-        # but for the beta = 0.95 cells that _gauss_holds does not trust; on nodes, the cells near
-        # the heavy-ball edge run on the kernel, the others blocked. The nodes are built once a
-        # grid, in the process that called it, and once a run_se
+        # 5000 modes: every cell steps the Gauss nodes, beta = 0 too (its modes get k = 8), but
+        # for the beta = 0.95 cells that _gauss_holds does not trust; on nodes and modes alike the
+        # cells near the heavy-ball edge run on the kernel, the others blocked. The nodes are
+        # built once a grid, in the process that called it, and once a run_se, and each grid cell
+        # runs on the engine (nodes or modes, k) that the plan of its run_se picks
         run_fresh("""
-spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 4000))
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 5000))
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.95]
 parent, calls, build = os.getpid(), [], simulate._se_nodes
 def counted(*args):
@@ -482,6 +483,12 @@ def counted(*args):
     calls.append(args[0])
     return build(*args)
 simulate._se_nodes = counted
+engines, pool = {}, simulate._map_batches
+def batched(fn, jobs, workers):
+    for job in jobs:
+        engines.update(((alpha, beta), (job[7] is not None, job[8])) for alpha, beta in zip(job[1], job[2]))
+    return pool(fn, jobs, workers)
+simulate._map_batches = batched
 grids = []
 for workers in ("1", "2"):
     os.environ["SGDPHASELAB_THREADS"] = workers
@@ -490,16 +497,21 @@ for workers in ("1", "2"):
     grids.append(run_se_grid(spec, alphas, betas, 0.5, 1.0, 1.0, 400))
     assert calls == [spec] and len(made) == int(workers) - 1, (calls, made)
 assert all(np.array_equal(x, grids[0][key]) for key, x in grids[1].items())
-a, b = np.repeat(alphas, 2), np.tile(betas[1:], alphas.size)
-use, nodes = simulate._se_modes(spec, 3, a, b, 0.5, 1.0, 1.0, 400)
-blocked = simulate._blocked_cells(spec, a[use], b[use], 1.0, 1.0, nodes[0].size)[0]
-assert use.any() and not use.all() and blocked.any() and not blocked.all()
+groups = {(beta != 0.0, *engine) for (_, beta), engine in engines.items()}
+assert len(engines) == 36 and groups == {(False, True, 0), (False, True, 16), (True, True, 0), (True, True, 16),
+                                         (True, False, 0), (True, False, 4)}, groups
 assert (grids[0]["diverged_at"] >= 0).any() and (grids[0]["diverged_at"] < 0).any()
+used, cells = [], simulate._se_cells
+def recorded(*args, **kwargs):
+    used.append((args[7] is not None, args[8]))
+    return cells(*args, **kwargs)
+simulate._se_cells = recorded
 for i, alpha in enumerate(alphas):
     for j, beta in enumerate(betas):
         calls.clear()
+        used.clear()
         traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=0.5, steps=400))
-        assert len(calls) == (beta != 0.0)
+        assert calls == [spec] and used == [engines[alpha, beta]], (alpha, beta, calls, used)
         assert grids[0]["final_loss"][i, j] == traj.losses[-1]
         assert grids[0]["min_loss"][i, j] == np.min(traj.losses)
         assert grids[0]["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
@@ -575,6 +587,15 @@ assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 20))
         with pytest.raises(ValidationError, match="SGDPHASELAB_THREADS"):
             run_se_grid(spec, [0.5], [0.0], 0.1, 1.0, 1.0, 10)
+
+    def test_bad_worker_env_ignored_by_run_se(self, monkeypatch):
+        # only the grid has workers to count: run_se never reads the variable
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 5000))
+        params = SGDParams(alpha=0.5, beta=0.3, gamma=0.1, steps=100)
+        monkeypatch.delenv("SGDPHASELAB_THREADS", raising=False)
+        want = run_se(spec, params).losses
+        monkeypatch.setenv("SGDPHASELAB_THREADS", "lots")
+        assert np.array_equal(run_se(spec, params).losses, want)
 
     def test_batches_split_each_group_round_robin(self, monkeypatch):
         # which cells share a batch: the map hands each batch its cells, in grid order;
@@ -1134,27 +1155,18 @@ class TestSePathVsExactPath:
 
 
 def mode_and_node_runs(spec, params, engine=None):
-    """run_se's cell stepped by one engine on its Gauss nodes and on the spectrum's modes: per
-    run the losses up to the crossing and its step (None if none). ``engine`` None steps each on
-    the engine run_se's dispatch picks for it, "kernel" both on the kernel."""
-    gamma = params.resolve_gamma(spec.dataset_size)
-    use, nodes = simulate._se_modes(spec, 3 if params.beta else 1, params.alpha, params.beta, gamma,
-                                    params.tau1, params.tau2, params.steps)
-    assert nodes is not None and use.tolist() == [True]
+    """run_se's cell stepped on its Gauss nodes and on the spectrum's modes: per run the losses up
+    to the crossing and its step (None if none). ``engine`` None steps each on the engine that
+    _se_plan and _blocked_cells pick for it, "kernel" both on the kernel."""
+    cell = (spec, params.alpha, params.beta, params.resolve_gamma(spec.dataset_size), params.tau1,
+            params.tau2, params.steps)
+    ((_, nodes, k, _),) = simulate._se_plan(*cell)
+    assert nodes is not None
+    blocked, on_modes = simulate._blocked_cells(spec, params.alpha, params.beta, params.tau1, params.tau2)
+    engines = ((nodes, k), (None, on_modes if blocked[0] else 0)) if engine is None else ((nodes, 0), (None, 0))
     runs = []
-    for modes in (nodes, None):
-        if engine is None:
-            run = simulate._se_cells(spec, params.alpha, params.beta, gamma, params.tau1, params.tau2,
-                                     params.steps, modes, history=True)
-        else:
-            lam, c0, weight = (spec.lambdas, spec.lambda_c0, None) if modes is None else modes
-            with np.errstate(over="ignore", invalid="ignore"):
-                table, r = _se_table(lam, params.alpha, params.beta, gamma, params.tau1, params.tau2)
-                if r is not None and weight is not None:
-                    r *= weight
-                c = c0[None].copy()
-                run = _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), params.steps,
-                              simulate._divergence_threshold(0.5 * spec.lambda_c0.sum()), history=True)
+    for modes, k in engines:
+        run = simulate._se_cells(*cell, modes, k, history=True)
         crossed = None if run[3][0] < 0 else int(run[3][0])
         runs.append((0.5 * run[4][0, : None if crossed is None else crossed + 1], crossed))
     return runs
@@ -1232,8 +1244,8 @@ class TestCompressedSpectrum:
         spec = Spectrum.from_c0(spec.lambdas, np.where(np.arange(modes) < start * modes, spec.c0, 0.0))
         params = SGDParams(alpha=frac * 2.0 * (1.0 + beta) / spec.lambda_max, beta=beta, gamma=gamma,
                            tau1=tau1, tau2=share * tau1, steps=steps)
-        use, _ = simulate._se_modes(spec, 3 if beta else 1, params.alpha, beta, gamma, tau1, params.tau2, steps)
-        assume(use[0])
+        ((_, nodes, _, _),) = simulate._se_plan(spec, params.alpha, beta, gamma, tau1, params.tau2, steps)
+        assume(nodes is not None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params, "kernel")
@@ -1286,9 +1298,9 @@ class TestDegenerateNodes:
     def test_no_noise_nodes_without_coupling(self, gamma, tau1):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 3000))
         params = SGDParams(alpha=0.5, beta=0.5, gamma=gamma, tau1=tau1, tau2=0.0, steps=600)
-        use, (lam, c0, weight) = simulate._se_modes(spec, 3, 0.5, 0.5, gamma, tau1, 0.0, 600)
+        ((_, (lam, c0, weight), _, _),) = simulate._se_plan(spec, 0.5, 0.5, gamma, tau1, 0.0, 600)
         noisy = simulate._se_nodes(spec, True)[0].size
-        assert use[0] and np.all(np.isin(weight, (0.0, 1.0))) and np.all(c0[weight == 0.0] > 0.0)
+        assert np.all(np.isin(weight, (0.0, 1.0))) and np.all(c0[weight == 0.0] > 0.0)
         assert lam.size < noisy  # with the noise nodes left out
         self.run_both(spec, params)
 
