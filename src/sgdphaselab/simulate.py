@@ -16,8 +16,8 @@ matches the spectrum's stored ``lambda_c0`` directly. A step is a per-mode
 An engine advances it a round of steps at a time and one loop, :func:`_se_run`,
 records every run. Cells whose moments provably stay non-negative (:func:`_psd`)
 and whose block powers keep their digits, with or without noise, run on
-:func:`_se_blocked`, which takes k steps per round of numpy calls by solving
-each block's coupling with a Toeplitz inverse; the others, and
+:func:`_se_blocked`, which takes k steps per round of two batched BLAS products
+and an einsum, solving each block's coupling with a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
 Where no moment is tracked, the modes would not get a full blocked round and an
 error estimate trusts them, a run steps Gauss nodes of the spectrum's two
@@ -260,19 +260,20 @@ def _se_blocked(table, r, c, k):
     With x the (cells, d, modes) state, d = 1 for a ``(m11,)`` table, else 3, the sums
     S_t0..S_{t0+k-1} of a block solve ``(I - T_U) S = p``, ``p_j = sum_l e1^T A_l^j x_l`` over the
     modes l, where T_U is strictly lower Toeplitz in ``U_n = sum_l e1^T A_l^{n-1} r_l 1``; its inverse
-    is lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n} U_i w_{n-i}``, so ``S_j = sum_i w_{j-i} p_i`` is one
-    contraction of x with the rows ``sum_i w_{j-i} e1^T A^i``. Then ``x <- A^k x + sum_i G_i S_i``,
-    ``G_i = A^{k-1-i} r 1``. The rows, A^k and G come from :func:`_se_step` on the d unit states
-    and the seed ``r 1``, once a call; the contractions are ``np.einsum`` calls, so no BLAS runs.
-    Every S_t is formed, S_0 as the kernel sums it, so the crossing step and the final and lowest
-    losses are the kernel's to rounding. Returns what :func:`_se_kernel` returns, tracking no moment.
+    W is lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n} U_i w_{n-i}``, so ``S = R x``, R the rows ``e1^T
+    A^i`` premixed by W, and then ``x <- A^k x + S^T G``, ``G_i = A^{k-1-i} r 1``. R, A^k and G come
+    from :func:`_se_step` on the d unit states and the seed ``r 1``, once a call; R and G are (cells,
+    k, d modes) matrices, so a round is two batched BLAS matrix-vector products and an ``np.einsum``
+    for A^k. Their bits did not move with OpenBLAS's thread count (1 to 5 threads). Every S_t is
+    formed, S_0 as the kernel sums it, so the crossing step and the final and lowest losses are the
+    kernel's to rounding. Returns what :func:`_se_kernel` returns, tracking no moment.
     """
     cells, m = c.shape
     d = 1 if len(table) == 1 else 3
     unit = np.zeros((d, cells, d + 1, m))  # (moment, cell, unit state or the seed, mode)
     unit[range(d), :, range(d)] = 1.0
     unit[:, :, d] = 0.0 if r is None else r
-    step = [x[:, None] for x in table]  # (cells, 1, modes): broadcasts over the states
+    step = [np.broadcast_to(x[:, None], unit.shape[1:]).copy() for x in table]  # tiled: flat loops, same bits
     rows, g = np.empty((cells, k, d, m)), np.empty((cells, k, d, m))
     t1, t2 = np.empty_like(unit[0]), np.empty_like(unit[0])
     for i in range(k):
@@ -285,8 +286,8 @@ def _se_blocked(table, r, c, k):
     w[:, 0] = 1.0
     for i in range(1, k):
         w[:, i] = np.einsum("ci,ci->c", u[:, :i], w[:, i - 1 :: -1])
-    for i in range(k - 1, 0, -1):  # rows_i <- sum_j w_{i-j} rows_j, so that S_i = rows_i . x
-        rows[:, i] = np.einsum("ci,cidm->cdm", w[:, i::-1], rows[:, : i + 1])
+    lag = np.subtract.outer(range(k), range(k))
+    rows = np.where(lag >= 0, w[:, lag], 0.0) @ rows.reshape(cells, k, d * m)  # rows_i <- sum_j w_{i-j} rows_j
     s0, x = c.sum(axis=1), np.zeros((cells, d, m))
     x[:, 0] = c
 
@@ -294,13 +295,13 @@ def _se_blocked(table, r, c, k):
         x, rows, g, ak, s = state
         if t:  # x moves past the block before, whose sums are s
             x = state[0] = np.einsum("cedm,cdm->cem", ak, x)
-            x += np.einsum("ckdm,ck->cdm", g, s)
-        s = state[4] = np.einsum("ckdm,cdm->ck", rows, x)[:, :n]
+            x += (s[:, None] @ g).reshape(x.shape)
+        s = state[4] = (rows @ x.reshape(len(x), -1, 1))[:, :n, 0]
         if not t:
             s[:, 0] = s0
         return s, None
 
-    return advance, [x, rows, g, ak, None], k
+    return advance, [x, rows, g.reshape(cells, k, d * m), ak, None], k
 
 
 def _se_block_steps(d: int, modes: int) -> int:
@@ -558,27 +559,42 @@ def _worker_count() -> int:
     return min(8, cpus)
 
 
+def _blas_build() -> tuple[str, list[str]]:
+    """numpy's BLAS as its build records it: the name and, from numpy 1.26 on, OpenBLAS's build
+    configuration, which holds ``USE_OPENMP`` or ``USE_OPENMP=1`` in an OpenMP build; older numpy
+    records only the libraries."""
+    config = np.__config__
+    if not hasattr(config, "CONFIG"):
+        return str([config.get_info(key).get("libraries") for key in ("blas_ilp64_opt_info", "blas_opt_info")]), []
+    blas = config.CONFIG["Build Dependencies"]["blas"]
+    return blas["name"], blas.get("openblas configuration", "").split()
+
+
+_BLAS = _blas_build()
+
+
 def _map_batches(fn, jobs: list[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, on up to ``workers`` forked processes where that is safe.
 
-    A pool needs two jobs, two workers, ``os.fork`` and no live Python thread but this one: a
-    fork copies only the calling thread, so a lock another thread held would stay locked in the
-    child. Native thread pools, such as the one numpy's OpenBLAS starts at import, do not stop
-    the fork: ``fn`` calls only numpy's elementwise ufuncs, reductions and ``np.einsum`` without
-    ``optimize`` (its own loops), no BLAS or OpenMP routine, so the child never takes a lock
-    those pools hold; and OpenBLAS's atfork handler joins its pool, so the process forks from
-    one OS thread, the count Python 3.12 checks for its fork-with-threads warning. Workers are
-    forked, not spawned, so they start without importing anything; ``fn`` must be a
-    module-level function.
+    A pool needs two jobs, two workers, ``os.fork``, no live Python thread but this one, and
+    OpenBLAS on pthreads (:func:`_blas_build`), as numpy's wheels ship it from 1.22 on. A fork
+    copies only the calling thread, so a lock another thread held would stay locked in the child;
+    ``fn`` calls BLAS (:func:`_se_blocked`), and OpenBLAS's atfork handler joins its pool, so the
+    process forks from one OS thread, the count Python 3.12 checks for its fork-with-threads
+    warning, and the child starts a pool of its own. An OpenMP pool has no such handler. Elsewhere
+    the jobs run here, to the same bits. Workers are forked, not spawned, so they start without
+    importing anything; ``fn`` must be a module-level function. Jobs go in chunks, not one by one.
     """
     workers = min(workers, len(jobs))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    name, build = _BLAS
+    forks = "openblas" in name and not {"USE_OPENMP", "USE_OPENMP=1"} & set(build)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or not forks:
         return [fn(*job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+        return list(pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 def exact_noise_covariance(problem: FeatureProblem, c_matrix: np.ndarray) -> np.ndarray:

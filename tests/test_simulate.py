@@ -322,24 +322,38 @@ class TestBlockedEngine:
         assert simulate._se_block_steps(1, 16000) == 4 and simulate._se_block_steps(1, 50000) == 0
 
     def test_blas_thread_count_does_not_change_results(self):
-        script = (
-            "import numpy as np\n"
-            "from sgdphaselab import PowerLawSpec, SGDParams, build_power_law, run_se, run_se_grid\n"
-            "spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))\n"
-            "out = [run_se(spec, SGDParams(alpha=0.4, beta=b, gamma=0.3, steps=600)).losses for b in (0.0, 0.5)]\n"
-            "grid = run_se_grid(spec, [0.4, 2.5], [0.0, 0.5], 0.3, 1.0, 1.0, 300)\n"
-            "out += [grid[key].astype(float) for key in sorted(grid)]\n"
-            "print(b''.join(x.tobytes() for x in out).hex())\n"
-        )
+        # the blocked rounds are BLAS matrix-vector products: on 2000 modes, on reduced-map cells
+        # (200 modes, k = 16, 6 beta != 0 cells a batch) in forked batches, and on the 16000-mode
+        # asymptotics spectrum's Gauss nodes, whose (16, 3 nodes) row blocks OpenBLAS splits
+        script = POOL_PRELUDE + """
+out = []
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+out += [run_se(spec, SGDParams(alpha=0.4, beta=b, gamma=0.3, steps=600)).losses for b in (0.0, 0.5)]
+grid = run_se_grid(spec, [0.4, 2.5], [0.0, 0.5], 0.3, 1.0, 1.0, 300)
+out += [grid[key].astype(float) for key in sorted(grid)]
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+plan = simulate._se_plan(spec, 1.0, 0.5, 0.1, 1.0, 1.0, 300)
+assert [(nodes, k, size) for _, nodes, k, size in plan] == [(None, 16, 6)], plan
+made.clear()
+grid = run_se_grid(spec, np.linspace(0.1, 4.0, 10), np.linspace(0.0, 0.95, 5), 0.1, 1.0, 1.0, 300)
+assert len(made) == 1 and (grid["diverged_at"] >= 0).any() and (grid["diverged_at"] < 0).any(), made
+out += [grid[key].astype(float) for key in sorted(grid)]
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 16000))
+params = SGDParams(alpha=0.3, beta=0.5, gamma=0.1, steps=2000)
+((_, nodes, k, _),) = simulate._se_plan(spec, 0.3, 0.5, 0.1, 1.0, 1.0, 2000)
+assert nodes is not None and k == 16
+out.append(run_se(spec, params).losses)
+print(b"".join(x.tobytes() for x in out).hex())
+"""
         src = str(Path(simulate.__file__).resolve().parents[1])
         outs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+                   "SGDPHASELAB_THREADS": "2", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
             done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  text=True, check=True)
+                                  text=True, check=True, timeout=300)
             outs.append(done.stdout.strip())
-        assert outs[0] == outs[1] and len(outs[0]) > 1000
+        assert outs[0] == outs[1] and len(outs[0]) > 50000
 
 
 def stepped_reference(spec, alpha, beta, gamma, tau1, tau2, steps):
@@ -563,6 +577,26 @@ os.environ["SGDPHASELAB_THREADS"] = "1"
 alone = run_se_grid(*args)
 assert len(made) == 1, made
 assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key, x in pooled.items())
+""")
+
+    def test_grid_runs_in_process_where_blas_may_not_survive_a_fork(self):
+        # the workers call BLAS, so a pool needs pthreads OpenBLAS, as numpy's build records it:
+        # numpy's wheels are such a build, a reported MKL, Accelerate or OpenMP build is not
+        run_fresh("""
+spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
+os.environ["SGDPHASELAB_THREADS"] = "2"
+pooled = run_se_grid(*args)
+assert len(made) == 1, (made, simulate._BLAS)
+for blas in (("mkl-sdl", []), ("accelerate", []), ("scipy-openblas", "OpenBLAS 0.3.27 USE_OPENMP Haswell".split()),
+             ("openblas", "USE_64BITINT=1 NO_AFFINITY=1 USE_OPENMP=1 HASWELL".split())):
+    simulate._BLAS = blas
+    alone = run_se_grid(*args)
+    assert len(made) == 1, (blas, made)
+    assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key, x in pooled.items())
+simulate._BLAS = ("openblas64", "USE_64BITINT=1 NO_AFFINITY=1 USE_OPENMP= HASWELL".split())  # numpy 1.26's wheels
+run_se_grid(*args)
+assert len(made) == 2, made
 """)
 
     def test_worker_count(self, monkeypatch):
