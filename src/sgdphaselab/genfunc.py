@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
 from .serialize import json_ready
-from .simulate import LossTrajectory, _divergence_threshold, _se_kernel, _se_run, _se_table
+from .simulate import LossTrajectory, _divergence_threshold, _is_count, _se_kernel, _se_run, _se_table
 from .spectrum import Spectrum
 
 _UV_BLOCK = 32  # generating-function coefficients (a power of 2) per GEMM in compute_UV_sequences
@@ -32,6 +33,7 @@ _UV_CHAINS = 8  # consecutive blocks (a power of 2) whose states advance togethe
 # modes per chunk there: rows (3B doubles a mode), states (12K) and the scratch of
 # double-double squaring fit 512 KB, well inside a core's L2 cache
 _UV_CHUNK = (1 << 19) // (8 * (3 * _UV_BLOCK + 12 * _UV_CHAINS + 130))
+_LOSS_BLOCK = 16  # losses per block of reconstruct_loss's forward solve
 
 __all__ = [
     "GenFuncContext",
@@ -354,8 +356,8 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
     run_se takes the kernel too (not on the runs it steps blocked).
     """
     ctx.require_valid()
-    if horizon < 1:
-        raise AnalysisDomainError(f"horizon must be >= 1, got {horizon}")
+    if not _is_count(horizon):
+        raise AnalysisDomainError(f"horizon must be an integer >= 1, got {horizon!r}")
     lam = ctx.spectrum.lambdas
     if not ctx.gamma * (ctx.alpha * ctx.spectrum.lambda_max) ** 2 * horizon > 1e-16:
         seed, zero = lam * lam, np.zeros_like(lam)
@@ -442,26 +444,43 @@ def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
 
     L(T) = V_{T+1}/2 + sum_{t=1..T} U_{T+1-t} L(t-1).
 
-    O(T^2) overall; an oracle for :func:`run_se` at tau1 = 1: it shares the per-mode
-    table, but the rank-one noise coupling enters only through the convolution. It holds to
-    1e-10 on 3+ modes with every ``(1 - alpha lam)^2 >= tau gamma (alpha lam)^2``; elsewhere
-    the uncoupled terms can outlast the coupled loss, and their rounding outgrow it.
+    O(T^2) flops, in T/B BLAS products over blocks of ``_LOSS_BLOCK`` = B losses. A block's sum
+    over the losses before it is one matrix-vector product with a (B, T+1) matrix of shifted U
+    (B (T+1) doubles, built once); its own lower-triangular Toeplitz system ``(I - T_B) L = rhs``
+    is solved by its inverse, lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n} U_i w_{n-i}``. The
+    first loss to cross the divergence threshold ends the run, as a step at a time would.
+
+    An oracle for :func:`run_se` at tau1 = 1: it shares the per-mode table, but the rank-one noise
+    coupling enters only through the convolution. It holds to 1e-10 on 3+ modes with every
+    ``(1 - alpha lam)^2 >= tau gamma (alpha lam)^2``; elsewhere the uncoupled terms can outlast
+    the coupled loss, and their rounding outgrow it.
     """
     ctx.require_valid()
-    if horizon < 0:
-        raise AnalysisDomainError(f"horizon must be >= 0, got {horizon}")
+    if not _is_count(horizon, least=0):
+        raise AnalysisDomainError(f"horizon must be an integer >= 0, got {horizon!r}")
     u_seq, v_seq = compute_UV_sequences(ctx, horizon + 1)
-    u_rev = u_seq[::-1].copy()  # U_n .. U_1 is the contiguous tail u_rev[horizon + 1 - n:]
-    losses = np.empty(horizon + 1)
-    losses[0] = 0.5 * v_seq[0]
+    b, size = _LOSS_BLOCK, horizon + 1
+    # history[i, p] = U_{T+1+i-p}, 0 past U_{T+1}: the block at s takes columns T+1-s.. against L(0..s-1)
+    history = sliding_window_view(np.concatenate([np.zeros(b - 1), u_seq[::-1]]), size)[::-1].copy()
+    w = np.zeros(b)  # a block holds at most T losses, so w_n past n = T - 1 is never read
+    w[0] = 1.0
+    for n in range(1, min(b, size)):
+        w[n] = np.dot(u_seq[:n], w[n - 1 :: -1])
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    inverse = np.where(lag >= 0, w[lag], 0.0)
+    losses = 0.5 * v_seq
     threshold = _divergence_threshold(losses[0])
     diverged_at = None
-    for n in range(1, horizon + 1):
-        losses[n] = 0.5 * v_seq[n] + float(np.dot(u_rev[horizon + 1 - n :], losses[:n]))
-        if not (losses[n] <= threshold):
-            diverged_at = n
-            losses = losses[: n + 1]
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, size, b):
+            n = min(b, size - s)
+            rhs = history[:n, size - s :] @ losses[:s]
+            rhs += losses[s : s + n]  # still V/2 from step s on
+            block = np.matmul(inverse[:n, :n], rhs, out=losses[s : s + n])
+            if not block.max() <= threshold:  # NaN crosses
+                diverged_at = s + int(np.argmin(block <= threshold))
+                losses = losses[: diverged_at + 1]
+                break
     meta = {
         "regime": "genfunc", "alpha": ctx.alpha, "beta": ctx.beta,
         "gamma": ctx.gamma, "tau": ctx.tau, "modes": len(ctx.spectrum),

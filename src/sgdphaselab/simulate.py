@@ -69,9 +69,9 @@ _SE_NODES = (256, 4)  # log-lambda bins and Gauss nodes per measure of a compres
 _SE_NODE_ERROR = 1e-14  # largest estimated error of a bin's Gauss rule, relative to its measure's loss
 
 
-def _is_count(x) -> bool:
-    """A positive integer; a bool is not a count, though it subclasses int."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+def _is_count(x, least: int = 1) -> bool:
+    """An integer >= ``least``; a bool is not a count, though it subclasses int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
 @dataclass(frozen=True)
@@ -429,8 +429,9 @@ def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
 
     A cell's table holds d = 1 moment at beta = 0, else 3. Where no moment is tracked (:func:`_psd`)
     and the modes would not get a full blocked round of ``_SE_BLOCK[1]`` steps at that d, a cell
-    steps the nodes (:func:`_se_nodes`, built at most once a call) if :func:`_gauss_holds` trusts
-    them, else the modes; on either, :func:`_blocked_cells` picks k. A batch holds at most
+    steps the nodes (:func:`_se_nodes`, built once a spectrum and noise flag and kept on the
+    spectrum) if :func:`_gauss_holds` trusts them, else the modes; on either,
+    :func:`_blocked_cells` picks k. A batch holds at most
     ``_GRID_BATCH`` kernel cell-modes or the blocked cells whose rows and G fit ``_SE_BUDGET``, and
     at least one cell. Each choice reads only a cell's own alpha and beta and the run's inputs.
     """
@@ -441,7 +442,8 @@ def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
         use = np.zeros(group.size, dtype=bool)
         if group.size and _psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]:
             if nodes is None:
-                *nodes, bins = _se_nodes(spectrum, tau1 * gamma != 0.0)
+                noise = bool(tau1 * gamma != 0.0)
+                *nodes, bins = spectrum._cached(("se_nodes", noise), lambda: _se_nodes(spectrum, noise))
             use = _gauss_holds(bins, alpha[group], beta[group], steps)
         for part, modes in ((group[~use], None), (group[use], nodes)):
             m = len(spectrum) if modes is None else modes[0].size

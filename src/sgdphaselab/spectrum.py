@@ -132,6 +132,19 @@ class Spectrum:
         """S_k = sum_{l >= k} lambda_l C_ll,0 for k = 1..M (index 0-based)."""
         return np.cumsum(self.lambda_c0[::-1])[::-1]
 
+    def _cached(self, key, build):
+        """``build()``, made once per key and kept on this instance while its arrays are read-only,
+        as the from_* constructors leave them. A pickle leaves the cache out."""
+        if self.lambdas.flags.writeable or self.lambda_c0.flags.writeable:
+            return build()
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
+    def __getstate__(self):
+        return {key: x for key, x in self.__dict__.items() if key != "_cache"}
+
 
 def _sorted_desc(lam: np.ndarray, *cols: np.ndarray):
     """Sort eigenvalues non-increasing, carrying companion columns along."""

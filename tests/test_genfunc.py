@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -30,8 +31,8 @@ from sgdphaselab import (
     solve_lambda_crit,
     stability_report,
 )
-from sgdphaselab import asymptotics, cli, genfunc
-from sgdphaselab.genfunc import _UV_BLOCK, _UV_CHUNK, _u_of_z, _uv_step
+from sgdphaselab import asymptotics, cli, genfunc, simulate
+from sgdphaselab.genfunc import _LOSS_BLOCK, _UV_BLOCK, _UV_CHUNK, _u_of_z, _uv_step
 from sgdphaselab.simulate import _se_kernel, _se_run, _se_table
 from conftest import max_rel_err, random_spectrum
 
@@ -506,11 +507,14 @@ class TestBlockedUV:
         assert worst <= 1e-13
 
     def test_blas_thread_count_does_not_change_results(self):
+        # and reconstruct_loss's blocks, each one BLAS matrix-vector product over the losses before it
         script = (
             "from sgdphaselab import GenFuncContext, PowerLawSpec, build_power_law, compute_UV_sequences\n"
+            "from sgdphaselab import reconstruct_loss\n"
             "spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))\n"
             "u, v = compute_UV_sequences(GenFuncContext(spec, 0.4, 0.5, 0.3, 0.8), 500)\n"
-            "print((u.tobytes() + v.tobytes()).hex())\n"
+            "loss = reconstruct_loss(GenFuncContext(spec, 0.5 / spec.lambda_max, 0.5, 0.02, 0.8), 5000).losses\n"
+            "print((u.tobytes() + v.tobytes() + loss.tobytes()).hex())\n"
         )
         src = str(Path(genfunc.__file__).resolve().parents[1])
         outs = []
@@ -536,6 +540,38 @@ class TestBlockedUV:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[0] <= 600 * 1024  # the 512 KB chunk budget and the (2, horizon) sums
+
+
+def stepped_loss(ctx, horizon):
+    """reconstruct_loss solved one step at a time, one np.dot a step, with its threshold: the
+    reference for its blocked solve. Returns the losses up to the crossing and its step."""
+    u_seq, v_seq = compute_UV_sequences(ctx, horizon + 1)
+    u_rev = u_seq[::-1].copy()  # U_n .. U_1 is the contiguous tail u_rev[horizon + 1 - n:]
+    losses = np.empty(horizon + 1)
+    losses[0] = 0.5 * v_seq[0]
+    threshold = genfunc._divergence_threshold(losses[0])
+    for n in range(1, horizon + 1):
+        losses[n] = 0.5 * v_seq[n] + float(np.dot(u_rev[horizon + 1 - n :], losses[:n]))
+        if not (losses[n] <= threshold):
+            return losses[: n + 1], n
+    return losses, None
+
+
+def exact_loss(ctx, horizon):
+    """The convolution of reconstruct_loss's own U and V coefficients in exact rational arithmetic,
+    rounded once at the end: what a solve of them could at best return."""
+    u_seq, v_seq = compute_UV_sequences(ctx, horizon + 1)
+    u = [Fraction(x) for x in u_seq]
+    losses = [Fraction(v_seq[0]) / 2]
+    for n in range(1, horizon + 1):
+        losses.append(Fraction(v_seq[n]) / 2 + sum(u[n - 1 - j] * losses[j] for j in range(n)))
+    return np.array([float(x) for x in losses])
+
+
+def oracle_draw(seed, modes, frac, beta, gamma, tau2):
+    """A point of test_matches_simulator_anywhere_in_domain's domain, as its spectrum and context."""
+    spec = random_spectrum(np.random.default_rng(seed), modes)
+    return spec, GenFuncContext(spec, frac * 2.0 * (1.0 + beta) / spec.lambda_max, beta, gamma, tau2)
 
 
 class TestReconstructLoss:
@@ -597,12 +633,14 @@ class TestReconstructLoss:
         assert max_rel_err(a.losses, b.losses) <= 1e-10
 
     def test_zero_gamma_is_pure_signal(self, rng):
+        # U = 0: the blocked solve's history products and its inverse's off-diagonal terms add
+        # exact zeros, within a block, across block edges and in a last, short block
         spec = random_spectrum(rng, 10)
-        ctx = GenFuncContext(spec, 0.3, 0.3, 0.0, 1.0)
-        u, v = compute_UV_sequences(ctx, 51)
-        assert np.all(u == 0.0)
-        traj = reconstruct_loss(ctx, 50)
-        assert np.allclose(traj.losses, 0.5 * v, rtol=1e-14)
+        for beta, horizon in itertools.product((0.0, 0.3), (1, _LOSS_BLOCK, 2 * _LOSS_BLOCK + 3, 50, 500)):
+            ctx = GenFuncContext(spec, 0.3, beta, 0.0, 1.0)
+            u, v = compute_UV_sequences(ctx, horizon + 1)
+            assert np.all(u == 0.0)
+            assert np.array_equal(reconstruct_loss(ctx, horizon).losses, 0.5 * v)
 
     def test_dichotomy_with_simulator(self, rng):
         # U~(1) > 1 iff the simulated loss diverges (by 50 t_div when divergent)
@@ -629,6 +667,90 @@ class TestReconstructLoss:
                 assert traj.diverged_at is None
                 assert traj.losses[-1] < traj.losses[0]
         assert tested >= 10
+
+
+B = _LOSS_BLOCK
+
+
+class TestBlockedLossSolve:
+    # reconstruct_loss solves B losses a block, from step 1: blocks start at steps 1, B + 1, 2B + 1, ...
+    @pytest.mark.parametrize("horizon", [0, 1, B - 1, B, B + 1, 2 * B + 3, 5000])
+    def test_matches_the_stepped_solve(self, horizon):
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))  # the oracle's, a power-law decay
+        ctx = GenFuncContext(spec, 0.5 / spec.lambda_max, 0.4, 0.1, 0.8)
+        traj = reconstruct_loss(ctx, horizon)
+        losses, crossed = stepped_loss(ctx, horizon)
+        assert traj.losses.shape == (horizon + 1,) and traj.diverged_at is None is crossed
+        assert traj.losses[0] == losses[0] and max_rel_err(traj.losses, losses) <= 1e-14
+        sim = run_se(spec, SGDParams(alpha=ctx.alpha, beta=0.4, gamma=0.1, tau2=0.8, steps=max(horizon, 1)))
+        assert max_rel_err(traj.losses, sim.losses[: horizon + 1]) <= 1e-10
+
+    # the crossing on a block's first step (the first block's too), a middle one and its last,
+    # and on the last step of a horizon that ends on a block edge
+    @pytest.mark.parametrize("step, horizon", [(1, 100), (2 * B + 1, 100), (2 * B + 8, 100),
+                                               (3 * B, 100), (4 * B, 4 * B)])
+    def test_divergence_crossing_anywhere_in_a_block(self, monkeypatch, step, horizon):
+        # a diverging run, its loss up 2.5 times a step: a threshold between L(step - 1) and
+        # L(step) puts the crossing there for the block solve, the stepped one and run_se alike
+        spec = random_spectrum(np.random.default_rng(11), 40, lam_lo=0.5)
+        ctx = GenFuncContext(spec, 0.45 * 0.7 / spec.lambda_max, -0.3, 1.0, 1.0)
+        monkeypatch.setattr(genfunc, "_divergence_threshold", lambda loss0: math.inf)
+        grown, _ = stepped_loss(ctx, horizon)
+        assert np.all(grown[1:] / grown[:-1] > 2.0)
+        threshold = math.sqrt(grown[step - 1] * grown[step])
+        monkeypatch.setattr(genfunc, "_divergence_threshold", lambda loss0: threshold)
+        monkeypatch.setattr(simulate, "_divergence_threshold", lambda loss0: threshold)
+        traj = reconstruct_loss(ctx, horizon)
+        losses, crossed = stepped_loss(ctx, horizon)
+        sim = run_se(spec, SGDParams(alpha=ctx.alpha, beta=-0.3, gamma=1.0, steps=horizon))
+        assert traj.diverged_at == crossed == sim.diverged_at == step
+        assert traj.losses.shape == losses.shape == sim.losses.shape == (step + 1,)
+        assert max_rel_err(traj.losses, losses) <= 1e-14 and max_rel_err(traj.losses, sim.losses) <= 1e-10
+
+    def test_matches_the_stepped_solve_across_the_oracle_domain(self):
+        # 200 seeded draws of test_matches_simulator_anywhere_in_domain's domain, gamma uniform,
+        # exactly 0, or log-uniform in [1e-17, 1e-6], whose convolutions differ only in summation order
+        gen, drawn = np.random.default_rng(2024), 0
+        while drawn < 200:
+            point = (int(gen.integers(2**32)), int(gen.integers(3, 13)), gen.uniform(0.02, 0.98),
+                     gen.uniform(-0.9, 0.95), [gen.uniform(0.0, 1.0), 0.0, 10.0 ** gen.uniform(-17, -6)][drawn % 3],
+                     gen.uniform(0.05, 1.0))
+            spec, ctx = oracle_draw(*point)
+            al = ctx.alpha * spec.lambdas
+            if not np.all((1.0 - al) ** 2 >= ctx.tau * ctx.gamma * al * al):
+                continue
+            drawn += 1
+            traj = reconstruct_loss(ctx, 150)
+            losses, crossed = stepped_loss(ctx, 150)
+            assert traj.diverged_at == crossed and max_rel_err(traj.losses, losses) <= 1e-14, point
+
+    def test_coefficient_error_draw(self):
+        # a draw of test_matches_simulator_anywhere_in_domain's domain where reconstruct_loss misses
+        # run_se by more than 1e-10 (1.23e-10; 1.11e-10 stepped): the miss is the U and V
+        # coefficients', as their exact convolution misses by 1.25e-10. Both solves lie within
+        # 2e-11 of that (block 1.5e-11, stepped 1.9e-11), so no convolution of them can clear it
+        spec, ctx = oracle_draw(3, 3, 0.875, 0.34375, 0.0625, 1.0)
+        exact = exact_loss(ctx, 150)
+        sim = run_se(spec, SGDParams(alpha=ctx.alpha, beta=0.34375, gamma=0.0625, steps=150)).losses
+        assert max_rel_err(exact, sim) > 1e-10
+        assert max_rel_err(reconstruct_loss(ctx, 150).losses, exact) <= 3e-11
+        assert max_rel_err(stepped_loss(ctx, 150)[0], exact) <= 3e-11
+
+    @pytest.mark.parametrize("horizon", [True, False, 2.0, 2.5, -1, "3", None])
+    def test_horizon_must_be_an_integer(self, horizon):
+        ctx = GenFuncContext(random_spectrum(np.random.default_rng(1), 5), 0.5, 0.2, 0.3, 1.0)
+        with pytest.raises(AnalysisDomainError, match="horizon"):
+            reconstruct_loss(ctx, horizon)
+        with pytest.raises(AnalysisDomainError, match="horizon"):
+            compute_UV_sequences(ctx, horizon)
+
+    def test_numpy_integer_horizons(self):
+        ctx = GenFuncContext(random_spectrum(np.random.default_rng(1), 5), 0.5, 0.2, 0.3, 1.0)
+        assert np.array_equal(reconstruct_loss(ctx, np.int64(3)).losses, reconstruct_loss(ctx, 3).losses)
+        assert all(np.array_equal(a, b) for a, b in zip(compute_UV_sequences(ctx, np.int64(3)),
+                                                         compute_UV_sequences(ctx, 3)))
+        with pytest.raises(AnalysisDomainError, match="horizon"):
+            compute_UV_sequences(ctx, np.int64(0))
 
 
 class TestSerialization:

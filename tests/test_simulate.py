@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -486,15 +487,15 @@ for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
         # 5000 modes: every cell steps the Gauss nodes, beta = 0 too (its modes get k = 8), but
         # for the beta = 0.95 cells that _gauss_holds does not trust; on nodes and modes alike the
         # cells near the heavy-ball edge run on the kernel, the others blocked. The nodes are
-        # built once a grid, in the process that called it, and once a run_se, and each grid cell
-        # runs on the engine (nodes or modes, k) that the plan of its run_se picks
+        # built once a spectrum and noise flag, in the process that called the grid, and kept on
+        # the spectrum for every later run_se and grid; each grid cell runs on the engine (nodes or
+        # modes, k) that the plan of its run_se picks
         run_fresh("""
-spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 5000))
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.95]
 parent, calls, build = os.getpid(), [], simulate._se_nodes
 def counted(*args):
     assert os.getpid() == parent, "nodes built in a worker"
-    calls.append(args[0])
+    calls.append(args)
     return build(*args)
 simulate._se_nodes = counted
 engines, pool = {}, simulate._map_batches
@@ -506,10 +507,13 @@ simulate._map_batches = batched
 grids = []
 for workers in ("1", "2"):
     os.environ["SGDPHASELAB_THREADS"] = workers
+    spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 5000))  # a new spectrum builds its own nodes
     calls.clear()
     made.clear()
     grids.append(run_se_grid(spec, alphas, betas, 0.5, 1.0, 1.0, 400))
-    assert calls == [spec] and len(made) == int(workers) - 1, (calls, made)
+    assert calls == [(spec, True)] and len(made) == int(workers) - 1, (calls, made)
+    run_se_grid(spec, alphas, betas, 0.5, 1.0, 1.0, 400)
+    assert len(calls) == 1, calls
 assert all(np.array_equal(x, grids[0][key]) for key, x in grids[1].items())
 groups = {(beta != 0.0, *engine) for (_, beta), engine in engines.items()}
 assert len(engines) == 36 and groups == {(False, True, 0), (False, True, 16), (True, True, 0), (True, True, 16),
@@ -522,13 +526,16 @@ def recorded(*args, **kwargs):
 simulate._se_cells = recorded
 for i, alpha in enumerate(alphas):
     for j, beta in enumerate(betas):
-        calls.clear()
         used.clear()
         traj = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=0.5, steps=400))
-        assert calls == [spec] and used == [engines[alpha, beta]], (alpha, beta, calls, used)
+        assert used == [engines[alpha, beta]], (alpha, beta, used)
         assert grids[0]["final_loss"][i, j] == traj.losses[-1]
         assert grids[0]["min_loss"][i, j] == np.min(traj.losses)
         assert grids[0]["diverged_at"][i, j] == (-1 if traj.diverged_at is None else traj.diverged_at)
+assert len(calls) == 1, calls  # the 36 run_se calls read the grid's nodes
+for gamma in (0.0, 0.0, 0.5):  # without noise the nodes leave the noise measure out: a second build
+    run_se(spec, SGDParams(alpha=1.0, beta=0.3, gamma=gamma, steps=50))
+assert calls == [(spec, True), (spec, False)], calls
 """)
 
     def test_pooled_stability_map_warns_nothing(self, tmp_path):
@@ -1249,6 +1256,25 @@ class TestCompressedSpectrum:
             assert crossed is None and want_crossed is None
             assert max_rel_err(got, want) <= 1e-12
         assert simulate._se_nodes(spec, True)[0].size == 809
+
+    def test_nodes_are_kept_on_the_spectrum_but_not_in_its_pickles(self, monkeypatch):
+        # the grid pickles the spectrum into every job: the kept nodes must not ride along
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+        size = len(pickle.dumps(spec))
+        params = SGDParams(alpha=1.0, beta=0.3, gamma=0.5, steps=50)
+        first = run_se(spec, params).losses
+        kept = spec.__dict__["_cache"][("se_nodes", True)]
+        assert kept[0].size == 809 and len(pickle.dumps(spec)) == size
+        copy = pickle.loads(pickle.dumps(spec))
+        assert "_cache" not in copy.__dict__
+        assert np.array_equal(run_se(copy, params).losses, first)
+        # a spectrum built with writable arrays could change under its nodes, so it keeps none
+        loose = Spectrum(spec.lambdas.copy(), spec.c0.copy(), spec.lambda_c0.copy())
+        builds = []
+        monkeypatch.setattr(simulate, "_se_nodes", lambda *args: builds.append(args) or kept)
+        for _ in range(2):
+            assert np.array_equal(run_se(loose, params).losses, first)
+        assert len(builds) == 2
 
     def test_through_a_divergence(self):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 4000))
