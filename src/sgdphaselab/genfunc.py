@@ -26,7 +26,7 @@ from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
 from .serialize import json_ready
 from .simulate import LossTrajectory, _divergence_threshold, _is_count, _se_kernel, _se_run, _se_table
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _gauss_holds
 
 _UV_BLOCK = 32  # generating-function coefficients (a power of 2) per GEMM in compute_UV_sequences
 _UV_CHAINS = 8  # consecutive blocks (a power of 2) whose states advance together there
@@ -346,29 +346,44 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
 
     Both sum ``e_1^T A_k^t x_k`` over the modes' uncoupled SE maps A_k, from the noise seed
     ``lambda^2 (1, 1, 1)`` and the signal seed ``(lambda C_0, 0, 0)``; partial sums of
-    ``U_{t+1} z^t`` converge to U~(z) (geometric tail), which the tests exploit. A block of
-    ``_UV_BLOCK`` = B coefficients is one GEMM of the rows ``e_1^T A_k^j`` (j < B) against
-    the block-start states, which powers of A_k then advance. Modes run in chunks of about
-    512 KB of working set at any horizon, their partial sums added in mode order. A run whose
-    noise stays below rounding, ``gamma (alpha lambda_max)^2 T <= 1e-16``, steps the SE kernel
-    instead: V_t then shares the kernel's rounding near the loss's oscillation minima, where two
-    independent evaluations can differ by 3e-9 of the loss, and matches run_se bitwise where
-    run_se takes the kernel too (not on the runs it steps blocked).
+    ``U_{t+1} z^t`` converge to U~(z) (geometric tail), which the tests exploit. Where
+    ``spectrum._gauss_holds`` trusts the spectrum's Gauss nodes (``Spectrum._nodes``, the ones
+    :func:`run_se` steps) over the T - 1 steps of the powers, the sums run over the nodes instead,
+    from the seeds ``weight lambda^2 (1, 1, 1)`` and ``(start, 0, 0)``: weight is 1 on the exact
+    modes, the quadrature weight on noise nodes and 0 on signal nodes; start is ``lambda C_0`` on
+    the exact modes, the quadrature weight on signal nodes and 0 on noise nodes. A block of
+    ``_UV_BLOCK`` = B coefficients is one GEMM of the rows ``e_1^T A_k^j`` (j < B) against the
+    block-start states, which powers of A_k then advance. Modes or nodes run in chunks of about
+    512 KB of working set at any horizon, their partial sums added in order. A run whose noise
+    stays below rounding, ``gamma (alpha lambda_max)^2 T <= 1e-16``, steps the SE kernel on the
+    modes instead: V_t then shares the kernel's rounding near the loss's oscillation minima, where
+    two independent evaluations can differ by 3e-9 of the loss, and matches run_se bitwise where
+    run_se takes the kernel on the modes too.
     """
     ctx.require_valid()
     if not _is_count(horizon):
         raise AnalysisDomainError(f"horizon must be an integer >= 1, got {horizon!r}")
-    lam = ctx.spectrum.lambdas
+    lam, lc = ctx.spectrum.lambdas, ctx.spectrum.lambda_c0
     if not ctx.gamma * (ctx.alpha * ctx.spectrum.lambda_max) ** 2 * horizon > 1e-16:
         seed, zero = lam * lam, np.zeros_like(lam)
         sums = _se_run(*_se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
-                                   np.stack([seed, ctx.spectrum.lambda_c0]), np.stack([seed, zero]),
+                                   np.stack([seed, lc]), np.stack([seed, zero]),
                                    np.stack([seed, zero])), horizon - 1, history=True)[4]
     else:
-        sums = np.zeros((2, horizon))
-        for lo in range(0, lam.size, _UV_CHUNK):
-            _uv_chunk(ctx, lam[lo : lo + _UV_CHUNK], ctx.spectrum.lambda_c0[lo : lo + _UV_CHUNK], sums)
+        *nodes, bins = ctx.spectrum._nodes(True)
+        trusted = _gauss_holds(bins, np.array([ctx.alpha]), np.array([ctx.beta]), horizon - 1)[0]
+        sums = _uv_sums(ctx, *(nodes if trusted else (lam, lc, np.ones_like(lam))), horizon)
     return ctx.gamma * ctx.alpha**2 * sums[0], sums[1]
+
+
+def _uv_sums(ctx: GenFuncContext, lam: np.ndarray, start: np.ndarray, weight: np.ndarray, horizon: int):
+    """The (2, horizon) noise and signal sums over the modes or nodes ``lam``, seeded with
+    ``weight lambda^2 (1, 1, 1)`` and ``(start, 0, 0)``, ``_UV_CHUNK`` of them at a time."""
+    sums = np.zeros((2, horizon))
+    for lo in range(0, lam.size, _UV_CHUNK):
+        part = slice(lo, lo + _UV_CHUNK)
+        _uv_chunk(ctx, lam[part], start[part], weight[part], sums)
+    return sums
 
 
 def _uv_step(ctx: GenFuncContext, lam: np.ndarray):
@@ -411,8 +426,8 @@ def _dd_square(hi: np.ndarray, lo: np.ndarray):
     return _two_sum(s, e + err + err2)
 
 
-def _uv_chunk(ctx: GenFuncContext, lam: np.ndarray, lc: np.ndarray, sums: np.ndarray) -> None:
-    """Add one chunk of modes' terms to the (2, horizon) noise and signal ``sums``.
+def _uv_chunk(ctx: GenFuncContext, lam: np.ndarray, start: np.ndarray, weight: np.ndarray, sums: np.ndarray):
+    """Add one chunk's terms to the (2, horizon) noise and signal ``sums`` (:func:`_uv_sums`).
 
     A^n comes by squaring A_k in double-double arithmetic: slow modes' entries lie near 1 and
     near-edge modes' powers pass through transients far above themselves, so rounded products
@@ -421,7 +436,7 @@ def _uv_chunk(ctx: GenFuncContext, lam: np.ndarray, lc: np.ndarray, sums: np.nda
     """
     hi, lo = _uv_step(ctx, lam)
     rows, x = np.zeros((_UV_BLOCK, 3, lam.size)), np.zeros((_UV_CHAINS, 2, 3, lam.size))
-    rows[0], x[0, 0], x[0, 1, 0] = np.eye(3)[0][:, None], lam * lam, lc  # x: (block, seed, moment, mode)
+    rows[0], x[0, 0], x[0, 1, 0] = np.eye(3)[0][:, None], lam * lam * weight, start  # x: (block, seed, moment, node)
     levels = (min(sums.shape[1], _UV_BLOCK * _UV_CHAINS) - 1).bit_length()  # only powers this horizon uses
     for k in range(levels):  # hi + lo = A^n, n = 2^k
         n, c = 1 << k, (1 << k) // _UV_BLOCK
@@ -450,10 +465,11 @@ def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
     is solved by its inverse, lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n} U_i w_{n-i}``. The
     first loss to cross the divergence threshold ends the run, as a step at a time would.
 
-    An oracle for :func:`run_se` at tau1 = 1: it shares the per-mode table, but the rank-one noise
-    coupling enters only through the convolution. It holds to 1e-10 on 3+ modes with every
-    ``(1 - alpha lam)^2 >= tau gamma (alpha lam)^2``; elsewhere the uncoupled terms can outlast
-    the coupled loss, and their rounding outgrow it.
+    An oracle for :func:`run_se` at tau1 = 1: it shares the per-mode table, and the Gauss nodes
+    where both trust them (:func:`compute_UV_sequences`), but the rank-one noise coupling enters
+    only through the convolution. It holds to 1e-10 on 3+ modes with every ``(1 - alpha lam)^2 >=
+    tau gamma (alpha lam)^2``; elsewhere the uncoupled terms can outlast the coupled loss, and
+    their rounding outgrow it.
     """
     ctx.require_valid()
     if not _is_count(horizon, least=0):

@@ -1,5 +1,6 @@
 """Numerics: the bracketed root solver and the gamma function for the analysis modules, and
-the Gauss rules with which the SE simulator compresses large spectra.
+the Gauss rules with which a large spectrum compresses to the nodes that the SE simulator steps
+and the generating functions sum over.
 
 Every equation the analysis solves is monotone on a bracket. The solver shrinks the bracket
 to adjacent floats by interpolating steps, superlinear on the smooth spectral sums, that never

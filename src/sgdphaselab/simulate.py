@@ -20,10 +20,11 @@ and whose block powers keep their digits, with or without noise, run on
 and an einsum, solving each block's coupling with a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
 Where no moment is tracked, the modes would not get a full blocked round and an
-error estimate trusts them, a run steps Gauss nodes of the spectrum's two
-measures instead of its modes; :func:`_se_plan` picks every cell's engine.
-``genfunc.compute_UV_sequences`` powers the same map, without the coupling, a
-block of steps at a time.
+error estimate trusts them, a run steps the Gauss nodes of the spectrum's two
+measures (``spectrum._se_nodes``, kept on the spectrum) instead of its modes;
+:func:`_se_plan` picks every cell's engine. ``genfunc.compute_UV_sequences``
+powers the same map, without the coupling, a block of steps at a time, over the
+same nodes wherever the same estimate trusts them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisDomainError, ValidationError
-from .numerics import gauss_rules
-from .spectrum import FeatureProblem, Spectrum, gamma_for_batch
+from .spectrum import FeatureProblem, Spectrum, _gauss_holds, _heavy_ball, gamma_for_batch
 
 __all__ = [
     "SGDParams",
@@ -65,8 +65,6 @@ _SE_BUDGET = 2**20  # bytes of a blocked batch's rows and G, about one L2
 _SE_BLOCK = (4, 16)  # fewest and most steps per blocked round
 _SE_BLOCK_DECAY = 1e-3  # least share of its moments a blocked cell's slowest mode keeps over a block
 _SE_BLOCK_EDGE = 0.15  # least relative distance of a blocked cell's top mode from the heavy-ball edge
-_SE_NODES = (256, 4)  # log-lambda bins and Gauss nodes per measure of a compressed spectrum (_se_nodes)
-_SE_NODE_ERROR = 1e-14  # largest estimated error of a bin's Gauss rule, relative to its measure's loss
 
 
 def _is_count(x, least: int = 1) -> bool:
@@ -318,21 +316,12 @@ def _psd(tau1, tau2) -> bool:
     return tau1 >= 0.0 and tau2 <= tau1
 
 
-def _heavy_ball(a, beta):
-    """The spectral radius of the heavy-ball matrices ``[[1 - a, beta], [-a, beta]]``, their trace
-    and the discriminant of their characteristic polynomial."""
-    trace = 1.0 - a + beta
-    disc = trace * trace - 4.0 * beta
-    rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(beta)))
-    return rho, trace, disc
-
-
 def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, modes=None):
     """Which (alpha[i], beta[i]) cells :func:`_se_plan` runs blocked, and the block size k.
 
     A cell runs blocked when :func:`_psd` holds and the budget gives k >= ``_SE_BLOCK[0]`` for its
     table (d = 1 if every beta is 0) on ``modes`` modes, the spectrum's count unless its run steps
-    Gauss nodes (:func:`_se_nodes`). The block's contractions read the stepped powers A^j against
+    Gauss nodes (``spectrum._se_nodes``). The block's contractions read the stepped powers A^j against
     the block-start state, so they lose digits the kernel keeps where the loss falls by orders
     within a block, or where the top mode's powers swing (transients, alternating signs) and the
     loss dips far below its envelope at its oscillation minima, as a near-edge run's does with
@@ -356,83 +345,15 @@ def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, modes=None):
         return slow & off_edge, k
 
 
-def _se_nodes(spectrum: Spectrum, noise: bool):
-    """The spectrum compressed to Gauss nodes, as the (lambda, start, coupling weight) of each, and
-    its bins, as the lowest and highest lambda, the mass of each measure and whether it has rules.
-
-    The loss reads two measures: the signal measure ``sum_k lambda_k C0_k delta(lambda -
-    lambda_k)``, through the start, and the counting measure ``sum_k delta(lambda - lambda_k)``,
-    through the coupling ``r_k S`` every mode takes. log lambda splits into ``_SE_NODES[0]`` equal
-    bins. A bin of at most 2n modes, n = ``_SE_NODES[1]``, stays exact (start ``lambda C0``, weight
-    1); a larger one gets the n-node ``numerics.gauss_rules`` of each measure. A signal node
-    starts at its quadrature weight and takes no coupling; a noise node starts at 0 and takes its
-    weight times ``r(lambda)``. Both step the usual A(lambda) and S sums both. Without ``noise``
-    (r is None) the noise nodes, which would stay 0, are left out, and so is the noise mass, which
-    is the bin's ``sum lambda^2``, as r is lambda^2 times a cell's constant.
-    """
-    bins, n = _SE_NODES
-    lam, lc0 = spectrum.lambdas, spectrum.lambda_c0  # sorted non-increasing
-    log = np.log(lam)
-    ids = np.minimum((log[0] - log) * (bins / (log[0] - log[-1]) if log[0] > log[-1] else 0.0), bins - 1)
-    ids = ids.astype(np.intp)
-    count = np.bincount(ids, minlength=bins)
-    mass = np.stack([np.bincount(ids, weights=w, minlength=bins)[count > 0] for w in (lc0, lam * lam)[: 1 + noise]])
-    count = count[count > 0]  # the bins that hold modes, each a run of them
-    big = count > 2 * n
-    gauss, ends = np.repeat(big, count), np.cumsum(count)
-    signal = gauss_rules(lam, np.where(gauss, lc0, 0.0), count, n)
-    noisy = gauss_rules(lam, gauss * 1.0, count, n) if noise else (np.empty(0), np.empty(0))
-    exact = ~gauss
-    return (np.concatenate([lam[exact], signal[0], noisy[0]]),
-            np.concatenate([lc0[exact], signal[1], 0.0 * noisy[1]]),
-            np.concatenate([np.ones(np.count_nonzero(exact)), 0.0 * signal[1], noisy[1]]),
-            (lam[ends - 1], lam[ends - count], mass, big))
-
-
-def _gauss_holds(bins, alpha, beta, steps):
-    """Which (alpha[i], beta[i]) cells, two equal-length arrays, the Gauss nodes of ``bins``
-    (:func:`_se_nodes`) step to rounding over ``steps``.
-
-    Over t steps a mode responds as ``mu^(2t)``, mu the larger eigenvalue of the heavy-ball matrix
-    ``[[1 - a, beta], [-a, beta]]``. A bin's rule then errs by about Gauss-Legendre's ``c
-    kappa^(2n)``, kappa the spread of ``2t log mu`` (phase included) over the bin, times its mass m
-    and its slowest ``|mu|^(2t)``. The loss is a sum of packets that evolve freely: the start,
-    whose bins hold their signal mass, and each step's noise, whose bins hold ``sum lambda^2`` (r
-    is lambda^2 times a cell's constant). A packet is at least the largest ``m' |mu'|^(2t)`` of its
-    bins, mu' at the bin's fastest lambda, and the PSD noise (:func:`_psd`) only adds to the loss.
-    So a cell holds when at no share ``x = t/steps``, taken on a grid of ratio 2^(1/4) from one
-    step to the end, any bin's ``c (x kappa)^(2n) m |mu|^(2t)`` exceeds ``_SE_NODE_ERROR`` times
-    that largest term of its measure. The estimate's log is concave in x, so it has one peak,
-    which the grid samples.
-    """
-    n = _SE_NODES[1]
-    lo, hi, mass, rules = bins
-    log_c = math.log(math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3))
-    x = 2.0 ** -(np.arange(math.ceil(4 * math.log2(max(steps, 1))) + 1)[:, None] / 4)
-    holds = np.zeros(alpha.size, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_m = np.log(mass)[:, None]  # -inf for a bin without mass; (measures, 1, bins)
-        for i in range(alpha.size):  # a (measures, shares, bins) array a cell, so the scratch stays small
-            rho, trace, disc = _heavy_ball(alpha[i] * np.stack([lo, hi]), beta[i])
-            phase = 2.0 * steps * np.arctan2(np.sqrt(np.maximum(-disc, 0.0)), trace)  # pi for a negative root
-            log = 2.0 * steps * np.log(rho)
-            kappa = np.hypot(log[1] - log[0], phase[1] - phase[0])[rules]
-            packet = (log_m + x * log.min(axis=0)).max(axis=2, keepdims=True)
-            error = log_c + 2 * n * np.log(x * kappa) + log_m[..., rules] + x * log.max(axis=0)[rules] - packet
-            holds[i] = np.all(error <= math.log(_SE_NODE_ERROR))  # NaN (an overflow) does not hold
-    return holds
-
-
 def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
     """The (alpha[i], beta[i]) cells' engines, as groups of cells that run alike: (cells, the Gauss
     nodes or None for the modes, k, cells a batch), k the blocked round or 0 for the kernel.
 
     A cell's table holds d = 1 moment at beta = 0, else 3. Where no moment is tracked (:func:`_psd`)
     and the modes would not get a full blocked round of ``_SE_BLOCK[1]`` steps at that d, a cell
-    steps the nodes (:func:`_se_nodes`, built once a spectrum and noise flag and kept on the
-    spectrum) if :func:`_gauss_holds` trusts them, else the modes; on either,
-    :func:`_blocked_cells` picks k. A batch holds at most
-    ``_GRID_BATCH`` kernel cell-modes or the blocked cells whose rows and G fit ``_SE_BUDGET``, and
+    steps the nodes (``Spectrum._nodes``, built once a spectrum and noise flag) if
+    ``spectrum._gauss_holds`` trusts them, else the modes; on either, :func:`_blocked_cells` picks
+    k. A batch holds at most ``_GRID_BATCH`` kernel cell-modes or the blocked cells whose rows and G fit ``_SE_BUDGET``, and
     at least one cell. Each choice reads only a cell's own alpha and beta and the run's inputs.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
@@ -442,8 +363,7 @@ def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
         use = np.zeros(group.size, dtype=bool)
         if group.size and _psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]:
             if nodes is None:
-                noise = bool(tau1 * gamma != 0.0)
-                *nodes, bins = spectrum._cached(("se_nodes", noise), lambda: _se_nodes(spectrum, noise))
+                *nodes, bins = spectrum._nodes(bool(tau1 * gamma != 0.0))
             use = _gauss_holds(bins, alpha[group], beta[group], steps)
         for part, modes in ((group[~use], None), (group[use], nodes)):
             m = len(spectrum) if modes is None else modes[0].size

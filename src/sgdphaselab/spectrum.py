@@ -8,7 +8,13 @@ optimum. Everything downstream (simulators, generating functions,
 asymptotics) consumes one of these two descriptions.
 
 All types here are immutable; construction normalizes (sorts) and
-validates, and the arrays are flagged read-only.
+validates, and the arrays are flagged read-only (copied first if the
+caller could still write them).
+
+A large spectrum also compresses to the Gauss nodes of its two measures
+(:func:`_se_nodes`), built once per spectrum and kept on it, with an error
+estimate (:func:`_gauss_holds`) of where they stand for the modes; the SE
+simulator steps them and the generating functions sum over them there.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CsvParseError, ValidationError
+from .numerics import gauss_rules
 
 __all__ = [
     "Spectrum",
@@ -39,6 +46,8 @@ __all__ = [
 ]
 
 RANK_EPS = 1e-12  # eigenvalues below RANK_EPS * lambda_max count as null modes
+_SE_NODES = (256, 4)  # log-lambda bins and Gauss nodes per measure of a compressed spectrum (_se_nodes)
+_SE_NODE_ERROR = 1e-14  # largest estimated error of a bin's Gauss rule, relative to its measure's loss
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -78,6 +87,7 @@ class Spectrum:
         return cls(_readonly(lam), _readonly(lc / lam), _readonly(lc), float(dataset_size), dict(meta or {}))
 
     def __post_init__(self):
+        self._freeze()
         lam, c = self.lambdas, self.c0
         if lam.ndim != 1 or lam.size < 1:
             raise ValidationError("spectrum needs at least one eigenvalue")
@@ -132,18 +142,28 @@ class Spectrum:
         """S_k = sum_{l >= k} lambda_l C_ll,0 for k = 1..M (index 0-based)."""
         return np.cumsum(self.lambda_c0[::-1])[::-1]
 
-    def _cached(self, key, build):
-        """``build()``, made once per key and kept on this instance while its arrays are read-only,
-        as the from_* constructors leave them. A pickle leaves the cache out."""
-        if self.lambdas.flags.writeable or self.lambda_c0.flags.writeable:
-            return build()
+    def _freeze(self) -> None:
+        """Keep read-only copies of writable arrays, which their owner could change under anything
+        computed from this spectrum (its kept nodes too)."""
+        for name in ("lambdas", "c0", "lambda_c0"):
+            x = getattr(self, name)
+            if not isinstance(x, np.ndarray) or x.flags.writeable:
+                object.__setattr__(self, name, _readonly(np.array(x, dtype=float)))
+
+    def _nodes(self, noise: bool):
+        """:func:`_se_nodes` of this spectrum, built once per noise flag and kept on this instance,
+        so the simulator and the generating functions share one build. A pickle leaves them out."""
         cache = self.__dict__.setdefault("_cache", {})
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        if ("se_nodes", noise) not in cache:
+            cache["se_nodes", noise] = _se_nodes(self, noise)
+        return cache["se_nodes", noise]
 
     def __getstate__(self):
         return {key: x for key, x in self.__dict__.items() if key != "_cache"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._freeze()  # numpy's pickles drop the read-only flag
 
 
 def _sorted_desc(lam: np.ndarray, *cols: np.ndarray):
@@ -152,6 +172,83 @@ def _sorted_desc(lam: np.ndarray, *cols: np.ndarray):
         order = np.argsort(-lam, kind="stable")
         return lam[order], tuple(col[order] for col in cols)
     return lam, cols
+
+
+def _heavy_ball(a, beta):
+    """The spectral radius of the heavy-ball matrices ``[[1 - a, beta], [-a, beta]]``, their trace
+    and the discriminant of their characteristic polynomial."""
+    trace = 1.0 - a + beta
+    disc = trace * trace - 4.0 * beta
+    rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(beta)))
+    return rho, trace, disc
+
+
+def _se_nodes(spectrum: Spectrum, noise: bool):
+    """The spectrum compressed to Gauss nodes, as the (lambda, start, coupling weight) of each, and
+    its bins, as the lowest and highest lambda, the mass of each measure and whether it has rules.
+
+    The loss reads two measures: the signal measure ``sum_k lambda_k C0_k delta(lambda -
+    lambda_k)``, through the start, and the counting measure ``sum_k delta(lambda - lambda_k)``,
+    through the coupling ``r_k S`` every mode takes. log lambda splits into ``_SE_NODES[0]`` equal
+    bins. A bin of at most 2n modes, n = ``_SE_NODES[1]``, stays exact (start ``lambda C0``, weight
+    1); a larger one gets the n-node ``numerics.gauss_rules`` of each measure. A signal node
+    starts at its quadrature weight and takes no coupling; a noise node starts at 0 and takes its
+    weight times ``r(lambda)``. Both step the usual A(lambda) and S sums both; the generating
+    functions' noise seed takes the same weight (``genfunc.compute_UV_sequences``). Without ``noise``
+    (r is None) the noise nodes, which would stay 0, are left out, and so is the noise mass, which
+    is the bin's ``sum lambda^2``, as r is lambda^2 times a cell's constant.
+    """
+    bins, n = _SE_NODES
+    lam, lc0 = spectrum.lambdas, spectrum.lambda_c0  # sorted non-increasing
+    log = np.log(lam)
+    ids = np.minimum((log[0] - log) * (bins / (log[0] - log[-1]) if log[0] > log[-1] else 0.0), bins - 1)
+    ids = ids.astype(np.intp)
+    count = np.bincount(ids, minlength=bins)
+    mass = np.stack([np.bincount(ids, weights=w, minlength=bins)[count > 0] for w in (lc0, lam * lam)[: 1 + noise]])
+    count = count[count > 0]  # the bins that hold modes, each a run of them
+    big = count > 2 * n
+    gauss, ends = np.repeat(big, count), np.cumsum(count)
+    signal = gauss_rules(lam, np.where(gauss, lc0, 0.0), count, n)
+    noisy = gauss_rules(lam, gauss * 1.0, count, n) if noise else (np.empty(0), np.empty(0))
+    exact = ~gauss
+    return (np.concatenate([lam[exact], signal[0], noisy[0]]),
+            np.concatenate([lc0[exact], signal[1], 0.0 * noisy[1]]),
+            np.concatenate([np.ones(np.count_nonzero(exact)), 0.0 * signal[1], noisy[1]]),
+            (lam[ends - 1], lam[ends - count], mass, big))
+
+
+def _gauss_holds(bins, alpha, beta, steps):
+    """Which (alpha[i], beta[i]) cells, two equal-length arrays, the Gauss nodes of ``bins``
+    (:func:`_se_nodes`) step to rounding over ``steps``.
+
+    Over t steps a mode responds as ``mu^(2t)``, mu the larger eigenvalue of the heavy-ball matrix
+    ``[[1 - a, beta], [-a, beta]]``. A bin's rule then errs by about Gauss-Legendre's ``c
+    kappa^(2n)``, kappa the spread of ``2t log mu`` (phase included) over the bin, times its mass m
+    and its slowest ``|mu|^(2t)``. The loss is a sum of packets that evolve freely: the start,
+    whose bins hold their signal mass, and each step's noise, whose bins hold ``sum lambda^2`` (r
+    is lambda^2 times a cell's constant). A packet is at least the largest ``m' |mu'|^(2t)`` of its
+    bins, mu' at the bin's fastest lambda, and PSD noise (``simulate._psd``) only adds to the loss.
+    So a cell holds when at no share ``x = t/steps``, taken on a grid of ratio 2^(1/4) from one
+    step to the end, any bin's ``c (x kappa)^(2n) m |mu|^(2t)`` exceeds ``_SE_NODE_ERROR`` times
+    that largest term of its measure. The estimate's log is concave in x, so it has one peak,
+    which the grid samples.
+    """
+    n = _SE_NODES[1]
+    lo, hi, mass, rules = bins
+    log_c = math.log(math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3))
+    x = 2.0 ** -(np.arange(math.ceil(4 * math.log2(max(steps, 1))) + 1)[:, None] / 4)
+    holds = np.zeros(alpha.size, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_m = np.log(mass)[:, None]  # -inf for a bin without mass; (measures, 1, bins)
+        for i in range(alpha.size):  # a (measures, shares, bins) array a cell, so the scratch stays small
+            rho, trace, disc = _heavy_ball(alpha[i] * np.stack([lo, hi]), beta[i])
+            phase = 2.0 * steps * np.arctan2(np.sqrt(np.maximum(-disc, 0.0)), trace)  # pi for a negative root
+            log = 2.0 * steps * np.log(rho)
+            kappa = np.hypot(log[1] - log[0], phase[1] - phase[0])[rules]
+            packet = (log_m + x * log.min(axis=0)).max(axis=2, keepdims=True)
+            error = log_c + 2 * n * np.log(x * kappa) + log_m[..., rules] + x * log.max(axis=0)[rules] - packet
+            holds[i] = np.all(error <= math.log(_SE_NODE_ERROR))  # NaN (an overflow) does not hold
+    return holds
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from sgdphaselab import (
     solve_lambda_crit,
     stability_report,
 )
-from sgdphaselab import asymptotics, cli, genfunc, simulate
+from sgdphaselab import asymptotics, cli, genfunc, simulate, spectrum
 from sgdphaselab.genfunc import _LOSS_BLOCK, _UV_BLOCK, _UV_CHUNK, _u_of_z, _uv_step
 from sgdphaselab.simulate import _se_kernel, _se_run, _se_table
 from conftest import max_rel_err, random_spectrum
@@ -540,6 +540,106 @@ class TestBlockedUV:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[0] <= 600 * 1024  # the 512 KB chunk budget and the (2, horizon) sums
+
+
+def loss_on(ctx, horizon, lam, start, weight):
+    """reconstruct_loss from U and V summed over the given modes or nodes, whatever
+    compute_UV_sequences would pick."""
+    def uv(ctx, size):
+        sums = genfunc._uv_sums(ctx, lam, start, weight, size)
+        return ctx.gamma * ctx.alpha**2 * sums[0], sums[1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(genfunc, "compute_UV_sequences", uv)
+        return reconstruct_loss(ctx, horizon)
+
+
+def loss_on_modes(ctx, horizon):
+    spec = ctx.spectrum
+    return loss_on(ctx, horizon, spec.lambdas, spec.lambda_c0, np.ones(len(spec)))
+
+
+def sums_nodes(ctx, horizon):
+    """Whether reconstruct_loss(ctx, horizon) sums over fewer Gauss nodes than modes."""
+    *nodes, bins = ctx.spectrum._nodes(True)
+    trusted = spectrum._gauss_holds(bins, np.array([ctx.alpha]), np.array([ctx.beta]), horizon)[0]
+    return bool(trusted and nodes[0].size < len(ctx.spectrum))
+
+
+class TestNodeSums:
+    """compute_UV_sequences sums over the Gauss nodes that run_se steps, wherever they hold."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), power_law=st.booleans(), extra=st.integers(0, 1900),
+        nu=st.floats(0.5, 2.5), kappa=st.floats(0.2, 4.0), floor=st.sampled_from([0.05, 1e-3, 1e-6]),
+        beta=st.one_of(st.just(0.0), st.floats(-0.95, 0.95)), frac=st.floats(0.05, 0.98),
+        gamma=st.one_of(st.floats(0.0, 1.0), st.floats(-6.0, 0.0).map(lambda x: 10.0**x)),
+        tau=st.floats(0.05, 1.0), steps=st.integers(20, 1500), start=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_spectra(self, seed, power_law, extra, nu, kappa, floor, beta, frac, gamma, tau, steps, start):
+        # test_simulate's drawn node spectra, inside the oracle's domain and above its noise floor,
+        # through divergences too: the loss on the nodes against the loss on the modes
+        modes = 500 + extra
+        spec = (build_power_law(PowerLawSpec(1.0, nu, 1.0, kappa, modes)) if power_law
+                else random_spectrum(np.random.default_rng(seed), modes, floor))
+        spec = Spectrum.from_c0(spec.lambdas, np.where(np.arange(modes) < start * modes, spec.c0, 0.0))
+        ctx = GenFuncContext(spec, frac * 2.0 * (1.0 + beta) / spec.lambda_max, beta, gamma, tau)
+        al = ctx.alpha * spec.lambdas
+        assume(np.all((1.0 - al) ** 2 >= tau * gamma * al * al))
+        assume(gamma * (ctx.alpha * spec.lambda_max) ** 2 * (steps + 1) > 1e-16 and sums_nodes(ctx, steps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = reconstruct_loss(ctx, steps), loss_on_modes(ctx, steps)
+        assert got.diverged_at == want.diverged_at
+        assert max_rel_err(got.losses, want.losses) <= 1e-12
+
+    @pytest.mark.parametrize("horizon", [5000, 20000])
+    def test_oracle_points(self, horizon):
+        # the benchmark oracle's spectrum, 2000 modes in 809 nodes, at its seed-0 points
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+        gen = np.random.default_rng(0)
+        for frac, beta, gamma, tau in [gen.uniform((0.1, -0.4, 0.0, 0.3), (0.7, 0.8, 0.5, 1.0)) for _ in range(4)]:
+            ctx = GenFuncContext(spec, frac * 2.0 * (1.0 + beta) / spec.lambda_max, beta, gamma, tau)
+            if eval_U1(ctx) >= 0.98:  # as the oracle does
+                ctx = GenFuncContext(spec, ctx.alpha, beta, 0.1 * gamma, tau)
+            assert sums_nodes(ctx, horizon)
+            got, want = reconstruct_loss(ctx, horizon), loss_on_modes(ctx, horizon)
+            assert got.diverged_at is None is want.diverged_at
+            assert max_rel_err(got.losses, want.losses) <= 1e-12
+        assert spec._nodes(True)[0].size == 809
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_untrusted_nodes_leave_the_sums_on_the_modes(self, beta):
+        # test_simulate's zero start on the slow modes: the loss ends in the slowest bins that
+        # have a start, whose rules the estimate does not trust over 10^4 steps; summed over the
+        # nodes it would miss the modes by 4.5e-12 to 6.3e-12
+        lam = np.geomspace(1.0, 1e-4, 5000)
+        spec = Spectrum.from_c0(lam, np.where(lam > 0.01, 1.0 / lam, 0.0))
+        ctx = GenFuncContext(spec, 0.5, beta, 1e-6, 1.0)
+        assert not sums_nodes(ctx, 10_000)
+        got, want = reconstruct_loss(ctx, 10_000), loss_on_modes(ctx, 10_000)
+        assert np.array_equal(got.losses, want.losses)
+        assert max_rel_err(loss_on(ctx, 10_000, *spec._nodes(True)[:3]).losses, want.losses) > 1e-12
+        sim = run_se(spec, SGDParams(alpha=0.5, beta=beta, gamma=1e-6, steps=10_000))
+        assert max_rel_err(got.losses, sim.losses) <= 1e-10
+
+    @pytest.mark.parametrize("argv, nodes", [
+        (["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "50000", "--alpha", "0.08",
+          "--gamma", "1"], 1244),
+        (["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "16000", "--alpha", "0.3",
+          "--gamma", "1", "--beta", "0.5"], 1126),
+    ])
+    def test_long_horizon_presets_match_run_se(self, argv, nodes):
+        # the README presets at 10^4 steps, which the oracle could not afford on their modes
+        cfg = cli.parse_config(argv)
+        spec, _ = cli._build_problem(cfg)
+        params = cli._se_params(cfg, spec)
+        ctx = cli._analysis_context(cfg, spec, params.alpha, params.beta, params.gamma)
+        assert params.steps == 10_000 and sums_nodes(ctx, params.steps)
+        got, want = reconstruct_loss(ctx, params.steps), run_se(spec, params)
+        assert got.diverged_at == want.diverged_at
+        assert max_rel_err(got.losses, want.losses) <= 1e-10
+        assert spec._nodes(True)[0].size == nodes
 
 
 def stepped_loss(ctx, horizon):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -38,6 +39,7 @@ from sgdphaselab import (
     se_noise_diagonal,
     cli,
     simulate,
+    spectrum,
 )
 from sgdphaselab.numerics import gauss_rules
 from sgdphaselab.simulate import _MC_BLOCK, _se_kernel, _se_run, _se_table
@@ -491,13 +493,14 @@ for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
         # the spectrum for every later run_se and grid; each grid cell runs on the engine (nodes or
         # modes, k) that the plan of its run_se picks
         run_fresh("""
+from sgdphaselab import GenFuncContext, reconstruct_loss, spectrum
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.95]
-parent, calls, build = os.getpid(), [], simulate._se_nodes
+parent, calls, build = os.getpid(), [], spectrum._se_nodes
 def counted(*args):
     assert os.getpid() == parent, "nodes built in a worker"
     calls.append(args)
     return build(*args)
-simulate._se_nodes = counted
+spectrum._se_nodes = counted
 engines, pool = {}, simulate._map_batches
 def batched(fn, jobs, workers):
     for job in jobs:
@@ -536,6 +539,15 @@ assert len(calls) == 1, calls  # the 36 run_se calls read the grid's nodes
 for gamma in (0.0, 0.0, 0.5):  # without noise the nodes leave the noise measure out: a second build
     run_se(spec, SGDParams(alpha=1.0, beta=0.3, gamma=gamma, steps=50))
 assert calls == [(spec, True), (spec, False)], calls
+# the oracle sums over the nodes run_se steps: on a new spectrum, reconstruct_loss and run_se
+# build them once a noise flag between them (gamma = 0 runs the oracle on the modes)
+fresh = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 5000))
+calls.clear()
+for gamma in (0.5, 0.0):
+    for _ in range(2):
+        reconstruct_loss(GenFuncContext(fresh, 0.5, 0.3, gamma, 1.0), 400)
+        run_se(fresh, SGDParams(alpha=0.5, beta=0.3, gamma=gamma, steps=400))
+assert calls == [(fresh, True), (fresh, False)], calls
 """)
 
     def test_pooled_stability_map_warns_nothing(self, tmp_path):
@@ -1241,7 +1253,7 @@ class TestCompressedSpectrum:
         d = 3 if params.beta else 1
         assert simulate._se_block_steps(d, len(spec)) < 4
         assert simulate._blocked_cells(spec, params.alpha, params.beta, 1.0, 1.0, nodes) == (True, 16)
-        assert simulate._se_nodes(spec, True)[0].size == nodes
+        assert spectrum._se_nodes(spec, True)[0].size == nodes
 
     def test_oracle_points(self):
         # the benchmark oracle's spectrum, 2000 modes in 809 nodes, at its seed-0 points
@@ -1255,7 +1267,7 @@ class TestCompressedSpectrum:
             (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params)
             assert crossed is None and want_crossed is None
             assert max_rel_err(got, want) <= 1e-12
-        assert simulate._se_nodes(spec, True)[0].size == 809
+        assert spectrum._se_nodes(spec, True)[0].size == 809
 
     def test_nodes_are_kept_on_the_spectrum_but_not_in_its_pickles(self, monkeypatch):
         # the grid pickles the spectrum into every job: the kept nodes must not ride along
@@ -1265,16 +1277,22 @@ class TestCompressedSpectrum:
         first = run_se(spec, params).losses
         kept = spec.__dict__["_cache"][("se_nodes", True)]
         assert kept[0].size == 809 and len(pickle.dumps(spec)) == size
-        copy = pickle.loads(pickle.dumps(spec))
-        assert "_cache" not in copy.__dict__
-        assert np.array_equal(run_se(copy, params).losses, first)
-        # a spectrum built with writable arrays could change under its nodes, so it keeps none
-        loose = Spectrum(spec.lambdas.copy(), spec.c0.copy(), spec.lambda_c0.copy())
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert "_cache" not in loaded.__dict__
+        assert np.array_equal(run_se(loaded, params).losses, first)
+        # a spectrum built on the caller's writable arrays keeps read-only copies of them, and a
+        # pickled or deep-copied one read-only arrays too, so each builds its nodes once
+        arrays = spec.lambdas.copy(), spec.c0.copy(), spec.lambda_c0.copy()
         builds = []
-        monkeypatch.setattr(simulate, "_se_nodes", lambda *args: builds.append(args) or kept)
-        for _ in range(2):
-            assert np.array_equal(run_se(loose, params).losses, first)
-        assert len(builds) == 2
+        monkeypatch.setattr(spectrum, "_se_nodes", lambda *args: builds.append(args) or kept)
+        built = Spectrum(*arrays)
+        for other in (built, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert not any(x.flags.writeable for x in (other.lambdas, other.c0, other.lambda_c0))
+            for _ in range(2):
+                assert np.array_equal(run_se(other, params).losses, first)
+        assert len(builds) == 3
+        assert all(x.flags.writeable for x in arrays)
+        assert not any(np.shares_memory(x, y) for x, y in zip(arrays, (built.lambdas, built.c0, built.lambda_c0)))
 
     def test_through_a_divergence(self):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 4000))
@@ -1337,7 +1355,7 @@ class TestDegenerateNodes:
         values = np.geomspace(1.0, 1e-3, 100)
         lam = np.concatenate([np.repeat(values, 20), np.repeat([0.05, 0.05 * (1 + 1e-3)], 10)])
         spec = Spectrum.from_c0(lam, np.ones(lam.size))
-        nodes, c0, weight, edges = simulate._se_nodes(spec, True)
+        nodes, c0, weight, edges = spectrum._se_nodes(spec, True)
         assert nodes.size == 2 * 102 and np.all(weight[c0 > 0] == 0.0)
         assert np.allclose(np.sort(nodes[c0 > 0]), np.sort(np.unique(lam)), rtol=1e-14, atol=0.0)
         assert np.allclose(np.sort(weight[c0 == 0]), np.sort(np.unique(lam, return_counts=True)[1]), rtol=1e-14)
@@ -1348,7 +1366,7 @@ class TestDegenerateNodes:
         c0 = spec.c0.copy()
         c0[1500:2200] = 0.0
         spec = Spectrum.from_c0(spec.lambdas, c0)
-        nodes, start, weight, edges = simulate._se_nodes(spec, True)
+        nodes, start, weight, edges = spectrum._se_nodes(spec, True)
         signal = nodes[(weight == 0.0)]
         inside = (signal >= spec.lambdas[2199]) & (signal <= spec.lambdas[1500])
         assert signal.size and not inside.any() and np.all(start[weight == 0.0] > 0.0)
@@ -1359,7 +1377,7 @@ class TestDegenerateNodes:
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 3000))
         params = SGDParams(alpha=0.5, beta=0.5, gamma=gamma, tau1=tau1, tau2=0.0, steps=600)
         ((_, (lam, c0, weight), _, _),) = simulate._se_plan(spec, 0.5, 0.5, gamma, tau1, 0.0, 600)
-        noisy = simulate._se_nodes(spec, True)[0].size
+        noisy = spectrum._se_nodes(spec, True)[0].size
         assert np.all(np.isin(weight, (0.0, 1.0))) and np.all(c0[weight == 0.0] > 0.0)
         assert lam.size < noisy  # with the noise nodes left out
         self.run_both(spec, params)
@@ -1378,7 +1396,7 @@ class TestDegenerateNodes:
             table, r = _se_table(spec.lambdas, 0.5, beta, gamma, 1.0, 1.0)
             c = spec.lambda_c0[None].copy()
             run = _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), params.steps, history=True)
-        assert simulate._se_nodes(spec, gamma != 0.0)[0].size < len(spec)
+        assert spectrum._se_nodes(spec, gamma != 0.0)[0].size < len(spec)
         assert max_rel_err(got, 0.5 * run[4][0]) <= 1e-12
 
     def test_rules_match_the_moments(self):
