@@ -8,23 +8,19 @@ Regimes, from cheapest to most faithful:
   covariance (:func:`run_full_moments`) -- O(d^3) per step;
 * Monte-Carlo over sampled batch sequences (:func:`run_mc`).
 
-The SE recursion evolves the per-mode moments (C, J, V) of the heavy-ball
-iterate and its momentum in output-space normalization (states are
-``lambda_k C_kk`` etc.), which keeps small-eigenvalue modes well-scaled and
-matches the spectrum's stored ``lambda_c0`` directly. A step is a per-mode
-3x3 map plus a rank-one coupling through one scalar per cell, S = sum_k C_k.
-An engine advances it a round of steps at a time and one loop, :func:`_se_run`,
-records every run. Cells whose moments provably stay non-negative (:func:`_psd`)
-and whose block powers keep their digits, with or without noise, run on
-:func:`_se_blocked`, which takes k steps per round of two batched BLAS products
-and an einsum, solving each block's coupling with a Toeplitz inverse; the others, and
+The SE recursion evolves the per-mode moments (C, J, V) of the heavy-ball iterate and its
+momentum in output-space normalization (states are ``lambda_k C_kk`` etc.), which keeps
+small-eigenvalue modes well-scaled and matches the spectrum's stored ``lambda_c0`` directly. A
+step is a per-point 3x3 map plus a rank-one coupling through one scalar per cell, S = sum_k C_k.
+The points are (lambda, start, coupling weight) arrays: the modes (``spectrum._se_modes``) or,
+where no moment is tracked, the modes would not get a full blocked round and an error estimate
+trusts them, the Gauss nodes of the spectrum's two measures (``spectrum._se_nodes``, kept on the
+spectrum). :func:`_se_plan` picks every cell's points and engine, and one loop, :func:`_se_run`,
+records every run. Cells whose moments provably stay non-negative (:func:`_psd`) and whose block
+powers keep their digits run on :func:`_se_blocked`, k steps per round of two batched BLAS
+products and an einsum, each block's coupling solved by a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
-Where no moment is tracked, the modes would not get a full blocked round and an
-error estimate trusts them, a run steps the Gauss nodes of the spectrum's two
-measures (``spectrum._se_nodes``, kept on the spectrum) instead of its modes;
-:func:`_se_plan` picks every cell's engine. ``genfunc.compute_UV_sequences``
-powers the same map, without the coupling, a block of steps at a time, over the
-same nodes wherever the same estimate trusts them.
+``genfunc.compute_UV_sequences`` powers the same map, without the coupling, over such points.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisDomainError, ValidationError
-from .spectrum import FeatureProblem, Spectrum, _gauss_holds, _heavy_ball, gamma_for_batch
+from .spectrum import FeatureProblem, Spectrum, _gauss_holds, _heavy_ball, _se_modes, gamma_for_batch
 
 __all__ = [
     "SGDParams",
@@ -346,44 +342,43 @@ def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, modes=None):
 
 
 def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
-    """The (alpha[i], beta[i]) cells' engines, as groups of cells that run alike: (cells, the Gauss
-    nodes or None for the modes, k, cells a batch), k the blocked round or 0 for the kernel.
+    """The (alpha[i], beta[i]) cells' engines, as groups of cells that run alike: (cells, the
+    (lambda, start, weight) points they step, k, cells a batch), k the blocked round or 0 for the kernel.
 
     A cell's table holds d = 1 moment at beta = 0, else 3. Where no moment is tracked (:func:`_psd`)
     and the modes would not get a full blocked round of ``_SE_BLOCK[1]`` steps at that d, a cell
-    steps the nodes (``Spectrum._nodes``, built once a spectrum and noise flag) if
-    ``spectrum._gauss_holds`` trusts them, else the modes; on either, :func:`_blocked_cells` picks
-    k. A batch holds at most ``_GRID_BATCH`` kernel cell-modes or the blocked cells whose rows and G fit ``_SE_BUDGET``, and
-    at least one cell. Each choice reads only a cell's own alpha and beta and the run's inputs.
+    steps the Gauss nodes (``Spectrum._nodes``, built once a spectrum and noise flag) if
+    ``spectrum._gauss_holds`` trusts them, else the modes (``spectrum._se_modes``); on either,
+    :func:`_blocked_cells` picks k. A batch holds at most ``_GRID_BATCH`` kernel cell-points or the
+    blocked cells whose rows and G fit ``_SE_BUDGET``, and at least one cell. Each choice reads only
+    a cell's own alpha and beta and the run's inputs.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
-    nodes, plan = None, []
+    modes, nodes, plan = _se_modes(spectrum), None, []
     for d, group in ((1, np.flatnonzero(beta == 0.0)), (3, np.flatnonzero(beta != 0.0))):
         use = np.zeros(group.size, dtype=bool)
         if group.size and _psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]:
-            if nodes is None:
-                *nodes, bins = spectrum._nodes(bool(tau1 * gamma != 0.0))
+            *nodes, bins = spectrum._nodes(bool(tau1 * gamma != 0.0))
             use = _gauss_holds(bins, alpha[group], beta[group], steps)
-        for part, modes in ((group[~use], None), (group[use], nodes)):
-            m = len(spectrum) if modes is None else modes[0].size
-            blocked, k = _blocked_cells(spectrum, alpha[part], beta[part], tau1, tau2, m)
-            plan += [(cells, modes, k, max(1, size)) for cells, k, size in (
-                (part[~blocked], 0, _GRID_BATCH // m), (part[blocked], k, _SE_BUDGET // (16 * d * m * max(k, 1))))
-                if cells.size]
+        for part, points in ((group[~use], modes), (group[use], nodes)):
+            if part.size:
+                blocked, k = _blocked_cells(spectrum, alpha[part], beta[part], tau1, tau2, points[0].size)
+                plan += [(cells, points, k, max(1, size // points[0].size)) for cells, k, size in (
+                    (part[~blocked], 0, _GRID_BATCH), (part[blocked], k, _SE_BUDGET // (16 * d * max(k, 1))))
+                    if cells.size]
     return plan
 
 
-def _se_cells(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps, nodes, k, history=False):
-    """:func:`_se_run` of the (alpha[i], beta[i]) cells to the spectrum's divergence threshold, on
-    the Gauss ``nodes`` (None: the modes) and :func:`_se_blocked` in rounds of ``k`` steps (0: the
-    kernel, tracking moments unless :func:`_psd`), as a group of :func:`_se_plan` gives them.
+def _se_cells(points, threshold, alpha, beta, gamma, tau1, tau2, steps, k, history=False):
+    """:func:`_se_run` of the (alpha[i], beta[i]) cells to ``threshold`` on the (lambda, start, weight)
+    ``points``, r times the weight (1 on a mode: exact), and :func:`_se_blocked` in rounds of ``k`` steps
+    (0: the kernel, tracking moments unless :func:`_psd`), as a group of :func:`_se_plan` gives them.
     Overflow goes unreported: a non-finite loss crosses, and what follows a crossing is dropped."""
-    lam, c0, weight = (spectrum.lambdas, spectrum.lambda_c0, None) if nodes is None else nodes
-    threshold = _divergence_threshold(0.5 * float(spectrum.lambda_c0.sum()))
+    lam, c0, weight = points
     with np.errstate(over="ignore", invalid="ignore"):
         table, r = _se_table(lam, alpha, beta, gamma, tau1, tau2)
-        if r is not None and weight is not None:
+        if r is not None:
             r *= weight
         c = np.tile(c0, (table[0].shape[0], 1))
         engine = (_se_blocked(table, r, c, k) if k
@@ -407,9 +402,9 @@ def run_se(spectrum: Spectrum, params: SGDParams) -> LossTrajectory:
     signal node alone is no mode and its C may go negative.
     """
     gamma = params.resolve_gamma(spectrum.dataset_size)
-    cell = (spectrum, params.alpha, params.beta, gamma, params.tau1, params.tau2, params.steps)
-    ((_, nodes, k, _),) = _se_plan(*cell)
-    _, _, moment, diverged, sums = _se_cells(*cell, nodes, k, history=True)
+    cell = (params.alpha, params.beta, gamma, params.tau1, params.tau2, params.steps)
+    ((_, points, k, _),) = _se_plan(spectrum, *cell)
+    *_, moment, diverged, sums = _se_cells(points, _divergence_threshold(spectrum.initial_loss), *cell, k, history=True)
     diverged_at = int(diverged[0]) if diverged[0] >= 0 else None
     losses = 0.5 * sums[0, : None if diverged_at is None else diverged_at + 1]
 
@@ -437,9 +432,10 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     if it needs more batches than there are workers. Cells are dealt to the batches round-robin
     in grid order, which spreads the early-diverging large-alpha cells; a diverged cell leaves
     its batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker processes where
-    :func:`_map_batches` can fork, else here one after another; the nodes are built here, before
-    any fork. A cell's arithmetic does not depend on its batch, so each cell is bitwise its
-    :func:`run_se` run whatever the split or the worker count. Every value is checked as
+    :func:`_map_batches` can fork, else here one after another. A job carries its cells' points (the
+    nodes built here, before any fork) and threshold, not the spectrum. A cell's arithmetic does not
+    depend on its batch, so each cell is bitwise its :func:`run_se` run whatever the split or the
+    worker count. Every value is checked as
     :class:`SGDParams` checks it. Returns final/min losses, divergence steps (-1 = never) and the
     moment flags ``min_output_moment`` / ``negative_moments`` as (len(alphas), len(betas)) arrays.
     """
@@ -450,14 +446,14 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
         SGDParams(alpha, beta, gamma, None, tau1, tau2, steps).resolve_gamma(spectrum.dataset_size)
     a = np.repeat(np.asarray(alphas, dtype=float), len(betas))
     b = np.tile(np.asarray(betas, dtype=float), len(alphas))
-    batches = []
-    for cells, nodes, k, size in _se_plan(spectrum, a, b, gamma, tau1, tau2, steps):
+    batches, threshold = [], _divergence_threshold(spectrum.initial_loss)
+    for cells, points, k, size in _se_plan(spectrum, a, b, gamma, tau1, tau2, steps):
         n = -(-cells.size // size)
         if n > workers:  # a multiple of the workers, so each does an equal share
             n = min(cells.size, -(-n // workers) * workers)
-        batches += [(cells[i::n], nodes, k) for i in range(n)]
-    runs = _map_batches(_se_cells, [(spectrum, a[m], b[m], gamma, tau1, tau2, steps, nodes, k)
-                                    for m, nodes, k in batches], workers)
+        batches += [(cells[i::n], points, k) for i in range(n)]
+    runs = _map_batches(_se_cells, [(points, threshold, a[m], b[m], gamma, tau1, tau2, steps, k)
+                                    for m, points, k in batches], workers)
     final, low, moment, diverged = (np.empty(a.size, dtype=x.dtype) for x in runs[0][:4])
     for (m, _, _), run in zip(batches, runs):  # each batch back to its cells' places in the grid
         final[m], low[m], moment[m], diverged[m] = run[:4]

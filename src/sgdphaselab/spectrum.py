@@ -152,14 +152,11 @@ class Spectrum:
 
     def _nodes(self, noise: bool):
         """:func:`_se_nodes` of this spectrum, built once per noise flag and kept on this instance,
-        so the simulator and the generating functions share one build. A pickle leaves them out."""
+        so the simulator and the generating functions share one build."""
         cache = self.__dict__.setdefault("_cache", {})
         if ("se_nodes", noise) not in cache:
             cache["se_nodes", noise] = _se_nodes(self, noise)
         return cache["se_nodes", noise]
-
-    def __getstate__(self):
-        return {key: x for key, x in self.__dict__.items() if key != "_cache"}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -181,6 +178,11 @@ def _heavy_ball(a, beta):
     disc = trace * trace - 4.0 * beta
     rho = np.where(disc >= 0.0, 0.5 * (np.abs(trace) + np.sqrt(np.abs(disc))), np.sqrt(np.abs(beta)))
     return rho, trace, disc
+
+
+def _se_modes(spectrum: Spectrum):
+    """The modes as :func:`_se_nodes` gives its points: (lambda, start ``lambda C0``, coupling weight 1)."""
+    return spectrum.lambdas, spectrum.lambda_c0, np.ones(len(spectrum))
 
 
 def _se_nodes(spectrum: Spectrum, noise: bool):

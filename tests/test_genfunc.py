@@ -282,6 +282,19 @@ class TestSolveDivergence:
         with pytest.raises(AnalysisDomainError):
             solve_divergence(GenFuncContext(spec, 0.01, 0.0, 0.1, 1.0))
 
+    @pytest.mark.parametrize("nu, kappa, alpha", [(0.9, 0.45, 0.08), (0.75, 0.375, 0.02)])
+    def test_root_on_500000_modes(self, nu, kappa, alpha):
+        # the residual at the root may pass 1e-12 where one ulp of r moves z U~ by more: the
+        # residuals at r's neighbouring floats straddle 0, so r is as exact as a float can be
+        cfg = cli.parse_config(["divergence", "--nu", str(nu), "--kappa", str(kappa), "--modes", "500000",
+                                "--alpha", str(alpha), "--gamma", "1"])
+        spec, _ = cli._build_problem(cfg)
+        ctx = cli._analysis_context(cfg, spec, cfg.alpha, cfg.beta, cli._se_params(cfg, spec).gamma)
+        r = solve_divergence(ctx).r_l
+        below, above = (z * genfunc._eval_uv_unchecked(ctx, z).u - 1.0
+                        for z in (np.nextafter(r, 0.0), np.nextafter(r, 1.0)))
+        assert below < 0.0 < above
+
     def test_simulated_rate_matches(self):
         # simulator oracle: the late-time log-slope equals -ln r_L within 5%
         from sgdphaselab import PowerLawSpec, build_power_law
@@ -395,6 +408,21 @@ class TestUVSequences:
             tail = max(np.abs(u).max(), np.abs(v).max()) * z**horizon / (1 - z)
             assert abs(np.sum(u * z**t) - uv.u) <= tail + 1e-12
             assert abs(np.sum(v * z**t) - uv.v) <= tail + 1e-12
+
+    def test_overflow_past_the_domain_goes_unreported(self):
+        # a diverging point, U~(1) = 4.01: the sums overflow to inf and NaN before T = 1378, and
+        # reconstruct_loss stops at its crossing long before, where run_se crosses
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 836))
+        ctx = GenFuncContext(spec, 0.8 * 2.0 * 1.52 / spec.lambda_max, 0.52, 0.76, 0.71)
+        assert eval_U1(ctx) > 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v = compute_UV_sequences(ctx, 1378)
+            got = reconstruct_loss(ctx, 1377)
+        assert np.isinf(u).any() and np.isnan(u).any() and not np.isfinite(v[-1])
+        want = run_se(spec, SGDParams(alpha=ctx.alpha, beta=0.52, gamma=0.76, tau2=0.71, steps=1377))
+        assert got.diverged_at == want.diverged_at == 21
+        assert max_rel_err(got.losses, want.losses) <= 1e-10
 
     def test_monotone_zU_on_grid(self, rng):
         for _ in range(10):
@@ -542,11 +570,11 @@ class TestBlockedUV:
         assert peaks[0] <= 600 * 1024  # the 512 KB chunk budget and the (2, horizon) sums
 
 
-def loss_on(ctx, horizon, lam, start, weight):
-    """reconstruct_loss from U and V summed over the given modes or nodes, whatever
-    compute_UV_sequences would pick."""
+def loss_on(ctx, horizon, points):
+    """reconstruct_loss from U and V summed over the given (lambda, start, weight) modes or nodes,
+    whatever compute_UV_sequences would pick."""
     def uv(ctx, size):
-        sums = genfunc._uv_sums(ctx, lam, start, weight, size)
+        sums = genfunc._uv_sums(ctx, points, size)
         return ctx.gamma * ctx.alpha**2 * sums[0], sums[1]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(genfunc, "compute_UV_sequences", uv)
@@ -554,8 +582,7 @@ def loss_on(ctx, horizon, lam, start, weight):
 
 
 def loss_on_modes(ctx, horizon):
-    spec = ctx.spectrum
-    return loss_on(ctx, horizon, spec.lambdas, spec.lambda_c0, np.ones(len(spec)))
+    return loss_on(ctx, horizon, spectrum._se_modes(ctx.spectrum))
 
 
 def sums_nodes(ctx, horizon):
@@ -619,7 +646,7 @@ class TestNodeSums:
         assert not sums_nodes(ctx, 10_000)
         got, want = reconstruct_loss(ctx, 10_000), loss_on_modes(ctx, 10_000)
         assert np.array_equal(got.losses, want.losses)
-        assert max_rel_err(loss_on(ctx, 10_000, *spec._nodes(True)[:3]).losses, want.losses) > 1e-12
+        assert max_rel_err(loss_on(ctx, 10_000, spec._nodes(True)[:3]).losses, want.losses) > 1e-12
         sim = run_se(spec, SGDParams(alpha=0.5, beta=beta, gamma=1e-6, steps=10_000))
         assert max_rel_err(got.losses, sim.losses) <= 1e-10
 

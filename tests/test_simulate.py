@@ -335,16 +335,16 @@ out += [run_se(spec, SGDParams(alpha=0.4, beta=b, gamma=0.3, steps=600)).losses 
 grid = run_se_grid(spec, [0.4, 2.5], [0.0, 0.5], 0.3, 1.0, 1.0, 300)
 out += [grid[key].astype(float) for key in sorted(grid)]
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
-plan = simulate._se_plan(spec, 1.0, 0.5, 0.1, 1.0, 1.0, 300)
-assert [(nodes, k, size) for _, nodes, k, size in plan] == [(None, 16, 6)], plan
+((_, points, k, size),) = simulate._se_plan(spec, 1.0, 0.5, 0.1, 1.0, 1.0, 300)
+assert points[0] is spec.lambdas and (k, size) == (16, 6), (k, size)
 made.clear()
 grid = run_se_grid(spec, np.linspace(0.1, 4.0, 10), np.linspace(0.0, 0.95, 5), 0.1, 1.0, 1.0, 300)
 assert len(made) == 1 and (grid["diverged_at"] >= 0).any() and (grid["diverged_at"] < 0).any(), made
 out += [grid[key].astype(float) for key in sorted(grid)]
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 16000))
 params = SGDParams(alpha=0.3, beta=0.5, gamma=0.1, steps=2000)
-((_, nodes, k, _),) = simulate._se_plan(spec, 0.3, 0.5, 0.1, 1.0, 1.0, 2000)
-assert nodes is not None and k == 16
+((_, points, k, _),) = simulate._se_plan(spec, 0.3, 0.5, 0.1, 1.0, 1.0, 2000)
+assert points[0].size < len(spec) and k == 16
 out.append(run_se(spec, params).losses)
 print(b"".join(x.tobytes() for x in out).hex())
 """
@@ -504,7 +504,7 @@ spectrum._se_nodes = counted
 engines, pool = {}, simulate._map_batches
 def batched(fn, jobs, workers):
     for job in jobs:
-        engines.update(((alpha, beta), (job[7] is not None, job[8])) for alpha, beta in zip(job[1], job[2]))
+        engines.update(((alpha, beta), (job[0][0] is not spec.lambdas, job[8])) for alpha, beta in zip(job[2], job[3]))
     return pool(fn, jobs, workers)
 simulate._map_batches = batched
 grids = []
@@ -524,7 +524,7 @@ assert len(engines) == 36 and groups == {(False, True, 0), (False, True, 16), (T
 assert (grids[0]["diverged_at"] >= 0).any() and (grids[0]["diverged_at"] < 0).any()
 used, cells = [], simulate._se_cells
 def recorded(*args, **kwargs):
-    used.append((args[7] is not None, args[8]))
+    used.append((args[0][0] is not spec.lambdas, args[8]))
     return cells(*args, **kwargs)
 simulate._se_cells = recorded
 for i, alpha in enumerate(alphas):
@@ -650,13 +650,50 @@ assert len(made) == 2, made
         monkeypatch.setenv("SGDPHASELAB_THREADS", "lots")
         assert np.array_equal(run_se(spec, params).losses, want)
 
+    def test_jobs_carry_the_points_their_cells_step_not_the_spectrum(self, monkeypatch):
+        # the 5000-mode map: a job holds the (lambda, start, weight) arrays, modes or Gauss nodes,
+        # that each of its cells' run_se steps, and the divergence threshold, but no Spectrum
+        cfg = cli.parse_config(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "5000",
+                                "--batch", "10", "--steps", "200"])
+        spec, _ = cli._build_problem(cfg)
+        alphas, betas = cli._stability_grids(cfg)
+        gamma = cli._se_params(cfg, spec).gamma
+        jobs = []
+
+        def record(fn, batch, workers):  # results that place the cells, without running them
+            jobs.extend(batch)
+            return [(np.zeros(job[2].size),) * 3 + (np.full(job[2].size, -1),) for job in batch]
+
+        monkeypatch.setattr(simulate, "_map_batches", record)
+        run_se_grid(spec, alphas, betas, gamma, cfg.tau1, cfg.tau2, cfg.steps)
+        cells = {}
+        for job in jobs:
+            assert not any(isinstance(x, Spectrum) for x in (*job, *job[0]))
+            assert job[1] == simulate._divergence_threshold(spec.initial_loss)
+            cells.update(((alpha, beta), job[0]) for alpha, beta in zip(job[2], job[3]))
+        assert len(cells) == alphas.size * betas.size
+
+        class Stepped(Exception):
+            pass
+
+        def stepped(points, *args, **kwargs):
+            raise Stepped(points)
+
+        monkeypatch.setattr(simulate, "_se_cells", stepped)
+        for (alpha, beta), points in cells.items():
+            with pytest.raises(Stepped) as run:
+                run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, steps=cfg.steps))
+            lam, start, weight = run.value.args[0]
+            assert lam is points[0] and start is points[1] and np.array_equal(weight, points[2])
+        assert {points[0].size for points in cells.values()} == {len(spec), spec._nodes(True)[0].size}
+
     def test_batches_split_each_group_round_robin(self, monkeypatch):
         # which cells share a batch: the map hands each batch its cells, in grid order;
         # tau1 < tau2 keeps every cell on the kernel, whose batches _GRID_BATCH sizes
         seen = []
 
         def record(fn, jobs, workers):
-            seen.extend((job[1].tolist(), job[2].tolist(), workers) for job in jobs)
+            seen.extend((job[2].tolist(), job[3].tolist(), workers) for job in jobs)
             return [fn(*job) for job in jobs]
 
         monkeypatch.setattr(simulate, "_map_batches", record)
@@ -678,7 +715,7 @@ assert len(made) == 2, made
         seen = []
 
         def record(fn, jobs, workers):
-            seen.extend((job[1].tolist(), job[2].tolist()) for job in jobs)
+            seen.extend((job[2].tolist(), job[3].tolist()) for job in jobs)
             return [fn(*job) for job in jobs]
 
         monkeypatch.setattr(simulate, "_map_batches", record)
@@ -1211,15 +1248,17 @@ def mode_and_node_runs(spec, params, engine=None):
     """run_se's cell stepped on its Gauss nodes and on the spectrum's modes: per run the losses up
     to the crossing and its step (None if none). ``engine`` None steps each on the engine that
     _se_plan and _blocked_cells pick for it, "kernel" both on the kernel."""
-    cell = (spec, params.alpha, params.beta, params.resolve_gamma(spec.dataset_size), params.tau1,
-            params.tau2, params.steps)
-    ((_, nodes, k, _),) = simulate._se_plan(*cell)
-    assert nodes is not None
+    cell = (params.alpha, params.beta, params.resolve_gamma(spec.dataset_size), params.tau1, params.tau2,
+            params.steps)
+    ((_, nodes, k, _),) = simulate._se_plan(spec, *cell)
+    modes = spectrum._se_modes(spec)
+    assert nodes[0].size < modes[0].size
     blocked, on_modes = simulate._blocked_cells(spec, params.alpha, params.beta, params.tau1, params.tau2)
-    engines = ((nodes, k), (None, on_modes if blocked[0] else 0)) if engine is None else ((nodes, 0), (None, 0))
+    engines = ((nodes, k), (modes, on_modes if blocked[0] else 0)) if engine is None else ((nodes, 0), (modes, 0))
+    threshold = simulate._divergence_threshold(spec.initial_loss)
     runs = []
-    for modes, k in engines:
-        run = simulate._se_cells(*cell, modes, k, history=True)
+    for points, k in engines:
+        run = simulate._se_cells(points, threshold, *cell, k, history=True)
         crossed = None if run[3][0] < 0 else int(run[3][0])
         runs.append((0.5 * run[4][0, : None if crossed is None else crossed + 1], crossed))
     return runs
@@ -1269,19 +1308,15 @@ class TestCompressedSpectrum:
             assert max_rel_err(got, want) <= 1e-12
         assert spectrum._se_nodes(spec, True)[0].size == 809
 
-    def test_nodes_are_kept_on_the_spectrum_but_not_in_its_pickles(self, monkeypatch):
-        # the grid pickles the spectrum into every job: the kept nodes must not ride along
+    def test_nodes_are_kept_on_the_spectrum_and_built_once(self, monkeypatch):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
-        size = len(pickle.dumps(spec))
         params = SGDParams(alpha=1.0, beta=0.3, gamma=0.5, steps=50)
         first = run_se(spec, params).losses
         kept = spec.__dict__["_cache"][("se_nodes", True)]
-        assert kept[0].size == 809 and len(pickle.dumps(spec)) == size
-        loaded = pickle.loads(pickle.dumps(spec))
-        assert "_cache" not in loaded.__dict__
-        assert np.array_equal(run_se(loaded, params).losses, first)
+        assert kept[0].size == 809
         # a spectrum built on the caller's writable arrays keeps read-only copies of them, and a
-        # pickled or deep-copied one read-only arrays too, so each builds its nodes once
+        # pickled or deep-copied one read-only arrays too; the first builds its nodes once, the
+        # others carry the nodes of the spectrum they copy
         arrays = spec.lambdas.copy(), spec.c0.copy(), spec.lambda_c0.copy()
         builds = []
         monkeypatch.setattr(spectrum, "_se_nodes", lambda *args: builds.append(args) or kept)
@@ -1290,7 +1325,7 @@ class TestCompressedSpectrum:
             assert not any(x.flags.writeable for x in (other.lambdas, other.c0, other.lambda_c0))
             for _ in range(2):
                 assert np.array_equal(run_se(other, params).losses, first)
-        assert len(builds) == 3
+        assert builds == [(built, True)]
         assert all(x.flags.writeable for x in arrays)
         assert not any(np.shares_memory(x, y) for x, y in zip(arrays, (built.lambdas, built.c0, built.lambda_c0)))
 
@@ -1322,8 +1357,8 @@ class TestCompressedSpectrum:
         spec = Spectrum.from_c0(spec.lambdas, np.where(np.arange(modes) < start * modes, spec.c0, 0.0))
         params = SGDParams(alpha=frac * 2.0 * (1.0 + beta) / spec.lambda_max, beta=beta, gamma=gamma,
                            tau1=tau1, tau2=share * tau1, steps=steps)
-        ((_, nodes, _, _),) = simulate._se_plan(spec, params.alpha, beta, gamma, tau1, params.tau2, steps)
-        assume(nodes is not None)
+        ((_, points, _, _),) = simulate._se_plan(spec, params.alpha, beta, gamma, tau1, params.tau2, steps)
+        assume(points[0] is not spec.lambdas)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params, "kernel")
