@@ -18,8 +18,9 @@ from .errors import AnalysisDomainError
 
 __all__ = ["bisect_monotone", "gamma_fn", "gauss_rules"]
 
-RULE_BREAK = 1e-10  # Lanczos coefficient, relative to the run's mean point, at which a rule stops
-RULE_CHUNK = 2**13  # points whose runs one vectorised Lanczos pass takes
+RULE_TIE = 1e-12  # relative gap at or below which two points of a Gauss rule's run count as one
+RULE_CHECK = 1e-12  # largest miss, relative to the mass, of a rule's Chebyshev sums against its moments
+RULE_BLOCK = 2**12  # points whose Chebyshev polynomials one pass of gauss_rules evaluates
 N0 = 1  # halvings by which the root bracket may lag plain bisection's (ITP's n0)
 
 
@@ -93,51 +94,141 @@ def gamma_fn(x: float) -> float:
 
 
 def gauss_rules(x, w, count, n: int):
-    """The Gauss rules, of at most n nodes, of the measure ``sum_k w_k delta(y - x_k)`` (w >= 0) on
-    each run of ``count`` > 0 consecutive points of x, as (nodes, weights): the eigenvalues of the
-    :func:`_lanczos` matrix and the mass times its eigenvectors' squared first components (Golub &
-    Welsch). Lanczos takes the runs ``RULE_CHUNK`` points at a time (or one longer run), so its
-    scratch stays small. A run of zero mass has no rule, one cut short after m steps m nodes; the
-    rules come in run order.
+    """The Gauss rules, of at most n nodes, of the measures ``sum_k w_i[k] delta(y - x_k)`` (w_i >= 0,
+    one array a measure) on each run of ``count`` > 0 consecutive points of x, sorted within each
+    run: per measure, (nodes, weights) arrays of shape (runs, n), a run's rule in its row and weight
+    0 where it has fewer than n nodes, or weights NaN where it has none that holds.
+
+    A run on which a measure sits on at most n distinct points gets those points (:func:`_distinct`),
+    one without mass no rule. Any other takes its measure's modified moments, the sums of the monic
+    Chebyshev polynomials of degree below 2n on the measure's support mapped to [-1, 1], through the
+    modified Chebyshev algorithm (:func:`_jacobi`) to the recurrence of its orthogonal polynomials:
+    the eigenvalues of their Jacobi matrix, one batched ``eigvalsh`` a rule size, are the nodes, and
+    the mass over the Christoffel sum (:func:`_christoffel`) at a node its weight (Golub & Welsch).
+    The moments (:func:`_moments`) take n + 1 passes over the points, ``RULE_BLOCK`` at a time: the
+    cost grows as n times the points, the scratch stays small, and measures with the same supports
+    share the polynomials. A rule holds where its own sums of the T_k match the moments within
+    ``RULE_CHECK`` of the mass; then, having n positive nodes inside the support, it integrates any
+    function within twice the mass times the function's best uniform error by a polynomial of
+    degree 2n - 1, up to that miss. Points that cluster closer than the moments' rounding resolves,
+    within some 1e-9 of each other on 12 nodes, can leave it far off.
     """
-    ends, parts, lo = np.cumsum(count), [], 0
-    while lo < count.size:
-        start = ends[lo] - count[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + RULE_CHUNK, "right")))
-        parts.append(_lanczos(x[start : ends[hi - 1]], w[start : ends[hi - 1]], count[lo:hi], n))
-        lo = hi
-    jacobi, center, mass, size = (np.concatenate(part) for part in zip(*parts))
-    nodes, weights = np.zeros((2, size.size, n))
-    for m in range(1, n + 1):  # one eigh a rule size, on the leading m x m block
-        pick = size == m
-        val, vec = np.linalg.eigh(jacobi[pick, :m, :m])
-        nodes[pick, :m], weights[pick, :m] = val + center[pick, None], mass[pick, None] * vec[:, 0, :] ** 2
-    return nodes[weights > 0.0], weights[weights > 0.0]
+    points, center, half, distinct = (np.array(part) for part in zip(*(_distinct(x, row, count, n) for row in w)))
+    many = distinct > n  # the runs whose rules come from their moments
+    share = (center == center[:1]).all() and (half == half[:1]).all()
+    moments = _moments(x, w, count, center[:1] if share else center, half[:1] if share else half, many, n)[many]
+    alpha, beta, size = _jacobi(moments * np.append(1.0, 0.5 ** np.arange(2 * n - 1)), n)  # monic: T_k / 2^(k-1)
+    value = np.zeros((size.size, n))
+    steps = np.arange(n)
+    for k in np.flatnonzero(np.bincount(size)):  # one eigvalsh a rule size, on the leading k x k block
+        jacobi = np.zeros((np.count_nonzero(size == k), k, k))
+        jacobi[:, steps[:k], steps[:k]] = alpha[size == k, :k]
+        jacobi[:, steps[1:k], steps[: k - 1]] = np.sqrt(beta[size == k, 1:k])
+        value[size == k, :k] = np.linalg.eigvalsh(jacobi, "L")
+    value = np.clip(value, -1.0, 1.0)  # inside the support
+    rule = np.where(steps < size[:, None], beta[:, :1] / _christoffel(value, alpha, beta), 0.0)
+    own = (np.cos(np.arccos(value)[..., None] * np.arange(2 * n)) * rule[..., None]).sum(axis=1)  # of T_k
+    miss = np.abs(own - moments).max(axis=1) > RULE_CHECK * moments[:, 0]
+    nodes, weights = points[:, 0], points[:, 1]
+    nodes[many] = center[many, None] + half[many, None] * value
+    weights[many] = np.where(miss[:, None], np.nan, rule)
+    return list(zip(nodes, weights))
 
 
-def _lanczos(x, w, count, n: int):
-    """Per run of ``count`` > 0 points of x, the n x n Jacobi matrix of ``sum_k w_k delta(y - x_k)``
-    about the run's mean point, that mean, the mass and the number of steps taken: n Lanczos steps
-    on diag(x - mean) from ``sqrt(w)``, reorthogonalised against the basis, for every run at once.
-    A run's recurrence stops at its first coefficient below ``RULE_BREAK`` of its mean, where its
-    measure has no more distinct points than steps taken, and at once if it has no mass."""
-    starts = np.cumsum(count) - count
-    mass, center = np.add.reduceat(w, starts), np.add.reduceat(x, starts) / count
-    x = x - np.repeat(center, count)  # so cancellations cost no more digits than the run's width
-    q = np.sqrt(w / np.repeat(np.where(mass > 0.0, mass, 1.0), count))
-    basis, jacobi, alive = [], np.zeros((count.size, n, n)), mass > 0.0
-    size = alive.astype(np.intp)
-    for i in range(n):
-        basis.append(q)
-        v = x * q
-        jacobi[:, i, i] = np.where(alive, np.add.reduceat(q * v, starts), 0.0)
-        if i == n - 1:
-            break
-        for p in basis:
-            v -= np.repeat(np.add.reduceat(p * v, starts), count) * p
-        norm = np.sqrt(np.add.reduceat(v * v, starts))
-        alive &= norm > RULE_BREAK * np.abs(center)
-        size += alive
-        jacobi[:, i, i + 1] = jacobi[:, i + 1, i] = np.where(alive, norm, 0.0)
-        q = v / np.repeat(np.where(alive, norm, 1.0), count)
-    return jacobi, center, mass, size
+def _moments(x, w, count, center, half, runs, n: int):
+    """The sums of ``w[i]`` times the Chebyshev polynomials T_k, k < 2n, of ``(x - center[i]) /
+    half[i]`` over each run of ``count`` points (one row of center and half for all measures, or a
+    row each), on the runs some row of ``runs`` marks and 0 on the others: BLAS products of T_0 ..
+    T_n with w and with w T_n, as ``T_(n+k) = 2 T_n T_k - T_(n-k)``, ``RULE_BLOCK`` points at a time."""
+    starts, ends = np.cumsum(count) - count, np.cumsum(count)
+    sums = np.zeros((len(w), count.size, n + 1, 2))  # sum w T_k and sum w T_n T_k, k <= n
+    poly = np.empty((center.shape[0], n + 1, min(RULE_BLOCK, x.size)))
+    pair = np.empty((len(w), poly.shape[2], 2))  # a block's weights, and times T_n
+    for s in range(0, x.size, RULE_BLOCK):
+        e = min(s + RULE_BLOCK, x.size)
+        r0, r1 = np.searchsorted(ends, s, "right"), np.searchsorted(ends, e - 1, "right") + 1
+        edges = np.clip(np.append(starts[r0:r1], e), s, e) - s  # the block's pieces of runs r0 .. r1 - 1
+        c, h = (np.repeat(part[:, r0:r1], np.diff(edges), axis=1) for part in (center, half))
+        p = poly[:, :, : e - s]
+        p[:, 0], p[:, 1] = 1.0, (x[s:e] - c) / h
+        twice = 2.0 * p[:, 1]
+        for k in range(2, n + 1):  # T_k = 2 t T_(k-1) - T_(k-2)
+            np.multiply(twice, p[:, k - 1], out=p[:, k])
+            np.subtract(p[:, k], p[:, k - 2], out=p[:, k])
+        q = pair[:, : e - s]
+        for i, row in enumerate(w):
+            q[i, :, 0] = row[s:e]
+        np.multiply(q[..., 0], p[:, n], out=q[..., 1])
+        for r, lo, hi in zip(range(r0, r1), edges[:-1], edges[1:]):
+            if runs[:, r].any():
+                sums[:, r] += np.matmul(p[:, :, lo:hi], q[:, lo:hi])
+    return np.concatenate([sums[..., 0], 2.0 * sums[..., 1:n, 1] - sums[..., n - 1 : 0 : -1, 0]], axis=-1)
+
+
+def _distinct(x, w, count, n: int):
+    """The distinct points of the measure ``sum_k w_k delta(y - x_k)`` on each run of ``count``
+    points of x, sorted within each: (nodes, weights) of shape (runs, n) that hold a run's points,
+    at their weighted means, and their masses where it has at most n of them, else zeros; the center
+    and half-width of the measure's support, or of the run where it has at most n points; and their
+    number. Points within ``RULE_TIE`` of the next count as one."""
+    starts, keep = np.cumsum(count) - count, w > 0.0
+    kept = np.add.reduceat(keep, starts, dtype=np.intp)
+    y, v = (x, w) if kept.sum() == x.size else (x[keep], w[keep])
+    first = np.cumsum(kept) - kept  # each run's first point with mass, among those of y
+    new, gap, tie = np.empty(y.size, dtype=bool), np.diff(y), np.abs(y[1:])
+    np.greater(np.abs(gap, out=gap), np.multiply(tie, RULE_TIE, out=tie), out=new[1:])
+    new[first[kept > 0]] = True
+    distinct = np.zeros(count.size, dtype=np.intp)
+    distinct[kept > 0] = np.add.reduceat(new, first[kept > 0], dtype=np.intp)
+    nodes, weights = np.zeros((2, count.size, n))
+    few = (distinct > 0) & (distinct <= n)
+    if few.any():  # the points of those runs, a group a distinct point
+        on = np.repeat(few, kept)
+        group, run = np.cumsum(new[on]) - 1, np.repeat(np.flatnonzero(few), distinct[few])
+        slot = np.arange(run.size) - np.repeat(np.cumsum(distinct[few]) - distinct[few], distinct[few])
+        weights[run, slot] = np.bincount(group, v[on])
+        nodes[run, slot] = np.bincount(group, v[on] * y[on]) / weights[run, slot]
+    big = distinct > n
+    lo, hi = x[starts], x[starts + count - 1]
+    lo[big], hi[big] = y[first[big]], y[first[big] + kept[big] - 1]
+    half = 0.5 * np.abs(hi - lo)
+    return (nodes, weights), 0.5 * (lo + hi), np.where(half > 0.0, half, 1.0), distinct
+
+
+def _jacobi(moments, n: int):
+    """The recurrence coefficients alpha_k, beta_k, k < n, of the measures on [-1, 1] whose modified
+    moments against the monic Chebyshev polynomials, of recurrence ``p_(k+1) = y p_k - b_k p_(k-1)``
+    with b_1 = 1/2 and 1/4 after, are the rows of ``moments`` (2n each), and the steps each took:
+    the modified Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004, sec. 2.1.7). beta_0
+    is the mass. A measure's recurrence stops at its first beta_k that is not positive, where
+    rounding has used up its points; its coefficients from there on are 0."""
+    count = moments.shape[0]
+    b = np.full(2 * n, 0.25)
+    b[1] = 0.5
+    alpha, beta = np.zeros((2, count, n))
+    alpha[:, 0], beta[:, 0] = moments[:, 1] / moments[:, 0], moments[:, 0]
+    older, old = np.zeros_like(moments), moments
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, n):
+            span, sigma = slice(k, 2 * n - k), np.empty_like(moments)  # sigma_(k, l) for k <= l < 2n - k
+            sigma[:, span] = (old[:, k + 1 : 2 * n - k + 1] - alpha[:, k - 1, None] * old[:, span]
+                              - beta[:, k - 1, None] * older[:, span] + b[span] * old[:, k - 1 : 2 * n - k - 1])
+            alpha[:, k] = sigma[:, k + 1] / sigma[:, k] - old[:, k] / old[:, k - 1]
+            beta[:, k] = sigma[:, k] / old[:, k - 1]
+            older, old = old, sigma
+    size = 1 + np.cumprod(beta[:, 1:] > 0.0, axis=1).sum(axis=1)
+    live = np.arange(n) < size[:, None]
+    return np.where(live, alpha, 0.0), np.where(live, beta, 0.0), size
+
+
+def _christoffel(y, alpha, beta):
+    """``sum_k p_k(y)^2`` over the orthonormal polynomials p_k of the recurrence (alpha, beta) (p_0 =
+    1; the terms past a row's last nonzero beta are 0): at a Gauss node, the mass over its weight."""
+    old, now, total = np.zeros_like(y), np.ones_like(y), np.ones_like(y)
+    root = np.sqrt(beta)
+    with np.errstate(divide="ignore"):
+        inverse = np.where(root > 0.0, 1.0 / root, 0.0)
+    for k in range(1, alpha.shape[1]):
+        old, now = now, ((y - alpha[:, k - 1, None]) * now - root[:, k - 1, None] * old) * inverse[:, k, None]
+        total += now * now
+    return total

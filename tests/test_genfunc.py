@@ -622,7 +622,7 @@ class TestNodeSums:
 
     @pytest.mark.parametrize("horizon", [5000, 20000])
     def test_oracle_points(self, horizon):
-        # the benchmark oracle's spectrum, 2000 modes in 809 nodes, at its seed-0 points
+        # the benchmark oracle's spectrum, 2000 modes in 403 nodes, at its seed-0 points
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
         gen = np.random.default_rng(0)
         for frac, beta, gamma, tau in [gen.uniform((0.1, -0.4, 0.0, 0.3), (0.7, 0.8, 0.5, 1.0)) for _ in range(4)]:
@@ -633,28 +633,29 @@ class TestNodeSums:
             got, want = reconstruct_loss(ctx, horizon), loss_on_modes(ctx, horizon)
             assert got.diverged_at is None is want.diverged_at
             assert max_rel_err(got.losses, want.losses) <= 1e-12
-        assert spec._nodes(True)[0].size == 809
+        assert spec._nodes(True)[0].size == 403
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_untrusted_nodes_leave_the_sums_on_the_modes(self, beta):
-        # test_simulate's zero start on the slow modes: the loss ends in the slowest bins that
-        # have a start, whose rules the estimate does not trust over 10^4 steps; summed over the
-        # nodes it would miss the modes by 4.5e-12 to 6.3e-12
-        lam = np.geomspace(1.0, 1e-4, 5000)
+        # test_simulate's zero start on the slow modes: 5000 modes from 1 to 1e-8, so a bin spans a
+        # factor 1.8, and no start below 0.01. Over 10^4 steps the loss ends in the slowest bins that
+        # have a start, whose rules the estimate does not trust; with the noise too weak to cover
+        # them, the loss summed over the nodes would miss the modes' by 3.3e-11 to 5.4e-11
+        lam = np.geomspace(1.0, 1e-8, 5000)
         spec = Spectrum.from_c0(lam, np.where(lam > 0.01, 1.0 / lam, 0.0))
-        ctx = GenFuncContext(spec, 0.5, beta, 1e-6, 1.0)
+        ctx = GenFuncContext(spec, 0.5, beta, 1e-9, 1.0)
         assert not sums_nodes(ctx, 10_000)
         got, want = reconstruct_loss(ctx, 10_000), loss_on_modes(ctx, 10_000)
         assert np.array_equal(got.losses, want.losses)
         assert max_rel_err(loss_on(ctx, 10_000, spec._nodes(True)[:3]).losses, want.losses) > 1e-12
-        sim = run_se(spec, SGDParams(alpha=0.5, beta=beta, gamma=1e-6, steps=10_000))
+        sim = run_se(spec, SGDParams(alpha=0.5, beta=beta, gamma=1e-9, steps=10_000))
         assert max_rel_err(got.losses, sim.losses) <= 1e-10
 
     @pytest.mark.parametrize("argv, nodes", [
         (["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "50000", "--alpha", "0.08",
-          "--gamma", "1"], 1244),
+          "--gamma", "1"], 537),
         (["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "16000", "--alpha", "0.3",
-          "--gamma", "1", "--beta", "0.5"], 1126),
+          "--gamma", "1", "--beta", "0.5"], 501),
     ])
     def test_long_horizon_presets_match_run_se(self, argv, nodes):
         # the README presets at 10^4 steps, which the oracle could not afford on their modes

@@ -487,14 +487,14 @@ for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
 
     def test_compressed_grid_is_bitwise_run_se_and_builds_nodes_once_here(self):
         # 5000 modes: every cell steps the Gauss nodes, beta = 0 too (its modes get k = 8), but
-        # for the beta = 0.95 cells that _gauss_holds does not trust; on nodes and modes alike the
-        # cells near the heavy-ball edge run on the kernel, the others blocked. The nodes are
-        # built once a spectrum and noise flag, in the process that called the grid, and kept on
-        # the spectrum for every later run_se and grid; each grid cell runs on the engine (nodes or
-        # modes, k) that the plan of its run_se picks
+        # the beta = 0.9 cells at the five largest alphas, which _gauss_holds does not trust over
+        # 400 steps; on nodes and modes alike the cells near the heavy-ball edge run on the kernel,
+        # the others blocked. The nodes are built once a spectrum and noise flag, in the process
+        # that called the grid, and kept on the spectrum for every later run_se and grid; each
+        # grid cell runs on the engine (nodes or modes, k) that the plan of its run_se picks
         run_fresh("""
 from sgdphaselab import GenFuncContext, reconstruct_loss, spectrum
-alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.95]
+alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.9]
 parent, calls, build = os.getpid(), [], spectrum._se_nodes
 def counted(*args):
     assert os.getpid() == parent, "nodes built in a worker"
@@ -1264,6 +1264,13 @@ def mode_and_node_runs(spec, params, engine=None):
     return runs
 
 
+def legendre_sums(y, weights, support, degree):
+    """The sums of ``weights`` times the Legendre polynomials of degree below ``degree`` at the
+    points y, with the hull of ``support`` mapped to [-1, 1]."""
+    lo, hi = support.min(), support.max()
+    return np.polynomial.legendre.legvander((y - 0.5 * (lo + hi)) / (0.5 * (hi - lo)), degree - 1).T @ weights
+
+
 def cli_preset(argv):
     cfg = cli.parse_config(argv)
     spec, _ = cli._build_problem(cfg)
@@ -1277,9 +1284,9 @@ class TestCompressedSpectrum:
     # kernel on both
     @pytest.mark.parametrize("argv, nodes", [
         (["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "50000", "--alpha", "0.08",
-          "--gamma", "1"], 1244),
+          "--gamma", "1"], 537),
         (["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "16000", "--alpha", "0.3",
-          "--gamma", "1", "--beta", "0.5"], 1126),
+          "--gamma", "1", "--beta", "0.5"], 501),
     ])
     def test_long_horizon_presets(self, argv, nodes):
         # both README presets are over the blocked budget on their modes and take it, k = 16, on
@@ -1295,7 +1302,7 @@ class TestCompressedSpectrum:
         assert spectrum._se_nodes(spec, True)[0].size == nodes
 
     def test_oracle_points(self):
-        # the benchmark oracle's spectrum, 2000 modes in 809 nodes, at its seed-0 points
+        # the benchmark oracle's spectrum, 2000 modes in 403 nodes, at its seed-0 points
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
         gen = np.random.default_rng(0)
         for frac, beta, gamma, tau in [gen.uniform((0.1, -0.4, 0.0, 0.3), (0.7, 0.8, 0.5, 1.0)) for _ in range(4)]:
@@ -1306,14 +1313,34 @@ class TestCompressedSpectrum:
             (got, crossed), (want, want_crossed) = mode_and_node_runs(spec, params)
             assert crossed is None and want_crossed is None
             assert max_rel_err(got, want) <= 1e-12
-        assert spectrum._se_nodes(spec, True)[0].size == 809
+        assert spectrum._se_nodes(spec, True)[0].size == 403
+
+    def test_estimate_trusts_every_oracle_draw(self):
+        # the 1200 points that the benchmark oracle draws at seeds 0-299 all step (and sum) the
+        # nodes over its 5000 steps; on the modes a point would step five times as many
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
+        draws = np.concatenate([np.random.default_rng(seed).uniform((0.1, -0.4, 0.0, 0.3), (0.7, 0.8, 0.5, 1.0), (4, 4))
+                                for seed in range(300)])
+        alpha = draws[:, 0] * 2.0 * (1.0 + draws[:, 1]) / spec.lambda_max
+        assert spectrum._gauss_holds(spec._nodes(True)[3], alpha, draws[:, 1], 5000).all()
+
+    @pytest.mark.parametrize("steps, trusted", [(200, 788), (1000, 732), (10_000, 409)])
+    def test_estimate_trusts_the_node_map(self, steps, trusted):
+        # of the 800 cells of the 5000-mode stability map, no fewer step the nodes than did on 256
+        # bins of 4-node rules (the counts pinned); 32 bins of 12-node rules trust 794, 751 and 751
+        cfg = cli.parse_config(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "5000", "--batch", "10"])
+        spec, _ = cli._build_problem(cfg)
+        alphas, betas = cli._stability_grids(cfg)
+        alpha, beta = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
+        holds = spectrum._gauss_holds(spec._nodes(True)[3], alpha, beta, steps)
+        assert holds.size == 800 and np.count_nonzero(holds) >= trusted
 
     def test_nodes_are_kept_on_the_spectrum_and_built_once(self, monkeypatch):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
         params = SGDParams(alpha=1.0, beta=0.3, gamma=0.5, steps=50)
         first = run_se(spec, params).losses
         kept = spec.__dict__["_cache"][("se_nodes", True)]
-        assert kept[0].size == 809
+        assert kept[0].size == 403
         # a spectrum built on the caller's writable arrays keeps read-only copies of them, and a
         # pickled or deep-copied one read-only arrays too; the first builds its nodes once, the
         # others carry the nodes of the spectrum they copy
@@ -1367,8 +1394,8 @@ class TestCompressedSpectrum:
 
 
 class TestDegenerateNodes:
-    # inputs the node builder must take without a Lanczos breakdown or a RuntimeWarning; a
-    # Gauss rule on a bin of m <= n distinct lambdas is exact, so these runs agree to rounding
+    # inputs the node builder must take without a breakdown or a RuntimeWarning; a Gauss rule
+    # on a bin of m <= n distinct lambdas is exact, so these runs agree to rounding
     def run_both(self, spec, params):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1385,7 +1412,7 @@ class TestDegenerateNodes:
         self.run_both(spec, SGDParams(alpha=0.5 / spec.lambda_max, beta=0.5, gamma=0.3, steps=800))
 
     def test_rule_shrinks_to_the_distinct_lambdas(self):
-        # 100 values 20 times each, at most one a bin, and one bin with 2 values 10 times each:
+        # 100 values 20 times each, 3 or 4 a bin, and 2 more 10 times each in one of those bins:
         # each measure takes one node a value
         values = np.geomspace(1.0, 1e-3, 100)
         lam = np.concatenate([np.repeat(values, 20), np.repeat([0.05, 0.05 * (1 + 1e-3)], 10)])
@@ -1417,12 +1444,30 @@ class TestDegenerateNodes:
         assert lam.size < noisy  # with the noise nodes left out
         self.run_both(spec, params)
 
+    def test_clustered_modes_keep_their_bins_exact(self):
+        # 3500 modes from 1 to 0.05 and 15 clusters of 100 modes each, 5 clusters 3% apart in a
+        # bin, each cluster 1e-9 wide: moments cannot resolve such a bin, so its rules would miss
+        # them by about 1e-2 of the mass, and it steps its modes; the other bins step their rules
+        gen = np.random.default_rng(5)
+        clusters = np.outer([0.03, 0.01, 0.003], 1.0 + 0.03 * np.arange(5)).ravel()
+        lam = np.concatenate([np.geomspace(1.0, 0.05, 3500),
+                              np.repeat(clusters, 100) * (1.0 + 1e-9 * gen.normal(size=1500))])
+        spec = Spectrum.from_c0(lam, np.ones(lam.size))
+        nodes, start, weight, (low, high, mass, rules) = spectrum._se_nodes(spec, True)
+        assert rules.any() and np.isin(lam[lam < 0.04], nodes[weight == 1.0]).all()
+        five = spec.lambdas[(spec.lambdas > 0.009) & (spec.lambdas < 0.012)]  # the clusters about 0.01
+        (_, rule), = gauss_rules(five, [np.ones(500)], np.array([500]), 12)
+        assert five.size == 500 and np.isnan(rule).all()
+        for beta in (0.0, 0.5):
+            self.run_both(spec, SGDParams(alpha=0.5, beta=beta, gamma=0.1, steps=2000))
+
     @pytest.mark.parametrize("beta, gamma", [(0.0, 0.0), (0.0, 1e-6), (0.5, 0.0)])
     def test_zero_start_on_the_slow_modes(self, beta, gamma):
-        # 5000 modes from 1 to 1e-4, no start below 0.01: the loss ends in the slowest bins that
-        # have a start, whose rules err by 1e-5 of them at 10^4 steps, so the mass-weighed
-        # estimate must step the modes or the nodes must match them
-        lam = np.geomspace(1.0, 1e-4, 5000)
+        # 5000 modes from 1 to 1e-8, no start below 0.01: the loss ends in the slowest bins that
+        # have a start, whose rules miss them by up to 5e-11 over 10^4 steps (test_genfunc's
+        # TestNodeSums), so the mass-weighed estimate must step the modes or the nodes must
+        # match them
+        lam = np.geomspace(1.0, 1e-8, 5000)
         spec = Spectrum.from_c0(lam, np.where(lam > 0.01, 1.0 / lam, 0.0))
         params = SGDParams(alpha=0.5, beta=beta, gamma=gamma, steps=10_000)
         with warnings.catch_warnings():
@@ -1435,22 +1480,47 @@ class TestDegenerateNodes:
         assert max_rel_err(got, 0.5 * run[4][0]) <= 1e-12
 
     def test_rules_match_the_moments(self):
-        # runs of 1 to 40 points, some on fewer than 4 distinct values and one without mass: each
-        # rule of m nodes integrates 1, y, ..., y^(2m - 1) of its run's measure
+        # runs of 1 to 60 points, a third of them on 3 distinct values and one without mass, under
+        # two measures, the second without mass on 30% of the points (so the two map their runs
+        # apart): a run on at most n distinct points gets those points and their masses, one
+        # without mass no rule, and any other n nodes inside its measure's support that integrate
+        # the Legendre polynomials of degree below 2n on that support
         gen = np.random.default_rng(4)
-        count = gen.integers(1, 40, 300)
+        count = gen.integers(1, 60, 300)
         x = np.concatenate([np.sort(gen.choice(gen.uniform(0.5, 1.5, 3), m) if i % 3 == 0
                                     else gen.uniform(0.5, 1.5, m)) for i, m in enumerate(count)])
-        w = gen.uniform(0.0, 1.0, x.size)
-        w[: count[0]] = 0.0
-        nodes, weights = gauss_rules(x, w, count, 4)
+        w = gen.uniform(0.0, 1.0, (2, x.size))
+        w[:, : count[0]] = 0.0
+        w[1, gen.uniform(size=x.size) < 0.3] = 0.0
         run = np.repeat(np.arange(count.size), count)
-        distinct = np.array([np.unique(x[run == i]).size for i in range(count.size)])
-        size = np.where(np.arange(count.size) == 0, 0, np.minimum(distinct, 4))
-        assert nodes.size == size.sum() and np.all(weights > 0.0)
-        at = np.repeat(np.arange(count.size), size)
-        for p in range(8):
-            want = np.bincount(run, weights=w * x**p)
-            got = np.bincount(at, weights=weights * nodes**p, minlength=count.size)
-            exact = 2 * size > p
-            assert np.abs(got - want)[exact].max() <= 1e-13 * want.max()
+        for n in (4, 12):
+            for (nodes, weights), v in zip(gauss_rules(x, w, count, n), w):
+                assert np.all(weights >= 0.0)
+                for i in range(count.size):
+                    y, mass = x[(run == i) & (v > 0.0)], v[(run == i) & (v > 0.0)]
+                    at, got = nodes[i, weights[i] > 0.0], weights[i, weights[i] > 0.0]
+                    values, which = np.unique(y, return_inverse=True)
+                    if values.size <= n:  # no mass: no rule
+                        order = np.argsort(at)
+                        assert np.allclose(at[order], values, rtol=1e-15, atol=0.0)
+                        assert np.allclose(got[order], np.bincount(which, mass, values.size), rtol=1e-15, atol=0.0)
+                        continue
+                    assert got.size == n and y.min() <= at.min() and at.max() <= y.max()
+                    error = legendre_sums(at, got, y, 2 * n) - legendre_sums(y, mass, y, 2 * n)
+                    assert np.abs(error).max() <= 1e-13 * mass.sum(), (n, i)
+
+    @pytest.mark.parametrize("modes, nu, kappa", [(2000, 1.5, 3.0), (16000, 1.5, 3.0), (50000, 0.75, 0.375)])
+    def test_rules_integrate_the_legendre_polynomials_on_the_presets(self, modes, nu, kappa):
+        # the oracle's spectrum and the asymptotics and divergence presets' (the largest error
+        # seen, 1.4e-13 of the bin's mass, is the degree-23 sum of the 50000-mode preset's last
+        # bin, 14345 modes, which the Lanczos rules miss by as much)
+        spec = build_power_law(PowerLawSpec(1.0, nu, 1.0, kappa, modes))
+        lam, lc0, n = spec.lambdas, spec.lambda_c0, spectrum._SE_NODES[1]
+        nodes, start, weight, (low, high, mass, rules) = spectrum._se_nodes(spec, True)
+        for mode_weight, node_weight, measure in ((lc0, start, weight == 0.0), (np.ones(modes), weight, start == 0.0)):
+            for lo, hi in zip(low[rules], high[rules]):
+                on, at = (lam >= lo) & (lam <= hi), measure & (nodes >= lo) & (nodes <= hi)
+                assert np.count_nonzero(at) == n
+                error = (legendre_sums(nodes[at], node_weight[at], lam[on], 2 * n)
+                         - legendre_sums(lam[on], mode_weight[on], lam[on], 2 * n))
+                assert np.abs(error).max() <= 5e-13 * mode_weight[on].sum()
