@@ -122,43 +122,33 @@ def eval_UV(ctx: GenFuncContext, z: float) -> UVValues:
     ctx.require_valid()
     if not (0.0 <= z < 1.0):
         raise AnalysisDomainError(f"z = {z!r} outside [0, 1)")
-    return _eval_uv_unchecked(ctx, z)
+    return _uv_at(ctx)(z, full=True)
 
 
-def _eval_uv_unchecked(ctx: GenFuncContext, z: float) -> UVValues:
-    lam, lc = ctx.spectrum.lambdas, ctx.spectrum.lambda_c0
-    alpha, beta = ctx.alpha, ctx.beta
+def _uv_at(ctx: GenFuncContext):
+    """``z -> U~(z)``, or with ``full`` the :class:`UVValues` at z, with the per-mode terms that do
+    not depend on z (S's coefficients and ``gamma alpha^2 lambda^2``) taken once: U~ alone takes
+    eight in-place numpy passes over the modes per point."""
+    lam, lc, alpha, beta = ctx.spectrum.lambdas, ctx.spectrum.lambda_c0, ctx.alpha, ctx.beta
     c1, c2, c3 = _s_coefficients(alpha, beta, ctx.tau * ctx.gamma, lam)
-    s = 1.0 + z * (c1 + z * (c2 + z * c3))
-    nu_u = ctx.gamma * alpha**2 * lam**2 * (beta * z + 1.0)
-    u = float(np.sum(nu_u / s))
-    ds = c1 + z * (2.0 * c2 + z * 3.0 * c3)
-    dnu_u = ctx.gamma * alpha**2 * lam**2 * beta
-    du = float(np.sum((dnu_u * s - nu_u * ds) / s**2))
-
-    v1 = 2.0 * alpha * beta * lam - beta**2 - beta
-    nu_v = lc * (1.0 + z * (v1 + z * beta**3))
-    dnu_v = lc * (v1 + 2.0 * z * beta**3)
-    v = float(np.sum(nu_v / s))
-    dv = float(np.sum((dnu_v * s - nu_v * ds) / s**2))
-    return UVValues(u, v, du, dv)
-
-
-def _u_of_z(ctx: GenFuncContext):
-    """``z -> U~(z)`` with the per-mode terms that do not depend on z (S's coefficients and
-    ``gamma alpha^2 lambda^2``) taken once: eight in-place numpy passes over the modes per
-    point, bitwise the ``u`` of :func:`eval_UV`, whose expressions it evaluates in order."""
-    c1, c2, c3 = _s_coefficients(ctx.alpha, ctx.beta, ctx.tau * ctx.gamma, ctx.spectrum.lambdas)
-    nu = ctx.gamma * ctx.alpha**2 * ctx.spectrum.lambdas**2
+    nu = ctx.gamma * alpha**2 * lam**2
     s, term = np.empty_like(nu), np.empty_like(nu)
 
-    def u(z: float) -> float:
+    def at(z: float, full: bool = False):
         np.add(c2, z * c3, out=s)  # S = 1 + z (c1 + z (c2 + z c3))
         np.add(c1, np.multiply(s, z, out=s), out=s)
         np.add(1.0, np.multiply(s, z, out=s), out=s)
-        np.multiply(nu, ctx.beta * z + 1.0, out=term)
-        return float(np.sum(np.divide(term, s, out=term)))
-    return u
+        np.multiply(nu, beta * z + 1.0, out=term)  # U~'s numerator
+        if not full:
+            return float(np.sum(np.divide(term, s, out=term)))
+        ds = c1 + z * (2.0 * c2 + z * 3.0 * c3)
+        v1 = 2.0 * alpha * beta * lam - beta**2 - beta
+        nu_v = lc * (1.0 + z * (v1 + z * beta**3))
+        dnu_v = lc * (v1 + 2.0 * z * beta**3)
+        du = float(np.sum((nu * beta * s - term * ds) / s**2))
+        dv = float(np.sum((dnu_v * s - nu_v * ds) / s**2))
+        return UVValues(float(np.sum(term / s)), float(np.sum(nu_v / s)), du, dv)
+    return at
 
 
 def eval_U1(ctx: GenFuncContext) -> float:
@@ -324,7 +314,7 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
 
     ``z U~(z)`` is monotone increasing on (0, 1), from 0 to U~(1) > 1, so the
     root is bracketed and :func:`bisect_monotone` shrinks the bracket to adjacent floats
-    on U~ alone: about 16 evaluations of :func:`_u_of_z`, whose per-mode terms are taken
+    on U~ alone: about 16 evaluations of :func:`_uv_at`, whose per-mode terms are taken
     once per solve. V~ and the derivatives are taken at the root only, whose residual may reach
     1e-12 or twice the ``ulp(r) (U~ + r U~')`` by which a step to r's neighbour moves ``z U~``.
     """
@@ -333,10 +323,9 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
     if not (u1 > 1.0):
         raise AnalysisDomainError(f"U~(1) = {u1:.6g} <= 1: dynamics is not divergent")
 
-    u = _u_of_z(ctx)
-    r = bisect_monotone(lambda z: z * u(z) - 1.0, 1e-300, np.nextafter(1.0, 0.0))
-    del u  # its per-mode arrays would otherwise sit beside the evaluation at the root
-    uv = _eval_uv_unchecked(ctx, r)
+    at = _uv_at(ctx)
+    r = bisect_monotone(lambda z: z * at(z) - 1.0, 1e-300, np.nextafter(1.0, 0.0))
+    uv = at(r, full=True)
     if not abs(r * uv.u - 1.0) <= 1e-12:  # large spectra: one ulp of r may move z U~ by more
         tol = max(1e-12, 2.0 * math.ulp(r) * (uv.u + r * uv.du))
         if not abs(r * uv.u - 1.0) <= tol:

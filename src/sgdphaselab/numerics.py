@@ -18,7 +18,6 @@ from .errors import AnalysisDomainError
 
 __all__ = ["bisect_monotone", "gamma_fn", "gauss_rules"]
 
-RULE_TIE = 1e-12  # relative gap at or below which two points of a Gauss rule's run count as one
 RULE_CHECK = 1e-12  # largest miss, relative to the mass, of a rule's Chebyshev sums against its moments
 RULE_BLOCK = 2**12  # points whose Chebyshev polynomials one pass of gauss_rules evaluates
 N0 = 1  # halvings by which the root bracket may lag plain bisection's (ITP's n0)
@@ -28,7 +27,6 @@ def bisect_monotone(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    xtol: float = 0.0,
     maxiter: int = 200,
 ) -> float:
     """Root of ``f`` on ``[lo, hi]`` where f(lo) and f(hi) differ in sign.
@@ -43,11 +41,11 @@ def bisect_monotone(
     (the one over N0 for the rounding of float midpoints); on smooth f it converges
     superlinearly.
 
-    With ``xtol=0`` the bracket is shrunk until its endpoints are adjacent floats; the
-    endpoint with the smaller |f| is returned, or at once a point where f is 0. A bracket
-    that bisection would shrink within ``maxiter`` steps converges; one that is still wider
-    than 4 ulps (or xtol) after maxiter + N0 + 1 evaluations inside it raises
-    AnalysisDomainError, as does a bracket without a sign change.
+    The bracket is shrunk until its endpoints are adjacent floats; the endpoint with the
+    smaller |f| is returned, or at once a point where f is 0. A bracket that bisection would
+    shrink within ``maxiter`` steps converges; one that is still wider than 4 ulps after
+    maxiter + N0 + 1 evaluations inside it raises AnalysisDomainError, as does a bracket
+    without a sign change.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -62,7 +60,7 @@ def bisect_monotone(
     for j in range(maxiter + N0 + 1):
         (lo, hi), w = ends, ends[1] - ends[0]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or w <= xtol:
+        if mid <= lo or mid >= hi:
             break
         t = gs[0] / (gs[0] - gs[1])
         x = lo + w * t if 0.0 <= t <= 1.0 else mid
@@ -79,7 +77,7 @@ def bisect_monotone(
             gs[1 - side] *= m if m > 0.0 else 0.5
         ends[side], fs[side], gs[side], last = x, fx, fx, side
     (lo, hi), (flo, fhi) = ends, fs
-    if not (hi - lo) <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300))):
+    if not (hi - lo) <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300)):
         raise AnalysisDomainError(
             f"bisection failed to converge within {maxiter} iterations: bracket [{lo!r}, {hi!r}]"
         )
@@ -94,44 +92,44 @@ def gamma_fn(x: float) -> float:
 
 
 def gauss_rules(x, w, count, n: int):
-    """The Gauss rules, of at most n nodes, of the measures ``sum_k w_i[k] delta(y - x_k)`` (w_i >= 0,
-    one array a measure) on each run of ``count`` > 0 consecutive points of x, sorted within each
-    run: per measure, (nodes, weights) arrays of shape (runs, n), a run's rule in its row and weight
-    0 where it has fewer than n nodes, or weights NaN where it has none that holds.
+    """The n-node Gauss rules of the measures ``sum_k w_i[k] delta(y - x_k)`` (w_i >= 0, one array a
+    measure) on each run of ``count`` > 0 consecutive points of x, sorted within each run: per
+    measure, (nodes, weights) arrays of shape (runs, n), a run's rule in its row, weights 0 on a run
+    without mass and NaN on one whose rule does not hold.
 
-    A run on which a measure sits on at most n distinct points gets those points (:func:`_distinct`),
-    one without mass no rule. Any other takes its measure's modified moments, the sums of the monic
-    Chebyshev polynomials of degree below 2n on the measure's support mapped to [-1, 1], through the
-    modified Chebyshev algorithm (:func:`_jacobi`) to the recurrence of its orthogonal polynomials:
-    the eigenvalues of their Jacobi matrix, one batched ``eigvalsh`` a rule size, are the nodes, and
-    the mass over the Christoffel sum (:func:`_christoffel`) at a node its weight (Golub & Welsch).
-    The moments (:func:`_moments`) take n + 1 passes over the points, ``RULE_BLOCK`` at a time: the
-    cost grows as n times the points, the scratch stays small, and measures with the same supports
-    share the polynomials. A rule holds where its own sums of the T_k match the moments within
-    ``RULE_CHECK`` of the mass; then, having n positive nodes inside the support, it integrates any
-    function within twice the mass times the function's best uniform error by a polynomial of
-    degree 2n - 1, up to that miss. Points that cluster closer than the moments' rounding resolves,
-    within some 1e-9 of each other on 12 nodes, can leave it far off.
+    Every run with mass takes its measure's modified moments, the sums of the monic Chebyshev
+    polynomials of degree below 2n on the points where it has mass (:func:`_support`) mapped to
+    [-1, 1], through the modified Chebyshev algorithm (:func:`_jacobi`) to the recurrence of its
+    orthogonal polynomials: the eigenvalues of their Jacobi matrix, one batched ``eigvalsh``, are the
+    nodes, and the mass over the Christoffel sum (:func:`_christoffel`) at a node its weight (Golub &
+    Welsch). The moments (:func:`_moments`) take n + 1 passes over the points, ``RULE_BLOCK`` at a
+    time: the cost grows as n times the points, the scratch stays small, and measures with the same
+    supports share the polynomials. A rule holds where its recurrence runs all n steps and its own
+    sums of the T_k match the moments within ``RULE_CHECK`` of the mass; then, having n positive
+    nodes inside the support, it integrates any function within twice the mass times the function's
+    best uniform error by a polynomial of degree 2n - 1, up to that miss. A measure on at most n
+    distinct points of a run has no n-node Gauss rule: rounding stops its recurrence or leaves its
+    rule off the moments, and so do points that cluster closer than the moments' rounding resolves,
+    within some 1e-9 of each other on 12 nodes. Such a run gets NaN unless a rule still meets the
+    check.
     """
-    points, center, half, distinct = (np.array(part) for part in zip(*(_distinct(x, row, count, n) for row in w)))
-    many = distinct > n  # the runs whose rules come from their moments
+    center, half, mass = (np.array(part) for part in zip(*(_support(x, row, count) for row in w)))
+    nodes, weights = np.zeros((2, *mass.shape, n))
+    weights[mass] = np.nan
     share = (center == center[:1]).all() and (half == half[:1]).all()
-    moments = _moments(x, w, count, center[:1] if share else center, half[:1] if share else half, many, n)[many]
-    alpha, beta, size = _jacobi(moments * np.append(1.0, 0.5 ** np.arange(2 * n - 1)), n)  # monic: T_k / 2^(k-1)
-    value = np.zeros((size.size, n))
+    moments = _moments(x, w, count, center[:1] if share else center, half[:1] if share else half, mass, n)[mass]
+    alpha, beta = _jacobi(moments * np.append(1.0, 0.5 ** np.arange(2 * n - 1)), n)  # monic: T_k / 2^(k-1)
+    full = np.all(beta[:, 1:] > 0.0, axis=1)  # the recurrences that ran all n steps
+    mass[mass], moments, alpha, beta = full, moments[full], alpha[full], beta[full]  # mass: now those runs
     steps = np.arange(n)
-    for k in np.flatnonzero(np.bincount(size)):  # one eigvalsh a rule size, on the leading k x k block
-        jacobi = np.zeros((np.count_nonzero(size == k), k, k))
-        jacobi[:, steps[:k], steps[:k]] = alpha[size == k, :k]
-        jacobi[:, steps[1:k], steps[: k - 1]] = np.sqrt(beta[size == k, 1:k])
-        value[size == k, :k] = np.linalg.eigvalsh(jacobi, "L")
-    value = np.clip(value, -1.0, 1.0)  # inside the support
-    rule = np.where(steps < size[:, None], beta[:, :1] / _christoffel(value, alpha, beta), 0.0)
+    jacobi = np.zeros((moments.shape[0], n, n))
+    jacobi[:, steps, steps], jacobi[:, steps[1:], steps[:-1]] = alpha, np.sqrt(beta[:, 1:])
+    value = np.clip(np.linalg.eigvalsh(jacobi, "L"), -1.0, 1.0)  # inside the support
+    rule = beta[:, :1] / _christoffel(value, alpha, beta)
     own = (np.cos(np.arccos(value)[..., None] * np.arange(2 * n)) * rule[..., None]).sum(axis=1)  # of T_k
     miss = np.abs(own - moments).max(axis=1) > RULE_CHECK * moments[:, 0]
-    nodes, weights = points[:, 0], points[:, 1]
-    nodes[many] = center[many, None] + half[many, None] * value
-    weights[many] = np.where(miss[:, None], np.nan, rule)
+    nodes[mass] = center[mass, None] + half[mass, None] * value
+    weights[mass] = np.where(miss[:, None], np.nan, rule)
     return list(zip(nodes, weights))
 
 
@@ -165,43 +163,27 @@ def _moments(x, w, count, center, half, runs, n: int):
     return np.concatenate([sums[..., 0], 2.0 * sums[..., 1:n, 1] - sums[..., n - 1 : 0 : -1, 0]], axis=-1)
 
 
-def _distinct(x, w, count, n: int):
-    """The distinct points of the measure ``sum_k w_k delta(y - x_k)`` on each run of ``count``
-    points of x, sorted within each: (nodes, weights) of shape (runs, n) that hold a run's points,
-    at their weighted means, and their masses where it has at most n of them, else zeros; the center
-    and half-width of the measure's support, or of the run where it has at most n points; and their
-    number. Points within ``RULE_TIE`` of the next count as one."""
+def _support(x, w, count):
+    """Whether the measure ``sum_k w_k delta(y - x_k)`` has mass on each run of ``count`` points of
+    x, sorted within each, and the center and half-width of the points where it has (of the whole
+    run where it has none, and half-width 1 where it is 0)."""
     starts, keep = np.cumsum(count) - count, w > 0.0
     kept = np.add.reduceat(keep, starts, dtype=np.intp)
-    y, v = (x, w) if kept.sum() == x.size else (x[keep], w[keep])
-    first = np.cumsum(kept) - kept  # each run's first point with mass, among those of y
-    new, gap, tie = np.empty(y.size, dtype=bool), np.diff(y), np.abs(y[1:])
-    np.greater(np.abs(gap, out=gap), np.multiply(tie, RULE_TIE, out=tie), out=new[1:])
-    new[first[kept > 0]] = True
-    distinct = np.zeros(count.size, dtype=np.intp)
-    distinct[kept > 0] = np.add.reduceat(new, first[kept > 0], dtype=np.intp)
-    nodes, weights = np.zeros((2, count.size, n))
-    few = (distinct > 0) & (distinct <= n)
-    if few.any():  # the points of those runs, a group a distinct point
-        on = np.repeat(few, kept)
-        group, run = np.cumsum(new[on]) - 1, np.repeat(np.flatnonzero(few), distinct[few])
-        slot = np.arange(run.size) - np.repeat(np.cumsum(distinct[few]) - distinct[few], distinct[few])
-        weights[run, slot] = np.bincount(group, v[on])
-        nodes[run, slot] = np.bincount(group, v[on] * y[on]) / weights[run, slot]
-    big = distinct > n
+    y, on = (x if kept.sum() == x.size else x[keep]), kept > 0
+    first = (np.cumsum(kept) - kept)[on]  # each run's first point with mass, among those of y
     lo, hi = x[starts], x[starts + count - 1]
-    lo[big], hi[big] = y[first[big]], y[first[big] + kept[big] - 1]
+    lo[on], hi[on] = y[first], y[first + kept[on] - 1]
     half = 0.5 * np.abs(hi - lo)
-    return (nodes, weights), 0.5 * (lo + hi), np.where(half > 0.0, half, 1.0), distinct
+    return 0.5 * (lo + hi), np.where(half > 0.0, half, 1.0), on
 
 
 def _jacobi(moments, n: int):
     """The recurrence coefficients alpha_k, beta_k, k < n, of the measures on [-1, 1] whose modified
     moments against the monic Chebyshev polynomials, of recurrence ``p_(k+1) = y p_k - b_k p_(k-1)``
-    with b_1 = 1/2 and 1/4 after, are the rows of ``moments`` (2n each), and the steps each took:
-    the modified Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004, sec. 2.1.7). beta_0
-    is the mass. A measure's recurrence stops at its first beta_k that is not positive, where
-    rounding has used up its points; its coefficients from there on are 0."""
+    with b_1 = 1/2 and 1/4 after, are the rows of ``moments`` (2n each): the modified Chebyshev
+    algorithm (Gautschi, Orthogonal Polynomials, 2004, sec. 2.1.7). beta_0 is the mass. Past a
+    measure's first beta_k that is not positive, where rounding has used up its points, its
+    coefficients are meaningless (NaN or inf among them)."""
     count = moments.shape[0]
     b = np.full(2 * n, 0.25)
     b[1] = 0.5
@@ -216,18 +198,15 @@ def _jacobi(moments, n: int):
             alpha[:, k] = sigma[:, k + 1] / sigma[:, k] - old[:, k] / old[:, k - 1]
             beta[:, k] = sigma[:, k] / old[:, k - 1]
             older, old = old, sigma
-    size = 1 + np.cumprod(beta[:, 1:] > 0.0, axis=1).sum(axis=1)
-    live = np.arange(n) < size[:, None]
-    return np.where(live, alpha, 0.0), np.where(live, beta, 0.0), size
+    return alpha, beta
 
 
 def _christoffel(y, alpha, beta):
     """``sum_k p_k(y)^2`` over the orthonormal polynomials p_k of the recurrence (alpha, beta) (p_0 =
-    1; the terms past a row's last nonzero beta are 0): at a Gauss node, the mass over its weight."""
+    1, every beta positive): at a Gauss node, the mass over its weight."""
     old, now, total = np.zeros_like(y), np.ones_like(y), np.ones_like(y)
     root = np.sqrt(beta)
-    with np.errstate(divide="ignore"):
-        inverse = np.where(root > 0.0, 1.0 / root, 0.0)
+    inverse = 1.0 / root
     for k in range(1, alpha.shape[1]):
         old, now = now, ((y - alpha[:, k - 1, None]) * now - root[:, k - 1, None] * old) * inverse[:, k, None]
         total += now * now

@@ -193,8 +193,10 @@ def _se_nodes(spectrum: Spectrum, noise: bool):
     lambda_k)``, through the start, and the counting measure ``sum_k delta(lambda - lambda_k)``,
     through the coupling ``r_k S`` every mode takes. log lambda splits into ``_SE_NODES[0]`` equal
     bins. A bin of at most 2n modes, n = ``_SE_NODES[1]``, stays exact (start ``lambda C0``, weight
-    1), and so does one where a measure has no rule that holds (its modes cluster closer than the
-    rules' moments resolve); any other gets the n-node ``numerics.gauss_rules`` of each measure.
+    1), and so does one where a measure has no rule that holds (``numerics.gauss_rules`` gives it
+    NaN weights, as it mostly does where the measure sits on at most n distinct lambdas of the bin
+    or its modes cluster closer than the moments resolve); any other gets the n-node rule of each
+    measure, and a bin where the signal measure has no mass no signal node.
     32 bins of 12 nodes pass :func:`_gauss_holds` where 256 bins of 4 did, on about half the
     nodes: 403 for 2000 modes of the power law nu = 1.5, kappa = 3, 501 for 16000, and 537 for
     50000 of nu = 0.75. A signal node starts at its quadrature weight and takes no coupling; a
@@ -344,7 +346,7 @@ def gamma_for_batch(dataset_size: float, batch: int) -> float:
     n = float(dataset_size)
     if n == math.inf:
         return 1.0 / batch
-    if not (n == int(n) and n >= 1):
+    if not (math.isfinite(n) and n == int(n) and n >= 1):
         raise ValidationError(f"dataset_size must be a positive integer or inf, got {dataset_size!r}")
     if batch > n:
         raise ValidationError(f"batch size {batch} exceeds dataset size {int(n)}")

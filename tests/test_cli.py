@@ -364,6 +364,14 @@ class TestExitCodes:
         assert bad[-2] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", ["nan", "-inf"])
+    def test_non_finite_dataset_size_exits_2(self, size, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", f"--dataset-size={size}",
+                     "--out", str(out)]) == 2
+        assert "dataset_size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_domain_errors_exit_3(self, tmp_path):
         rc = main(["divergence", "--nu", "1.5", "--kappa", "3", "--modes", "50",
                    "--alpha", "0.01", "--gamma", "0.01", "--out", str(tmp_path / "y")])

@@ -32,7 +32,7 @@ from sgdphaselab import (
     stability_report,
 )
 from sgdphaselab import asymptotics, cli, genfunc, simulate, spectrum
-from sgdphaselab.genfunc import _LOSS_BLOCK, _UV_BLOCK, _UV_CHUNK, _u_of_z, _uv_step
+from sgdphaselab.genfunc import _LOSS_BLOCK, _UV_BLOCK, _UV_CHUNK, _uv_at, _uv_step
 from sgdphaselab.simulate import _se_kernel, _se_run, _se_table
 from conftest import max_rel_err, random_spectrum
 
@@ -291,8 +291,8 @@ class TestSolveDivergence:
         spec, _ = cli._build_problem(cfg)
         ctx = cli._analysis_context(cfg, spec, cfg.alpha, cfg.beta, cli._se_params(cfg, spec).gamma)
         r = solve_divergence(ctx).r_l
-        below, above = (z * genfunc._eval_uv_unchecked(ctx, z).u - 1.0
-                        for z in (np.nextafter(r, 0.0), np.nextafter(r, 1.0)))
+        at = _uv_at(ctx)
+        below, above = (z * at(z) - 1.0 for z in (np.nextafter(r, 0.0), np.nextafter(r, 1.0)))
         assert below < 0.0 < above
 
     def test_simulated_rate_matches(self):
@@ -310,7 +310,7 @@ class TestSolveDivergence:
         assert rate == pytest.approx(-math.log(rep.r_l), rel=0.05)
 
 
-def plain_bisection(f, lo, hi, xtol=0.0, maxiter=200):
+def plain_bisection(f, lo, hi, maxiter=200):
     """The midpoint loop the analysis solved its roots with before the interpolating steps."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -319,7 +319,7 @@ def plain_bisection(f, lo, hi, xtol=0.0, maxiter=200):
         return hi
     for _ in range(maxiter):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or (hi - lo) <= xtol:
+        if mid <= lo or mid >= hi:
             break
         fmid = f(mid)
         if fmid == 0.0:
@@ -328,7 +328,7 @@ def plain_bisection(f, lo, hi, xtol=0.0, maxiter=200):
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-    if not (hi - lo) <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300))):
+    if not (hi - lo) <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1e-300)):
         raise AnalysisDomainError(f"bisection failed to converge: bracket [{lo!r}, {hi!r}]")
     return lo if abs(flo) <= abs(fhi) else hi
 
@@ -383,9 +383,9 @@ class TestRootsAgreeWithBisection:
 
     def test_hoisted_noise_function_is_bitwise_eval_uv(self, divergence_preset):
         ctx = divergence_preset[2]
-        u = _u_of_z(ctx)
+        at = _uv_at(ctx)
         for z in (0.5, 0.9, solve_divergence(ctx).r_l):
-            assert u(z) == eval_UV(ctx, z).u
+            assert at(z) == at(z, full=True).u == eval_UV(ctx, z).u
 
 
 class TestUVSequences:

@@ -41,7 +41,7 @@ from sgdphaselab import (
     simulate,
     spectrum,
 )
-from sgdphaselab.numerics import gauss_rules
+from sgdphaselab.numerics import RULE_CHECK, gauss_rules
 from sgdphaselab.simulate import _MC_BLOCK, _se_kernel, _se_run, _se_table
 from conftest import exp_kernel, max_rel_err, random_problem, random_spectrum
 
@@ -1394,8 +1394,8 @@ class TestCompressedSpectrum:
 
 
 class TestDegenerateNodes:
-    # inputs the node builder must take without a breakdown or a RuntimeWarning; a Gauss rule
-    # on a bin of m <= n distinct lambdas is exact, so these runs agree to rounding
+    # inputs the node builder must take without a breakdown or a RuntimeWarning: a bin whose
+    # measures have no rule that holds steps its modes, so these runs agree to rounding
     def run_both(self, spec, params):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1409,19 +1409,30 @@ class TestDegenerateNodes:
         spec = Spectrum.from_c0(lam, np.random.default_rng(5).uniform(0.0, 2.0, lam.size))
         distinct = np.count_nonzero(np.diff(spec.lambdas) < -1e-12 * spec.lambdas[1:]) + 1
         assert len(spec) == 4096 and distinct == 33 * 34 // 2 < np.unique(spec.lambdas).size
+        assert spectrum._se_nodes(spec, True)[0].size < len(spec)
         self.run_both(spec, SGDParams(alpha=0.5 / spec.lambda_max, beta=0.5, gamma=0.3, steps=800))
 
-    def test_rule_shrinks_to_the_distinct_lambdas(self):
+    def test_repeated_lambdas_keep_their_bins_exact(self):
         # 100 values 20 times each, 3 or 4 a bin, and 2 more 10 times each in one of those bins:
-        # each measure takes one node a value
+        # no measure has more than 12 distinct points in a bin, none gets a rule that holds, and
+        # every bin steps its modes
         values = np.geomspace(1.0, 1e-3, 100)
         lam = np.concatenate([np.repeat(values, 20), np.repeat([0.05, 0.05 * (1 + 1e-3)], 10)])
         spec = Spectrum.from_c0(lam, np.ones(lam.size))
-        nodes, c0, weight, edges = spectrum._se_nodes(spec, True)
-        assert nodes.size == 2 * 102 and np.all(weight[c0 > 0] == 0.0)
-        assert np.allclose(np.sort(nodes[c0 > 0]), np.sort(np.unique(lam)), rtol=1e-14, atol=0.0)
-        assert np.allclose(np.sort(weight[c0 == 0]), np.sort(np.unique(lam, return_counts=True)[1]), rtol=1e-14)
-        self.run_both(spec, SGDParams(alpha=0.7, beta=0.4, gamma=0.01, steps=400))
+        count = spectrum._log_bins(spec.lambdas, spectrum._SE_NODES[0])
+        for _, weights in gauss_rules(spec.lambdas, [spec.lambda_c0, np.ones(lam.size)], count, 12):
+            assert np.isnan(weights).all()
+        nodes, c0, weight, (low, high, mass, rules) = spectrum._se_nodes(spec, True)
+        assert np.all(count > 24) and not rules.any()
+        assert np.array_equal(nodes, spec.lambdas) and np.array_equal(c0, spec.lambda_c0) and np.all(weight == 1.0)
+        params = SGDParams(alpha=0.7, beta=0.4, gamma=0.01, steps=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_se(spec, params).losses
+            table, r = _se_table(spec.lambdas, 0.7, 0.4, 0.01, 1.0, 1.0)
+            c = spec.lambda_c0[None].copy()
+            run = _se_run(*_se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c)), params.steps, history=True)
+        assert 1 < got.size < params.steps and max_rel_err(got, 0.5 * run[4][0, : got.size]) <= 1e-12  # to its crossing
 
     def test_bin_without_start_gets_no_signal_node(self):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 3000))
@@ -1482,9 +1493,10 @@ class TestDegenerateNodes:
     def test_rules_match_the_moments(self):
         # runs of 1 to 60 points, a third of them on 3 distinct values and one without mass, under
         # two measures, the second without mass on 30% of the points (so the two map their runs
-        # apart): a run on at most n distinct points gets those points and their masses, one
-        # without mass no rule, and any other n nodes inside its measure's support that integrate
-        # the Legendre polynomials of degree below 2n on that support
+        # apart): a run without mass gets zero weights, one on more than n distinct points n nodes
+        # inside its measure's support that integrate the Legendre polynomials of degree below 2n
+        # on that support, and one on at most n distinct points NaN weights or a rule whose sums
+        # meet RULE_CHECK, never zeros that would drop its mass
         gen = np.random.default_rng(4)
         count = gen.integers(1, 60, 300)
         x = np.concatenate([np.sort(gen.choice(gen.uniform(0.5, 1.5, 3), m) if i % 3 == 0
@@ -1494,20 +1506,22 @@ class TestDegenerateNodes:
         w[1, gen.uniform(size=x.size) < 0.3] = 0.0
         run = np.repeat(np.arange(count.size), count)
         for n in (4, 12):
+            unresolved = 0
             for (nodes, weights), v in zip(gauss_rules(x, w, count, n), w):
-                assert np.all(weights >= 0.0)
                 for i in range(count.size):
                     y, mass = x[(run == i) & (v > 0.0)], v[(run == i) & (v > 0.0)]
-                    at, got = nodes[i, weights[i] > 0.0], weights[i, weights[i] > 0.0]
-                    values, which = np.unique(y, return_inverse=True)
-                    if values.size <= n:  # no mass: no rule
-                        order = np.argsort(at)
-                        assert np.allclose(at[order], values, rtol=1e-15, atol=0.0)
-                        assert np.allclose(got[order], np.bincount(which, mass, values.size), rtol=1e-15, atol=0.0)
+                    if mass.size == 0:  # no mass: no rule
+                        assert np.all(weights[i] == 0.0)
                         continue
-                    assert got.size == n and y.min() <= at.min() and at.max() <= y.max()
+                    few = np.unique(y).size <= n
+                    if few and np.isnan(weights[i]).all():
+                        unresolved += 1
+                        continue
+                    at, got = nodes[i], weights[i]
+                    assert np.all(got > 0.0) and (few or y.min() <= at.min() and at.max() <= y.max())
                     error = legendre_sums(at, got, y, 2 * n) - legendre_sums(y, mass, y, 2 * n)
-                    assert np.abs(error).max() <= 1e-13 * mass.sum(), (n, i)
+                    assert np.abs(error).max() <= (RULE_CHECK if few else 1e-13) * mass.sum(), (n, i)
+            assert unresolved > 100
 
     @pytest.mark.parametrize("modes, nu, kappa", [(2000, 1.5, 3.0), (16000, 1.5, 3.0), (50000, 0.75, 0.375)])
     def test_rules_integrate_the_legendre_polynomials_on_the_presets(self, modes, nu, kappa):

@@ -98,6 +98,9 @@ class TestGammaForBatch:
             gamma_for_batch(10, 11)
         with pytest.raises(ValidationError):
             gamma_for_batch(10, 0)
+        for size in (math.nan, -math.inf, 2.5, 0.0):
+            with pytest.raises(ValidationError, match="dataset_size"):
+                gamma_for_batch(size, 4)
 
     @given(n=st.integers(2, 500), b=st.integers(1, 499))
     @settings(max_examples=60, deadline=None)
