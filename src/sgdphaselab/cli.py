@@ -232,6 +232,10 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
             raise ValidationError(f"--{key} repeats a value: {items}")
     if cfg.batch_list and regimes != ["se"]:
         raise ValidationError(f"--batch-list runs the se regime per batch size; --regime {cfg.regime} cannot join it")
+    for key, value, deaf in (("gamma", cfg.gamma, ("mc",)), ("dataset-size", cfg.dataset_size, ("mc", "moments"))):
+        clash = [r for r in deaf if r in regimes]
+        if value is not None and clash:
+            raise ValidationError(f"--{key} does not reach the {clash[0]} regime, which runs on the problem's samples")
     return cfg
 
 

@@ -113,7 +113,7 @@ def gauss_rules(x, w, count, n: int):
     within some 1e-9 of each other on 12 nodes. Such a run gets NaN unless a rule still meets the
     check.
     """
-    center, half, mass = (np.array(part) for part in zip(*(_support(x, row, count) for row in w)))
+    center, half, low, high, mass = (np.array(part) for part in zip(*(_support(x, row, count) for row in w)))
     nodes, weights = np.zeros((2, *mass.shape, n))
     weights[mass] = np.nan
     share = (center == center[:1]).all() and (half == half[:1]).all()
@@ -124,11 +124,12 @@ def gauss_rules(x, w, count, n: int):
     steps = np.arange(n)
     jacobi = np.zeros((moments.shape[0], n, n))
     jacobi[:, steps, steps], jacobi[:, steps[1:], steps[:-1]] = alpha, np.sqrt(beta[:, 1:])
-    value = np.clip(np.linalg.eigvalsh(jacobi, "L"), -1.0, 1.0)  # inside the support
+    value = np.clip(np.linalg.eigvalsh(jacobi, "L"), -1.0, 1.0)
     rule = beta[:, :1] / _christoffel(value, alpha, beta)
     own = (np.cos(np.arccos(value)[..., None] * np.arange(2 * n)) * rule[..., None]).sum(axis=1)  # of T_k
     miss = np.abs(own - moments).max(axis=1) > RULE_CHECK * moments[:, 0]
-    nodes[mass] = center[mass, None] + half[mass, None] * value
+    mapped = center[mass, None] + half[mass, None] * value  # may round past the support's ends
+    nodes[mass] = np.clip(mapped, low[mass, None], high[mass, None])
     weights[mass] = np.where(miss[:, None], np.nan, rule)
     return list(zip(nodes, weights))
 
@@ -165,8 +166,8 @@ def _moments(x, w, count, center, half, runs, n: int):
 
 def _support(x, w, count):
     """Whether the measure ``sum_k w_k delta(y - x_k)`` has mass on each run of ``count`` points of
-    x, sorted within each, and the center and half-width of the points where it has (of the whole
-    run where it has none, and half-width 1 where it is 0)."""
+    x, sorted within each, and the center, half-width, lowest and highest of the points where it has
+    (of the whole run where it has none, and half-width 1 where it is 0)."""
     starts, keep = np.cumsum(count) - count, w > 0.0
     kept = np.add.reduceat(keep, starts, dtype=np.intp)
     y, on = (x if kept.sum() == x.size else x[keep]), kept > 0
@@ -174,7 +175,7 @@ def _support(x, w, count):
     lo, hi = x[starts], x[starts + count - 1]
     lo[on], hi[on] = y[first], y[first + kept[on] - 1]
     half = 0.5 * np.abs(hi - lo)
-    return 0.5 * (lo + hi), np.where(half > 0.0, half, 1.0), on
+    return 0.5 * (lo + hi), np.where(half > 0.0, half, 1.0), np.minimum(lo, hi), np.maximum(lo, hi), on
 
 
 def _jacobi(moments, n: int):

@@ -441,11 +441,11 @@ def eigendecompose(problem: FeatureProblem) -> EigenDecomposition:
 class TorusProblem:
     """Regular-grid problem with a translation-invariant kernel.
 
-    The Hessian is circulant, so its eigenvalues are the (scaled) DFT of the
-    kernel samples and its eigenvectors are the Fourier modes. Degenerate
-    eigenvalue pairs (k and -k) make the per-mode diagonal well-defined only
-    in the complex Fourier basis, so diagonals are extracted here rather than
-    through :func:`eigendecompose`.
+    The Hessian is circulant, so its eigenvalues are the (scaled) DFT of the kernel samples and
+    its eigenvectors are the Fourier modes ``f_k(x) = exp(+i k.x) / sqrt(N)`` (C order), which
+    FFTs apply: no N x N Fourier matrix is formed. Degenerate eigenvalue pairs (k and -k) make the
+    per-mode diagonal well-defined only in the complex Fourier basis, so diagonals are extracted
+    here rather than through :func:`eigendecompose`.
     """
 
     grid: tuple
@@ -457,28 +457,19 @@ class TorusProblem:
     def size(self) -> int:
         return int(np.prod(self.grid))
 
-    @cached_property
-    def fourier_matrix(self) -> np.ndarray:
-        """Unitary Fourier matrix F[i, k] = exp(+i k.x_i) / sqrt(N), flattened C-order."""
-        cols = []
-        for n in self.grid:
-            idx = np.arange(n)
-            cols.append(np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n))
-        f = cols[0]
-        for c in cols[1:]:
-            f = np.kron(f, c)
-        f.setflags(write=False)
-        return f
-
     def fourier_diag(self, matrix: np.ndarray) -> np.ndarray:
-        """Diagonal <f_k, A f_k> in the complex Fourier eigenbasis (real output)."""
-        f = self.fourier_matrix
-        return np.real(np.einsum("ik,ij,jk->k", np.conj(f), matrix, f))
+        """Diagonal <f_k, A f_k> in the complex Fourier eigenbasis (real output): ``fftn`` over
+        A's row axes of ``ifftn`` over its column axes, A seen as a ``grid + grid`` array."""
+        a, d = np.asarray(matrix), len(self.grid)
+        if a.shape != (self.size, self.size):
+            raise ValidationError(f"fourier_diag needs an N x N matrix (N = {self.size}), got shape {a.shape}")
+        spec = np.fft.fftn(np.fft.ifftn(a.reshape(self.grid + self.grid), axes=range(d, 2 * d)), axes=range(d))
+        return np.diagonal(spec.reshape(a.shape)).real.copy()
 
     def fourier_c0(self) -> np.ndarray:
-        """Initial moments |<f_k, w0 - w_star>|^2 per Fourier mode."""
-        coeffs = np.conj(self.fourier_matrix).T @ self.feature_problem.deviation
-        return np.abs(coeffs) ** 2
+        """Initial moments |<f_k, w0 - w_star>|^2 per Fourier mode: ``|fftn(w0 - w_star)|^2 / N``."""
+        coeffs = np.fft.fftn(self.feature_problem.deviation.reshape(self.grid))
+        return np.abs(coeffs.ravel()) ** 2 / self.size
 
     def spectrum(self) -> Spectrum:
         """Sorted spectrum with Fourier-basis initial moments; null modes dropped."""
@@ -507,7 +498,7 @@ def build_torus_problem(grid: Sequence[int], kernel_values, w0=None, w_star=None
     if not np.all(np.isfinite(kern)):
         raise ValidationError("kernel values must be finite")
     # symmetry under i -> -i (indexwise modular reflection)
-    reflected = kern[tuple(np.meshgrid(*[(-np.arange(n)) % n for n in grid], indexing="ij"))]
+    reflected = np.roll(np.flip(kern), 1, axis=tuple(range(kern.ndim)))
     if not np.allclose(kern, reflected, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(kern).max()))):
         raise ValidationError("kernel must be symmetric under index reflection i -> -i")
 
@@ -523,11 +514,11 @@ def build_torus_problem(grid: Sequence[int], kernel_values, w0=None, w_star=None
         )
     lam_clipped = np.maximum(lam, 0.0)
 
-    # circulant square root: first "column" ifftn(sqrt(lam)), then Psi = sqrt(N) * B
+    # circulant square root: first "column" ifftn(sqrt(lam)), then Psi = sqrt(N) * B, where
+    # B[o, i] = root_col[(i - o) mod grid] is the window at n - o of root_col tiled twice per axis
     root_col = np.fft.ifftn(np.sqrt(lam_clipped)).real
-    points = np.indices(grid).reshape(len(grid), -1)  # grid point of each flat index, C order
-    offsets = (points[:, None, :] - points[:, :, None]) % np.array(grid)[:, None, None]
-    features = math.sqrt(n_total) * root_col[tuple(offsets)]  # B[o, i] = root_col[(i - o) mod grid]
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(root_col, (2,) * len(grid)), grid)
+    features = (math.sqrt(n_total) * windows[(slice(None, 0, -1),) * len(grid)]).reshape(n_total, n_total)
 
     if w_star is None:
         w_star = np.zeros(n_total)

@@ -357,6 +357,10 @@ class TestExitCodes:
         ["--torus", "16", "--seed", "-3"],
         # --batch-list runs the se regime alone, once per batch size
         ["--nu", "1.5", "--kappa", "3", "--batch-list", "4,8", "--regime", "mc"],
+        # mc samples batches of --batch from the problem's samples, and moments takes their count
+        ["--random-features", "8,12", "--regime", "mc,moments,se", "--gamma", "0.5"],
+        ["--random-features", "8,12", "--regime", "mc", "--dataset-size", "12"],
+        ["--random-features", "8,12", "--regime", "se,moments", "--dataset-size", "12"],
     ], ids=" ".join)
     def test_bad_simulate_value_named(self, bad, tmp_path, capsys):
         out = tmp_path / "bad"
