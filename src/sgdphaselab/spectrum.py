@@ -7,9 +7,10 @@ the initial diagonal second moments ``C_kk,0`` of the deviation from the
 optimum. Everything downstream (simulators, generating functions,
 asymptotics) consumes one of these two descriptions.
 
-All types here are immutable; construction normalizes (sorts) and
-validates, and the arrays are flagged read-only (copied first if the
-caller could still write them).
+All types here are immutable; construction normalizes (sorts) and validates. Each type keeps
+read-only copies of the arrays a caller could still write, and a read-only array as it is (the
+builders here hand theirs over read-only, uncopied). A :class:`Spectrum` stores ``lambda_k`` and
+``lambda_k C_kk,0``, the start the dynamics reads, and derives ``C_kk,0``.
 
 A large spectrum also compresses to the Gauss nodes of its two measures
 (:func:`_se_nodes`), built once per spectrum and kept on it, with an error
@@ -56,59 +57,75 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Frozen:
+    """Keeps read-only copies of the arrays that a caller could still write, which their owner
+    could change under anything computed from them (a cached Hessian, kept nodes), and a read-only
+    array as it is; numpy's pickles drop the flag, so an unpickled instance freezes them again."""
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._freeze([name for name, x in state.items() if isinstance(x, np.ndarray)])
+
+    def _freeze(self, names) -> None:
+        for name in names:
+            x = getattr(self, name)
+            if not isinstance(x, np.ndarray) or x.flags.writeable:
+                x = np.array(x, dtype=float)
+            object.__setattr__(self, name, _readonly(x))
+
+
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Frozen):
     """Truncated eigenvalue / initial-moment pair ``{lambda_k, C_kk,0}``.
 
-    ``lambda_c0`` stores the products ``lambda_k * C_kk,0`` (the natural
-    quantity in output-space normalization and in the CSV format); whichever
-    of ``c0`` / ``lambda_c0`` was given at construction is kept verbatim and
-    the other derived, so file round-trips are exact.
+    It stores ``lambda_k`` and the products ``lambda_k * C_kk,0``, the start the dynamics reads
+    (the signal measure, as in the CSV format), so file round-trips are exact; ``c0`` is derived
+    from them.
     """
 
     lambdas: np.ndarray
-    c0: np.ndarray
     lambda_c0: np.ndarray
     dataset_size: float = math.inf
     meta: dict = field(default_factory=dict)
 
     @classmethod
     def from_c0(cls, lambdas, c0, dataset_size: float = math.inf, meta: dict | None = None) -> "Spectrum":
-        lam = np.asarray(lambdas, dtype=float)
-        c = np.asarray(c0, dtype=float)
-        lam, (c,) = _sorted_desc(lam, c)
-        return cls(_readonly(lam), _readonly(c), _readonly(lam * c), float(dataset_size), dict(meta or {}))
+        lam, c = np.asarray(lambdas, dtype=float), np.asarray(c0, dtype=float)
+        if c.shape != lam.shape:
+            raise ValidationError("c0 must have the same length as lambdas")
+        with np.errstate(over="ignore"):  # an overflow is refused as a non-finite lambda_c0
+            return cls.from_weighted(lam, _readonly(lam * c), dataset_size, meta)
 
     @classmethod
     def from_weighted(cls, lambdas, lambda_c0, dataset_size: float = math.inf, meta: dict | None = None) -> "Spectrum":
-        lam = np.asarray(lambdas, dtype=float)
-        lc = np.asarray(lambda_c0, dtype=float)
-        lam, (lc,) = _sorted_desc(lam, lc)
-        return cls(_readonly(lam), _readonly(lc / lam), _readonly(lc), float(dataset_size), dict(meta or {}))
+        lam, lc = _sorted_desc(np.asarray(lambdas, dtype=float), np.asarray(lambda_c0, dtype=float))
+        return cls(lam, lc, float(dataset_size), dict(meta or {}))
 
     def __post_init__(self):
-        self._freeze()
-        lam, c = self.lambdas, self.c0
+        self._freeze(("lambdas", "lambda_c0"))
+        lam, lc = self.lambdas, self.lambda_c0
         if lam.ndim != 1 or lam.size < 1:
             raise ValidationError("spectrum needs at least one eigenvalue")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
             raise ValidationError("eigenvalues must be finite and strictly positive")
         if np.any(np.diff(lam) > 0):
             raise ValidationError("eigenvalues must be sorted non-increasing")
-        if c.shape != lam.shape:
-            raise ValidationError("c0 must have the same length as lambdas")
-        if not np.all(np.isfinite(c)) or np.any(c < 0):
+        if lc.shape != lam.shape:
+            raise ValidationError("lambda_c0 must have the same length as lambdas")
+        if not np.all(np.isfinite(lc)) or np.any(lc < 0):
             raise ValidationError("initial moments must be finite and non-negative")
-        if self.lambda_c0.shape != lam.shape or not np.allclose(
-            self.lambda_c0, lam * c, rtol=1e-12, atol=0.0
-        ):
-            raise ValidationError("lambda_c0 must equal lambdas * c0 (use the from_* constructors)")
         n = self.dataset_size
         if not (math.isfinite(n) and n == int(n) and n >= 1) and n != math.inf:
             raise ValidationError("dataset_size must be a positive integer or inf")
 
     def __len__(self) -> int:
         return self.lambdas.size
+
+    @property
+    def c0(self) -> np.ndarray:
+        """The initial moments ``C_kk,0 = lambda_c0 / lambdas`` (read-only; inf where that overflows)."""
+        with np.errstate(over="ignore"):
+            return _readonly(self.lambda_c0 / self.lambdas)
 
     @property
     def lambda_max(self) -> float:
@@ -142,14 +159,6 @@ class Spectrum:
         """S_k = sum_{l >= k} lambda_l C_ll,0 for k = 1..M (index 0-based)."""
         return np.cumsum(self.lambda_c0[::-1])[::-1]
 
-    def _freeze(self) -> None:
-        """Keep read-only copies of writable arrays, which their owner could change under anything
-        computed from this spectrum (its kept nodes too)."""
-        for name in ("lambdas", "c0", "lambda_c0"):
-            x = getattr(self, name)
-            if not isinstance(x, np.ndarray) or x.flags.writeable:
-                object.__setattr__(self, name, _readonly(np.array(x, dtype=float)))
-
     def _nodes(self, noise: bool):
         """:func:`_se_nodes` of this spectrum, built once per noise flag and kept on this instance,
         so the simulator and the generating functions share one build."""
@@ -158,17 +167,14 @@ class Spectrum:
             cache["se_nodes", noise] = _se_nodes(self, noise)
         return cache["se_nodes", noise]
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._freeze()  # numpy's pickles drop the read-only flag
 
-
-def _sorted_desc(lam: np.ndarray, *cols: np.ndarray):
-    """Sort eigenvalues non-increasing, carrying companion columns along."""
-    if np.any(np.diff(lam) > 0):
+def _sorted_desc(lam: np.ndarray, col: np.ndarray):
+    """Sort eigenvalues non-increasing, carrying a companion column along; sorted copies are
+    handed over read-only."""
+    if lam.shape == col.shape and np.any(np.diff(lam) > 0):
         order = np.argsort(-lam, kind="stable")
-        return lam[order], tuple(col[order] for col in cols)
-    return lam, cols
+        return _readonly(lam[order]), _readonly(col[order])
+    return lam, col
 
 
 def _heavy_ball(a, beta):
@@ -321,6 +327,7 @@ def build_power_law(spec: PowerLawSpec) -> Spectrum:
         lc[-1] = s[-1]  # S_{M+1} = 0: the last mode absorbs the remaining mass
     else:
         lc = spec.K * spec.kappa * k ** -(spec.kappa + 1.0)
+    lam, lc = _readonly(lam), _readonly(lc)  # ours: handed over, not copied
     meta = {
         "source": "power-law",
         "c0_mode": spec.mode,
@@ -356,7 +363,7 @@ def gamma_for_batch(dataset_size: float, batch: int) -> float:
 
 
 @dataclass(frozen=True)
-class FeatureProblem:
+class FeatureProblem(_Frozen):
     """Explicit quadratic problem: features ``psi(x_i)`` as columns of a d x N matrix.
 
     The Hessian is H = (1/N) Psi Psi^T; the deviation ``w0 - w_star`` seeds
@@ -369,12 +376,10 @@ class FeatureProblem:
 
     @classmethod
     def create(cls, features, w_star, w0) -> "FeatureProblem":
-        f = np.asarray(features, dtype=float)
-        ws = np.asarray(w_star, dtype=float)
-        w0 = np.asarray(w0, dtype=float)
-        return cls(_readonly(f), _readonly(ws), _readonly(w0))
+        return cls(features, w_star, w0)
 
     def __post_init__(self):
+        self._freeze(("features", "w_star", "w0"))
         f = self.features
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ValidationError("features must be a d x N matrix with d, N >= 1")
@@ -428,17 +433,17 @@ def eigendecompose(problem: FeatureProblem) -> EigenDecomposition:
     if lam_max <= 0.0:
         raise ValidationError("Hessian has no positive eigenvalues (zero matrix?)")
     keep = eigvals > RANK_EPS * lam_max
-    lam = eigvals[keep][::-1]
+    lam = _readonly(eigvals[keep][::-1])
     basis = eigvecs[:, keep][:, ::-1]
-    c0 = (basis.T @ problem.deviation) ** 2
+    c0 = _readonly((basis.T @ problem.deviation) ** 2)
     spectrum = Spectrum.from_c0(
         lam, c0, dataset_size=problem.dataset_size, meta={"source": "eigendecomposition"}
     )
-    return EigenDecomposition(spectrum, _readonly(basis), spectrum.c0)
+    return EigenDecomposition(spectrum, _readonly(basis), c0)
 
 
 @dataclass(frozen=True)
-class TorusProblem:
+class TorusProblem(_Frozen):
     """Regular-grid problem with a translation-invariant kernel.
 
     The Hessian is circulant, so its eigenvalues are the (scaled) DFT of the kernel samples and
@@ -452,6 +457,9 @@ class TorusProblem:
     kernel_values: np.ndarray       # K_i on the grid
     eigenvalues_grid: np.ndarray    # DFT(K) / sqrt(N), grid-shaped, k-indexed
     feature_problem: FeatureProblem
+
+    def __post_init__(self):
+        self._freeze(("kernel_values", "eigenvalues_grid"))
 
     @property
     def size(self) -> int:
@@ -477,7 +485,7 @@ class TorusProblem:
         c0 = self.fourier_c0()
         keep = lam > RANK_EPS * float(lam.max())
         return Spectrum.from_c0(
-            lam[keep], c0[keep], dataset_size=self.size,
+            _readonly(lam[keep]), c0[keep], dataset_size=self.size,
             meta={"source": "torus", "grid": list(self.grid)},
         )
 
@@ -524,8 +532,8 @@ def build_torus_problem(grid: Sequence[int], kernel_values, w0=None, w_star=None
         w_star = np.zeros(n_total)
     if w0 is None:
         w0 = np.zeros(n_total)
-    problem = FeatureProblem.create(features, w_star, w0)
-    return TorusProblem(grid, _readonly(kern), _readonly(lam), problem)
+    problem = FeatureProblem.create(_readonly(features), w_star, w0)
+    return TorusProblem(grid, kern, _readonly(lam), problem)
 
 
 @dataclass(frozen=True)
@@ -605,7 +613,7 @@ def load_spectrum_csv(path) -> Spectrum:
             if not line:
                 continue
             cells = [c.strip() for c in line.split(",")]
-            if first_content and any(not _is_number(c) for c in cells):
+            if first_content and not any(_is_number(c) for c in cells):  # a numeric cell makes a row data
                 first_content = False
                 expected = {"k", "lambda", "lambda_c"}
                 if not set(c.lower() for c in cells) <= expected:
@@ -630,7 +638,7 @@ def load_spectrum_csv(path) -> Spectrum:
             weights.append(lc)
     if not lambdas:
         raise ValidationError(f"no spectrum rows found in {path}")
-    return Spectrum.from_weighted(np.array(lambdas), np.array(weights), meta={"source": str(path)})
+    return Spectrum.from_weighted(_readonly(lambdas), _readonly(weights), meta={"source": str(path)})
 
 
 def _is_number(cell: str) -> bool:

@@ -368,6 +368,42 @@ class TestExitCodes:
         assert bad[-2] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # spectrum files name the line of a bad row; a first row with a numeric cell is data
+        (["fit", "--csv", "a,b,c\n1,1.0,0.5\n"], "line 1: unrecognized header"),
+        (["fit", "--csv", "1,1.0,0.5\n2,0.5,0.25,1\n"], "line 2: expected 2 or 3 columns, got 4"),
+        (["fit", "--csv", "1,1e999,0.5\n"], "line 1: non-finite value"),
+        (["fit", "--csv", "1,1.0,0.5\n2,0.5,-0.25\n"], "line 2: lambda*C must be non-negative"),
+        (["fit", "--csv", "# no rows\n\n"], "no spectrum rows"),
+        (["fit", "--csv", "1.0,abc\n"], "line 1: non-numeric cell"),
+        (["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", "--runs", "0"], "runs and modes must be positive"),
+        (["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", "--modes", "1"], "(modes >= 2)"),
+        (["simulate", "--torus", "0", "--batch", "4"], "--torus needs a positive grid size"),
+        (["simulate", "--random-features", "0,5", "--batch", "4"], "--random-features dimensions must be positive"),
+        (["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", "--regime", "mc"],
+         "needs an explicit feature problem"),
+        (["se-error", "--nu", "1.5", "--kappa", "3"], "needs an explicit feature problem"),
+        (["stability-map", "--nu", "1.5", "--kappa", "3", "--batch", "10", "--grid-alpha", "4:0.1:5"],
+         "needs hi >= lo"),
+        (["--config", None], "cannot read config file"),
+        (["--config", "command = fit\nnu\n"], ":2: expected key = value, got 'nu'"),
+        (["simulate", "--random-features", "8,12", "--regime", "mc", "--batch", "20"],
+         "batch size 20 exceeds dataset size 12"),
+    ], ids=["csv-header", "csv-4-columns", "csv-inf", "csv-negative", "csv-no-rows", "csv-first-row-data",
+            "runs-0", "modes-1", "torus-0", "random-features-0", "mc-on-power-law", "se-error-on-power-law",
+            "grid-hi-below-lo", "config-unreadable", "config-no-equals", "batch-above-samples"])
+    def test_bad_input_named(self, argv, message, tmp_path, capsys):
+        # the value after --csv or --config is the file's text, None for a file that does not exist
+        files = {i: tmp_path / f"in{i}" for i in range(1, len(argv)) if argv[i - 1] in ("--csv", "--config")}
+        for i, path in files.items():
+            if argv[i] is not None:
+                path.write_text(argv[i])
+        argv = [str(files[i]) if i in files else a for i, a in enumerate(argv)]
+        out = tmp_path / "bad"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["nan", "-inf"])
     def test_non_finite_dataset_size_exits_2(self, size, tmp_path, capsys):
         out = tmp_path / "bad"

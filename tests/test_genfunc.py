@@ -295,6 +295,15 @@ class TestSolveDivergence:
         below, above = (z * at(z) - 1.0 for z in (np.nextafter(r, 0.0), np.nextafter(r, 1.0)))
         assert below < 0.0 < above
 
+    def test_asymptote_is_the_late_time_loss(self):
+        # the loss nears prefactor * r_L^-t from above as the faster transients die out: run_se over
+        # the asymptote read 1 + 9.6e-5 at t = 33 and 1 + 4.0e-12 at t = 135, about 20 t_div
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
+        rep = solve_divergence(GenFuncContext(spec, 1.2, 0.0, 1.0, 1.0))
+        losses = run_se(spec, SGDParams(alpha=1.2, beta=0.0, gamma=1.0, steps=200)).losses
+        early, late = losses[[33, 135]] / rep.asymptote([33, 135]) - 1.0
+        assert 0.0 < late < 1e-11 and 5e-5 < early < 2e-4
+
     def test_simulated_rate_matches(self):
         # simulator oracle: the late-time log-slope equals -ln r_L within 5%
         from sgdphaselab import PowerLawSpec, build_power_law

@@ -1344,17 +1344,17 @@ class TestCompressedSpectrum:
         # a spectrum built on the caller's writable arrays keeps read-only copies of them, and a
         # pickled or deep-copied one read-only arrays too; the first builds its nodes once, the
         # others carry the nodes of the spectrum they copy
-        arrays = spec.lambdas.copy(), spec.c0.copy(), spec.lambda_c0.copy()
+        arrays = spec.lambdas.copy(), spec.lambda_c0.copy()
         builds = []
         monkeypatch.setattr(spectrum, "_se_nodes", lambda *args: builds.append(args) or kept)
         built = Spectrum(*arrays)
         for other in (built, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
-            assert not any(x.flags.writeable for x in (other.lambdas, other.c0, other.lambda_c0))
+            assert not any(x.flags.writeable for x in (other.lambdas, other.lambda_c0))
             for _ in range(2):
                 assert np.array_equal(run_se(other, params).losses, first)
         assert builds == [(built, True)]
         assert all(x.flags.writeable for x in arrays)
-        assert not any(np.shares_memory(x, y) for x, y in zip(arrays, (built.lambdas, built.c0, built.lambda_c0)))
+        assert not any(np.shares_memory(x, y) for x, y in zip(arrays, (built.lambdas, built.lambda_c0)))
 
     def test_through_a_divergence(self):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 4000))

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from sgdphaselab import (
     CsvParseError,
+    FeatureProblem,
     PowerLawSpec,
     Spectrum,
     ValidationError,
@@ -120,9 +125,27 @@ class TestGammaForBatch:
 
 class TestSpectrumType:
     def test_sorts_non_increasing(self):
+        # the start is stored as lambda * c0 (taken before the sort); c0 is derived from it
         spec = Spectrum.from_c0([0.5, 1.0, 0.7], [1.0, 2.0, 3.0])
         assert np.array_equal(spec.lambdas, [1.0, 0.7, 0.5])
-        assert np.array_equal(spec.c0, [2.0, 3.0, 1.0])
+        assert np.array_equal(spec.lambda_c0, [1.0 * 2.0, 0.7 * 3.0, 0.5 * 1.0])
+        assert np.array_equal(spec.c0, spec.lambda_c0 / spec.lambdas)
+        np.testing.assert_allclose(spec.c0, [2.0, 3.0, 1.0], rtol=2e-16, atol=0.0)
+        assert not spec.c0.flags.writeable
+
+    def test_stores_the_start_once(self):
+        assert [f.name for f in dataclasses.fields(Spectrum)] == ["lambdas", "lambda_c0", "dataset_size", "meta"]
+
+    def test_checks_what_the_dynamics_reads(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # lambda * c0 overflows: refused, not a spectrum whose loss is inf from the start
+            with pytest.raises(ValidationError, match="finite"):
+                Spectrum.from_c0([1e200], [1e200])
+            # lambda_c0 / lambda overflows, but every array the dynamics reads is finite
+            spec = Spectrum.from_weighted([1e-310], [1.0])
+            assert spec.lambda_c0.tolist() == [1.0] and spec.initial_loss == 0.5
+            assert spec.c0.tolist() == [math.inf]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
@@ -132,12 +155,72 @@ class TestSpectrumType:
         with pytest.raises(ValidationError):
             Spectrum.from_c0([1.0, 0.5], [1.0])
         with pytest.raises(ValidationError):
+            Spectrum.from_weighted([0.5, 1.0], [1.0])
+        with pytest.raises(ValidationError):
             Spectrum.from_c0([], [])
 
     def test_immutable(self):
         spec = Spectrum.from_c0([1.0], [1.0])
         with pytest.raises(ValueError):
             spec.lambdas[0] = 2.0
+
+
+def assert_frozen(obj, names, callers=()):
+    """Each array ``names`` of ``obj`` is read-only, and none shares memory with an array of ``callers``,
+    each of which the caller can still write."""
+    for name in names:
+        x = getattr(obj, name)
+        assert isinstance(x, np.ndarray) and not x.flags.writeable, name
+        assert not any(np.shares_memory(x, c) for c in callers), name
+    assert all(c.flags.writeable for c in callers)
+
+
+class TestCallerArrays:
+    """Constructors keep read-only copies of the arrays a caller can still write, and leave the caller's
+    arrays as they were; builders hand over the arrays they make without a copy."""
+
+    @pytest.mark.parametrize("how", ["from_c0", "from_weighted", "direct"])
+    def test_spectrum(self, how):
+        lam, other = np.array([1.0, 0.5, 0.25]), np.array([0.5, 0.25, 1.0])
+        spec = Spectrum(lam, other) if how == "direct" else getattr(Spectrum, how)(lam, other)
+        assert_frozen(spec, ("lambdas", "lambda_c0"), (lam, other))
+        kept = spec.lambdas.copy()
+        lam[0] = 5.0
+        assert np.array_equal(spec.lambdas, kept)
+
+    def test_feature_problem(self, rng):
+        features, w_star, w0 = rng.normal(size=(3, 5)), np.zeros(3), rng.normal(size=3)
+        for prob in (FeatureProblem.create(features, w_star, w0), FeatureProblem(features, w_star, w0)):
+            assert_frozen(prob, ("features", "w_star", "w0"), (features, w_star, w0))
+            hessian = prob.hessian.copy()
+            features *= 2.0
+            assert np.array_equal(prob.hessian, hessian)  # the cached Hessian still describes the problem
+
+    def test_torus_problem(self):
+        n = 16
+        kern, w0 = exp_kernel(n), np.random.default_rng(0).normal(size=n)
+        tor = build_torus_problem((n,), kern, w0=w0)
+        assert_frozen(tor, ("kernel_values", "eigenvalues_grid"), (kern, w0))
+        assert_frozen(tor.feature_problem, ("features", "w_star", "w0"), (kern, w0))
+
+    def test_pickle_and_deepcopy_stay_read_only(self, rng):
+        tor = build_torus_problem((8,), exp_kernel(8), w0=rng.normal(size=8))
+        hessian = tor.feature_problem.hessian  # cached on the instance, so pickled with it
+        for other in (pickle.loads(pickle.dumps(tor)), copy.deepcopy(tor)):
+            assert_frozen(other, ("kernel_values", "eigenvalues_grid"))
+            assert_frozen(other.feature_problem, ("features", "w_star", "w0", "hessian"))
+            assert np.array_equal(other.feature_problem.hessian, hessian)
+
+    def test_power_law_keeps_two_arrays(self):
+        # lambdas and lambda_c0 alone, handed over without a copy
+        modes = 500_000
+        tracemalloc.start()
+        try:
+            spec = build_power_law(PowerLawSpec(1.0, 0.75, 1.0, 0.375, modes))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(spec) == modes and held <= 2.1 * modes * 8
 
 
 class TestEigendecompose:
