@@ -14,7 +14,7 @@ Each command computes its files; once it has returned, they are written to
 ``--out`` with a manifest of their sha256 checksums. A failed run writes no
 file and creates no directory, and an ``--out`` that cannot be a writable
 directory is refused before any computation.
-Exit codes: 0 success, 2 validation error, 3 analysis-domain error.
+Exit codes: 0 success, 2 validation error, 3 analysis-domain error, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -602,6 +602,10 @@ def run_command(cfg: ExperimentConfig) -> int:
     except AnalysisDomainError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return 4
     _emit(cfg, files, start)
     return 0
 

@@ -33,7 +33,7 @@ _UV_CHAINS = 8  # consecutive blocks (a power of 2) whose states advance togethe
 # modes per chunk there: rows (3B doubles a mode), states (12K) and the scratch of
 # double-double squaring fit 512 KB, well inside a core's L2 cache
 _UV_CHUNK = (1 << 19) // (8 * (3 * _UV_BLOCK + 12 * _UV_CHAINS + 130))
-_LOSS_BLOCK = 16  # losses per block of reconstruct_loss's forward solve
+_LOSS_BLOCK = 32  # losses per block of reconstruct_loss's forward solve
 
 __all__ = [
     "GenFuncContext",
@@ -449,11 +449,12 @@ def reconstruct_loss(ctx: GenFuncContext, horizon: int) -> LossTrajectory:
 
     L(T) = V_{T+1}/2 + sum_{t=1..T} U_{T+1-t} L(t-1).
 
-    O(T^2) flops, in T/B BLAS products over blocks of ``_LOSS_BLOCK`` = B losses. A block's sum
+    O(T^2) flops, in T/B BLAS products over blocks of ``_LOSS_BLOCK`` = B = 32 losses. A block's sum
     over the losses before it is one matrix-vector product with a (B, T+1) matrix of shifted U
-    (B (T+1) doubles, built once); its own lower-triangular Toeplitz system ``(I - T_B) L = rhs``
-    is solved by its inverse, lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n} U_i w_{n-i}``. The
-    first loss to cross the divergence threshold ends the run, as a step at a time would.
+    (B (T+1) doubles, built once: 1.28 MB at T = 5000); its own lower-triangular Toeplitz system
+    ``(I - T_B) L = rhs`` is solved by its inverse, lower Toeplitz in ``w_0 = 1, w_n = sum_{i<=n}
+    U_i w_{n-i}``. The first loss to cross the divergence threshold ends the run, as a step at a
+    time would.
 
     An oracle for :func:`run_se` at tau1 = 1: it shares the per-mode table, and the Gauss nodes
     where both trust them (:func:`compute_UV_sequences`), but the rank-one noise coupling enters

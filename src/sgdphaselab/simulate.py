@@ -18,7 +18,8 @@ trusts them, the Gauss nodes of the spectrum's two measures (``spectrum._se_node
 spectrum). :func:`_se_plan` picks every cell's points and engine, and one loop, :func:`_se_run`,
 records every run. Cells whose moments provably stay non-negative (:func:`_psd`) and whose block
 powers keep their digits run on :func:`_se_blocked`, k steps per round of two batched BLAS
-products and an einsum, each block's coupling solved by a Toeplitz inverse; the others, and
+products and an einsum, k longer on longer horizons (:func:`_se_block_steps`), each block's
+coupling solved by a Toeplitz inverse; the others, and
 :func:`run_additive_noise`, on the step-by-step kernel :func:`_se_kernel`.
 ``genfunc.compute_UV_sequences`` powers the same map, without the coupling, over such points.
 """
@@ -58,7 +59,9 @@ FULL_MOMENT_DIM_LIMIT = 256
 _MC_BLOCK = 8  # Monte-Carlo steps whose batches one Philox stream draws
 _GRID_BATCH = 2**15  # cell-modes per run_se_grid batch: its <= 9 (cells, modes) arrays, ~2 MB, about one L2
 _SE_BUDGET = 2**20  # bytes of a blocked batch's rows and G, about one L2
-_SE_BLOCK = (4, 16)  # fewest and most steps per blocked round
+_SE_BLOCK = (4, 16, 64)  # fewest steps per blocked round, the most below 2048 steps, and the most
+_SE_ROUNDS = 64  # least rounds a horizon keeps when its rounds grow past _SE_BLOCK[1]
+_SE_PREMIX = 2**18  # multiply-adds per premixing GEMM of _se_blocked, which OpenBLAS runs on one thread
 _SE_BLOCK_DECAY = 1e-3  # least share of its moments a blocked cell's slowest mode keeps over a block
 _SE_BLOCK_EDGE = 0.15  # least relative distance of a blocked cell's top mode from the heavy-ball edge
 
@@ -258,7 +261,9 @@ def _se_blocked(table, r, c, k):
     A^i`` premixed by W, and then ``x <- A^k x + S^T G``, ``G_i = A^{k-1-i} r 1``. R, A^k and G come
     from :func:`_se_step` on the d unit states and the seed ``r 1``, once a call; R and G are (cells,
     k, d modes) matrices, so a round is two batched BLAS matrix-vector products and an ``np.einsum``
-    for A^k. Their bits did not move with OpenBLAS's thread count (1 to 5 threads). Every S_t is
+    for A^k. Their bits did not move with OpenBLAS's thread count (1 to 5 threads). W premixes R in
+    GEMMs of at most ``_SE_PREMIX`` multiply-adds, which OpenBLAS runs on one thread: one (64, 64)
+    @ (64, 537) GEMM changed its bits between 1 and 2 threads. Every S_t is
     formed, S_0 as the kernel sums it, so the crossing step and the final and lowest losses are the
     kernel's to rounding. Returns what :func:`_se_kernel` returns, tracking no moment.
     """
@@ -281,7 +286,9 @@ def _se_blocked(table, r, c, k):
     for i in range(1, k):
         w[:, i] = np.einsum("ci,ci->c", u[:, :i], w[:, i - 1 :: -1])
     lag = np.subtract.outer(range(k), range(k))
-    rows = np.where(lag >= 0, w[:, lag], 0.0) @ rows.reshape(cells, k, d * m)  # rows_i <- sum_j w_{i-j} rows_j
+    mix, rows, span = np.where(lag >= 0, w[:, lag], 0.0), rows.reshape(cells, k, d * m), _SE_PREMIX // (k * k)
+    # rows_i <- sum_j w_{i-j} rows_j, a GEMM per span of columns, so no thread count changes a bit
+    rows = np.concatenate([mix @ rows[:, :, i : i + span] for i in range(0, d * m, span)], axis=2)
     s0, x = c.sum(axis=1), np.zeros((cells, d, m))
     x[:, 0] = c
 
@@ -298,10 +305,15 @@ def _se_blocked(table, r, c, k):
     return advance, [x, rows, g.reshape(cells, k, d * m), ak, None], k
 
 
-def _se_block_steps(d: int, modes: int) -> int:
-    """Steps per blocked round: the largest power of two up to ``_SE_BLOCK[1]`` whose rows and G,
-    ``2 d modes k`` doubles a cell, fit ``_SE_BUDGET``; 0 below ``_SE_BLOCK[0]``."""
+def _se_block_steps(d: int, modes: int, steps: int) -> int:
+    """Steps per blocked round over ``steps`` steps: the largest power of two k up to ``_SE_BLOCK[2]``
+    with ``_SE_ROUNDS k <= steps``, and at least ``_SE_BLOCK[1]`` (16 below 2048 steps, 32 below
+    4096, else 64), halved while its rows and G, ``2 d modes k`` doubles a cell, overflow
+    ``_SE_BUDGET``; 0 below ``_SE_BLOCK[0]``. A round is about ten numpy calls whatever its k, so a
+    long run pays per round, not per step; k reads only what a grid cell shares with its own run."""
     k = _SE_BLOCK[1]
+    while k < _SE_BLOCK[2] and 2 * k * _SE_ROUNDS <= steps:
+        k *= 2
     while k >= _SE_BLOCK[0] and 16 * d * modes * k > _SE_BUDGET:
         k //= 2
     return k if k >= _SE_BLOCK[0] else 0
@@ -312,25 +324,27 @@ def _psd(tau1, tau2) -> bool:
     return tau1 >= 0.0 and tau2 <= tau1
 
 
-def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, modes=None):
-    """Which (alpha[i], beta[i]) cells :func:`_se_plan` runs blocked, and the block size k.
+def _blocked_cells(spectrum: Spectrum, alpha, beta, tau1, tau2, steps, modes=None):
+    """Which (alpha[i], beta[i]) cells :func:`_se_plan` runs blocked over ``steps`` steps, and the
+    block size k.
 
-    A cell runs blocked when :func:`_psd` holds and the budget gives k >= ``_SE_BLOCK[0]`` for its
-    table (d = 1 if every beta is 0) on ``modes`` modes, the spectrum's count unless its run steps
-    Gauss nodes (``spectrum._se_nodes``). The block's contractions read the stepped powers A^j against
-    the block-start state, so they lose digits the kernel keeps where the loss falls by orders
-    within a block, or where the top mode's powers swing (transients, alternating signs) and the
-    loss dips far below its envelope at its oscillation minima, as a near-edge run's does with
-    little or no noise. So its slowest mode keeps at least ``_SE_BLOCK_DECAY`` of its moments over
-    a block, ``rho^(2k)`` with rho the largest spectral radius of the heavy-ball matrices ``[[1 -
-    a, beta], [-a, beta]]`` (unimodal in a, so the extreme modes of the spectrum give it; nodes lie
-    within them), and its top mode lies more than ``_SE_BLOCK_EDGE`` (relative) from the edge ``a =
-    2 (1 + beta)``. The noise and the horizon play no part: a zero-noise run takes the engine its
-    noisy cell takes.
+    A cell runs blocked when :func:`_psd` holds and :func:`_se_block_steps` gives k >=
+    ``_SE_BLOCK[0]`` for its table (d = 1 if every beta is 0), the horizon and ``modes`` modes, the
+    spectrum's count unless its run steps Gauss nodes (``spectrum._se_nodes``). The block's
+    contractions read the stepped powers A^j against the block-start state, so they lose digits
+    the kernel keeps where the loss falls by orders within a block, or where the top mode's powers
+    swing (transients, alternating signs) and the loss dips far below its envelope at its
+    oscillation minima, as a near-edge run's does with little or no noise. So its slowest mode
+    keeps at least ``_SE_BLOCK_DECAY`` of its moments over a block, ``rho^(2k)`` with rho the
+    largest spectral radius of the heavy-ball matrices ``[[1 - a, beta], [-a, beta]]`` (unimodal in
+    a, so the extreme modes of the spectrum give it; nodes lie within them), and its top mode lies
+    more than ``_SE_BLOCK_EDGE`` (relative) from the edge ``a = 2 (1 + beta)``. The decay test reads
+    k, so a longer horizon can leave a fast-decaying cell to the kernel. The noise plays no part: a
+    zero-noise run takes the engine its noisy cell takes.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
-    k = _se_block_steps(3 if beta.any() else 1, len(spectrum) if modes is None else modes)
+    k = _se_block_steps(3 if beta.any() else 1, len(spectrum) if modes is None else modes, steps)
     if not (k and _psd(tau1, tau2)):
         return np.zeros(alpha.size, dtype=bool), k
     with np.errstate(over="ignore", invalid="ignore"):  # inf from an overflow passes each test as it should
@@ -346,24 +360,25 @@ def _se_plan(spectrum: Spectrum, alpha, beta, gamma, tau1, tau2, steps):
     (lambda, start, weight) points they step, k, cells a batch), k the blocked round or 0 for the kernel.
 
     A cell's table holds d = 1 moment at beta = 0, else 3. Where no moment is tracked (:func:`_psd`)
-    and the modes would not get a full blocked round of ``_SE_BLOCK[1]`` steps at that d, a cell
-    steps the Gauss nodes (``Spectrum._nodes``, built once a spectrum and noise flag) if
-    ``spectrum._gauss_holds`` trusts them, else the modes (``spectrum._se_modes``); on either,
-    :func:`_blocked_cells` picks k. A batch holds at most ``_GRID_BATCH`` kernel cell-points or the
-    blocked cells whose rows and G fit ``_SE_BUDGET``, and at least one cell. Each choice reads only
-    a cell's own alpha and beta and the run's inputs.
+    and the modes would not get a full blocked round of ``_SE_BLOCK[1]`` steps at that d, whatever
+    the horizon, a cell steps the Gauss nodes (``Spectrum._nodes``, built once a spectrum and noise
+    flag) if ``spectrum._gauss_holds`` trusts them, else the modes (``spectrum._se_modes``); on
+    either, :func:`_blocked_cells` picks k from the points and ``steps``. A batch holds at most
+    ``_GRID_BATCH`` kernel cell-points or the blocked cells whose rows and G fit ``_SE_BUDGET``, and
+    at least one cell. Each choice reads only a cell's own alpha and beta and the run's inputs, so
+    a grid cell plans as its own :func:`run_se` run does.
     """
     alpha, beta = np.broadcast_arrays(np.reshape(np.asarray(alpha, dtype=float), -1),
                                       np.reshape(np.asarray(beta, dtype=float), -1))
     modes, nodes, plan = _se_modes(spectrum), None, []
     for d, group in ((1, np.flatnonzero(beta == 0.0)), (3, np.flatnonzero(beta != 0.0))):
         use = np.zeros(group.size, dtype=bool)
-        if group.size and _psd(tau1, tau2) and _se_block_steps(d, len(spectrum)) < _SE_BLOCK[1]:
+        if group.size and _psd(tau1, tau2) and _se_block_steps(d, len(spectrum), 0) < _SE_BLOCK[1]:
             *nodes, bins = spectrum._nodes(bool(tau1 * gamma != 0.0))
             use = _gauss_holds(bins, alpha[group], beta[group], steps)
         for part, points in ((group[~use], modes), (group[use], nodes)):
             if part.size:
-                blocked, k = _blocked_cells(spectrum, alpha[part], beta[part], tau1, tau2, points[0].size)
+                blocked, k = _blocked_cells(spectrum, alpha[part], beta[part], tau1, tau2, steps, points[0].size)
                 plan += [(cells, points, k, max(1, size // points[0].size)) for cells, k, size in (
                     (part[~blocked], 0, _GRID_BATCH), (part[blocked], k, _SE_BUDGET // (16 * d * max(k, 1))))
                     if cells.size]

@@ -464,6 +464,22 @@ class TestExitCodes:
                      "--plot", "--out", str(kept)]) == 2
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 74.5 GiB for an array with\nshape (1, 10000000001)",
+         "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (1, 10000000001)"),
+        ("", "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_4(self, message, line, tmp_path, monkeypatch, capsys):
+        # a command that runs out of memory exits 4 with one line, no traceback, and writes nothing
+        def exhausted(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._DISPATCH, "simulate", exhausted)
+        out = tmp_path / "new" / "out"
+        assert main(["simulate", "--nu", "1.5", "--kappa", "3", "--batch", "4", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == line + "\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("link, below", [(False, ()), (False, ("sub",)), (True, ())],
                              ids=["file", "under-file", "dangling-link"])
     def test_out_blocked_by_a_file_exits_2(self, link, below, tmp_path, capsys):

@@ -811,7 +811,9 @@ B = _LOSS_BLOCK
 
 class TestBlockedLossSolve:
     # reconstruct_loss solves B losses a block, from step 1: blocks start at steps 1, B + 1, 2B + 1, ...
-    @pytest.mark.parametrize("horizon", [0, 1, B - 1, B, B + 1, 2 * B + 3, 5000])
+    # Horizons end mid-block (B/2 - 1 to B/2 + 1, B + 3 and 2B + 3) and about block edges
+    @pytest.mark.parametrize("horizon", [0, 1, B // 2 - 1, B // 2, B // 2 + 1, B - 1, B, B + 1, B + 3, 2 * B + 3,
+                                         5000])
     def test_matches_the_stepped_solve(self, horizon):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))  # the oracle's, a power-law decay
         ctx = GenFuncContext(spec, 0.5 / spec.lambda_max, 0.4, 0.1, 0.8)
@@ -823,8 +825,9 @@ class TestBlockedLossSolve:
         assert max_rel_err(traj.losses, sim.losses[: horizon + 1]) <= 1e-10
 
     # the crossing on a block's first step (the first block's too), a middle one and its last,
-    # and on the last step of a horizon that ends on a block edge
-    @pytest.mark.parametrize("step, horizon", [(1, 100), (2 * B + 1, 100), (2 * B + 8, 100),
+    # and on the last step of a horizon that ends on a block edge, in the second block and later
+    @pytest.mark.parametrize("step, horizon", [(1, 100), (B + 1, 100), (B + 8, 100), (3 * B // 2, 100),
+                                               (2 * B, 2 * B), (2 * B + 1, 100), (2 * B + 8, 100),
                                                (3 * B, 100), (4 * B, 4 * B)])
     def test_divergence_crossing_anywhere_in_a_block(self, monkeypatch, step, horizon):
         # a diverging run, its loss up 2.5 times a step: a threshold between L(step - 1) and
