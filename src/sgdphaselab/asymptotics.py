@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .errors import AnalysisDomainError, ValidationError
 from .genfunc import DivergenceReport, GenFuncContext, eval_U1, eval_V1
 from .numerics import bisect_monotone, gamma_fn
-from .serialize import json_ready
+from .serialize import report_dict
 from .spectrum import PowerLawFit, Spectrum
 
 __all__ = [
@@ -141,23 +141,7 @@ class AsymptoteReport:
     alpha_max: float
 
     def as_dict(self) -> dict:
-        d = {
-            "phase": self.phase.value,
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "C_signal": self.c_signal,
-            "C_noise": self.c_noise,
-            "nu": self.nu,
-            "zeta": self.zeta,
-            "U1": self.u1,
-            "V1": self.v1,
-            "t_trans": self.t_trans,
-            "Xi": self.xi,
-            "momentum_recommendation": self.momentum_recommendation,
-            "alpha_opt": self.alpha_opt,
-            "alpha_max": self.alpha_max,
-        }
-        return json_ready(d)
+        return report_dict(self, c_signal="C_signal", c_noise="C_noise", u1="U1", v1="V1", xi="Xi")
 
 
 def loss_asymptote(ctx: GenFuncContext, fit: PowerLawFit) -> AsymptoteReport:
@@ -236,10 +220,7 @@ class BlowupReport:
     r_l: float
 
     def as_dict(self) -> dict:
-        return json_ready({
-            "a_star": self.a_star, "epsilon_star": self.epsilon_star,
-            "t_blowup": self.t_blowup, "t_div": self.t_div, "r_L": self.r_l,
-        })
+        return report_dict(self, r_l="r_L")
 
 
 def blowup_time(ctx: GenFuncContext, fit: PowerLawFit, div: DivergenceReport) -> BlowupReport:

@@ -36,7 +36,7 @@ from . import __version__, svg
 from .asymptotics import PhaseLabel, blowup_time, classify_phase, loss_asymptote
 from .errors import AnalysisDomainError, ValidationError
 from .genfunc import GenFuncContext, eval_U1, solve_divergence, stability_report
-from .simulate import SGDParams, run_full_moments, run_mc, run_noiseless, run_se, run_se_grid
+from .simulate import SGDParams, run_full_moments, run_mc, run_noiseless, run_se, run_se_grid, se_fit_error
 from .serialize import json_ready
 from .spectrum import (
     FeatureProblem,
@@ -568,15 +568,9 @@ def _cmd_fit(cfg: ExperimentConfig) -> list:
 
 
 def _cmd_se_error(cfg: ExperimentConfig) -> list:
-    from .simulate import se_fit_error
-
     problem = _features(_build_problem(cfg)[1])
     report = se_fit_error(problem, problem.initial_second_moment(), cfg.tau1, cfg.tau2)
-    return [("se_error.json", _json({
-        "E2": report.e2, "tau1": report.tau1, "tau2": report.tau2,
-        "coefficients": report.coefficients,
-        "tau2_opt_on_tau1_eq_1": report.tau2_opt, "E2_opt": report.e2_opt,
-    }))]
+    return [("se_error.json", _json(report.as_dict()))]
 
 
 _DISPATCH = {

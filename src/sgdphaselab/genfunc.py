@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisDomainError
 from .numerics import bisect_monotone
-from .serialize import json_ready
+from .serialize import report_dict
 from .simulate import LossTrajectory, _divergence_threshold, _is_count, _se_kernel, _se_run, _se_table
 from .spectrum import Spectrum, _gauss_holds, _se_modes
 
@@ -230,18 +230,7 @@ class StabilityReport:
     u1_truncated: float = math.nan  # finite truncated sum even when u1 is flagged inf
 
     def as_dict(self) -> dict:
-        return json_ready({
-            "U1": self.u1,
-            "converges": self.converges,
-            "lambda_crit": self.lambda_crit,
-            "alpha_eff": self.alpha_eff,
-            "alpha_eff_bound": self.alpha_eff_bound,
-            "alpha_eff_critical": self.alpha_eff_critical,
-            "regime_flags": self.regime_flags,
-            "valid": self.valid,
-            "reason": self.reason,
-            "U1_truncated": self.u1_truncated,
-        })
+        return report_dict(self, u1="U1", u1_truncated="U1_truncated")
 
 
 def stability_report(ctx: GenFuncContext, nu: float | None = None) -> StabilityReport:
@@ -302,7 +291,7 @@ class DivergenceReport:
     prefactor: float   # V~(r_L) / (2 (1 + r_L^2 U~'(r_L)))
 
     def as_dict(self) -> dict:
-        return json_ready({"r_L": self.r_l, "t_div": self.t_div, "prefactor": self.prefactor})
+        return report_dict(self, r_l="r_L")
 
     def asymptote(self, t) -> np.ndarray:
         """The late-time divergent branch ``prefactor * r_L**-t``."""

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import enum
 import math
+from dataclasses import fields
 
 import numpy as np
 
-__all__ = ["json_ready"]
+__all__ = ["json_ready", "report_dict"]
 
 
 def json_ready(value):
@@ -26,4 +28,11 @@ def json_ready(value):
         if math.isinf(f):
             return "inf" if f > 0 else "-inf"
         return f
+    if isinstance(value, enum.Enum):
+        return value.value
     return value
+
+
+def report_dict(report, **keys) -> dict:
+    """A dataclass report as JSON, its fields in order, each under its own name or its paper-notation key."""
+    return json_ready({keys.get(f.name, f.name): getattr(report, f.name) for f in fields(report)})

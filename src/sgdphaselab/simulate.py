@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisDomainError, ValidationError
+from .serialize import report_dict
 from .spectrum import FeatureProblem, Spectrum, _gauss_holds, _heavy_ball, _se_modes, gamma_for_batch
 
 __all__ = [
@@ -577,6 +578,9 @@ class SeFitReport:
             + tau1**2 * c["aa"] - 2.0 * tau1 * tau2 * c["ab"] + tau2**2 * c["bb"]
         )
         return num / c["ss"]
+
+    def as_dict(self) -> dict:
+        return report_dict(self, e2="E2", tau2_opt="tau2_opt_on_tau1_eq_1", e2_opt="E2_opt")
 
 
 def se_fit_error(problem: FeatureProblem, c_matrix: np.ndarray, tau1: float = 1.0, tau2: float = 1.0) -> SeFitReport:

@@ -167,11 +167,26 @@ class TestRunCommands:
             assert p.stat().st_size == f["bytes"]
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(SIM_ARGS + ["--seed", "5", "--out", str(out1), "--plot"]) == 0
-        assert main(SIM_ARGS + ["--seed", "5", "--out", str(out2), "--plot"]) == 0
-        for name in ("trajectory_se.csv", "trajectories.svg"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # every file a JSON-writing command makes but its manifest (which holds the wall time)
+        runs = {
+            "simulate": SIM_ARGS + ["--seed", "5", "--plot"],
+            "divergence": ["divergence", "--nu", "0.75", "--kappa", "0.375", "--modes", "2000", "--alpha", "0.1",
+                           "--gamma", "1", "--steps", "500", "--tail-start", "200", "--plot"],
+            "asymptotics": ["asymptotics", "--nu", "1.5", "--kappa", "3", "--modes", "400", "--alpha", "0.2",
+                            "--gamma", "1", "--steps", "500", "--plot"],
+            "fit": ["fit", "--nu", "1.5", "--kappa", "3", "--modes", "64", "--plot"],
+            "se-error": ["se-error", "--torus", "24"],
+            "phase-diagram": ["phase-diagram", "--alpha", "0.2", "--gamma", "0.1", "--modes", "32"],
+        }
+        for command, argv in runs.items():
+            out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+            assert main(argv + ["--out", str(out1)]) == 0
+            assert main(argv + ["--out", str(out2)]) == 0
+            names = sorted(p.name for p in out1.iterdir())
+            assert names == sorted(p.name for p in out2.iterdir()) and len(names) > 1
+            for name in names:
+                if name != "manifest.json":
+                    assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
     def test_noiseless_has_empty_stderr_column_mc_does_not(self, tmp_path):
         out = tmp_path / "both"

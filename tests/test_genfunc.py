@@ -34,7 +34,8 @@ from sgdphaselab import (
 from sgdphaselab import asymptotics, cli, genfunc, simulate, spectrum
 from sgdphaselab.genfunc import _LOSS_BLOCK, _UV_BLOCK, _UV_CHUNK, _uv_at, _uv_step
 from sgdphaselab.simulate import _se_kernel, _se_run, _se_table
-from conftest import max_rel_err, random_spectrum
+from sgdphaselab.serialize import json_ready
+from conftest import max_rel_err, random_problem, random_spectrum, se_reference
 
 
 def expanded_S(alpha, beta, gamma, lam, z):
@@ -756,6 +757,20 @@ class TestReconstructLoss:
         n = min(len(a.losses), len(b.losses))
         assert max_rel_err(a.losses[:n], b.losses[:n]) <= 1e-10
 
+    # two draws of the test above, on 3 modes at tau2 = 1, where the oracle misses run_se by more
+    # than 1e-10 (A by 1.3e-10, B by 3.5e-9): the double-double reference sides with run_se, within
+    # 2.2e-14 (A) and 1.3e-13 (B), more than 5000 times closer than the oracle
+    @pytest.mark.parametrize("seed, frac, beta, gamma", [(3, 0.875, 0.34375, 0.0625),
+                                                         (0, 0.9375, 0.5, 0.03125)], ids=["A", "B"])
+    def test_reference_sides_with_simulator_at_recorded_misses(self, seed, frac, beta, gamma):
+        spec = random_spectrum(np.random.default_rng(seed), 3)
+        alpha = frac * 2.0 * (1.0 + beta) / spec.lambda_max
+        ref = se_reference(spec.lambdas, spec.lambda_c0, alpha, beta, gamma, 1.0, 1.0, 150)[0]
+        sim = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, steps=150)).losses
+        oracle = reconstruct_loss(GenFuncContext(spec, alpha, beta, gamma, 1.0), 150).losses
+        assert max_rel_err(sim, ref) <= 1e-12
+        assert max_rel_err(oracle, ref) >= 100 * max_rel_err(sim, ref)
+
     @pytest.mark.parametrize("beta", [0.0, -0.3])
     @pytest.mark.parametrize("gamma, tau", [(1.0, 1.0), (0.5, 0.6)])
     def test_divergence_cut_matches_simulator(self, beta, gamma, tau):
@@ -901,3 +916,62 @@ class TestSerialization:
         assert d["U1"] == "inf"
         bad = stability_report(GenFuncContext(spec, 100.0, 0.0, 0.5, 1.0))
         assert bad.as_dict()["U1"] == "nan"
+
+    # each report's JSON as its as_dict() spelled it out by hand before it followed from the
+    # report's fields, and se_error.json as the se-error command spelled it: keys, order and values
+    REFERENCE = {
+        "StabilityReport": lambda r: {
+            "U1": r.u1, "converges": r.converges, "lambda_crit": r.lambda_crit, "alpha_eff": r.alpha_eff,
+            "alpha_eff_bound": r.alpha_eff_bound, "alpha_eff_critical": r.alpha_eff_critical,
+            "regime_flags": r.regime_flags, "valid": r.valid, "reason": r.reason, "U1_truncated": r.u1_truncated,
+        },
+        "DivergenceReport": lambda r: {"r_L": r.r_l, "t_div": r.t_div, "prefactor": r.prefactor},
+        "AsymptoteReport": lambda r: {
+            "phase": r.phase.value, "exponent": r.exponent, "constant": r.constant, "C_signal": r.c_signal,
+            "C_noise": r.c_noise, "nu": r.nu, "zeta": r.zeta, "U1": r.u1, "V1": r.v1, "t_trans": r.t_trans,
+            "Xi": r.xi, "momentum_recommendation": r.momentum_recommendation, "alpha_opt": r.alpha_opt,
+            "alpha_max": r.alpha_max,
+        },
+        "BlowupReport": lambda r: {
+            "a_star": r.a_star, "epsilon_star": r.epsilon_star, "t_blowup": r.t_blowup, "t_div": r.t_div,
+            "r_L": r.r_l,
+        },
+        "SeFitReport": lambda r: {
+            "E2": r.e2, "tau1": r.tau1, "tau2": r.tau2, "coefficients": r.coefficients,
+            "tau2_opt_on_tau1_eq_1": r.tau2_opt, "E2_opt": r.e2_opt,
+        },
+    }
+
+    def assert_reference_json(self, report):
+        got, ref = report.as_dict(), json_ready(self.REFERENCE[type(report).__name__](report))
+        assert list(got) == list(ref)
+        assert got == ref
+
+    def test_stability_reports_match_reference(self):
+        spec = random_spectrum(np.random.default_rng(2))
+        good = stability_report(GenFuncContext(spec, 0.3, 0.2, 0.4, 1.0))
+        bad = stability_report(GenFuncContext(spec, 100.0, 0.0, 0.5, 1.0))
+        assert good.valid and not bad.valid
+        self.assert_reference_json(good)
+        self.assert_reference_json(bad)
+
+    def test_divergence_and_blowup_reports_match_reference(self):
+        spec = build_power_law(PowerLawSpec(1.0, 0.75, 1.0, 0.375, 5000))
+        ctx = GenFuncContext(spec, 0.1, 0.0, 1.0, 1.0)
+        div = solve_divergence(ctx)
+        self.assert_reference_json(div)
+        fit = spectrum.PowerLawFit(1.0, 0.75, 1.0, 0.375, 1, 0.0, 0.0)
+        self.assert_reference_json(asymptotics.blowup_time(ctx, fit, div))
+
+    @pytest.mark.parametrize("phase, kappa, gamma", [("noise_dominated", 3.0, 1.0),
+                                                     ("signal_dominated", 0.375, 0.1)])
+    def test_asymptote_reports_match_reference(self, phase, kappa, gamma):
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, kappa, 500))
+        fit = spectrum.PowerLawFit(1.0, 1.5, 1.0, kappa, 1, 0.0, 0.0)
+        rep = asymptotics.loss_asymptote(GenFuncContext(spec, 0.2, 0.0, gamma, 1.0), fit)
+        assert rep.phase.value == phase and (rep.t_trans is None) == (phase == "signal_dominated")
+        self.assert_reference_json(rep)
+
+    def test_se_fit_report_matches_reference(self):
+        problem = random_problem(np.random.default_rng(4), 6, 9)
+        self.assert_reference_json(simulate.se_fit_error(problem, problem.initial_second_moment(), 1.0, 0.7))
