@@ -16,7 +16,7 @@ tau1 is fixed to 1 here; the simulator keeps it free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -260,12 +260,10 @@ def stability_report(ctx: GenFuncContext, nu: float | None = None) -> StabilityR
 
     alpha_hi = 2.0 * (1.0 + ctx.beta) / ctx.spectrum.lambda_max
     probe = alpha_hi * (1.0 - 1e-12)
-    if ctx.gamma == 0.0 or eval_U1(_with_alpha(ctx, probe)) <= 1.0:
+    if ctx.gamma == 0.0 or eval_U1(replace(ctx, alpha=probe)) <= 1.0:
         alpha_crit = alpha_hi  # sampling noise never binds before the heavy-ball boundary
     else:
-        alpha_crit = bisect_monotone(
-            lambda a: eval_U1(_with_alpha(ctx, a)) - 1.0, 1e-300, probe
-        )
+        alpha_crit = bisect_monotone(lambda a: eval_U1(replace(ctx, alpha=a)) - 1.0, 1e-300, probe)
     return StabilityReport(
         u1=u1,
         converges=u1 < 1.0,
@@ -276,10 +274,6 @@ def stability_report(ctx: GenFuncContext, nu: float | None = None) -> StabilityR
         regime_flags=flags,
         u1_truncated=u1_trunc,
     )
-
-
-def _with_alpha(ctx: GenFuncContext, alpha: float) -> GenFuncContext:
-    return GenFuncContext(ctx.spectrum, alpha, ctx.beta, ctx.gamma, ctx.tau)
 
 
 @dataclass(frozen=True)

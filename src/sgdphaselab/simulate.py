@@ -560,8 +560,9 @@ class SeFitReport:
     """Relative quadratic trace distance between the exact and SE noise terms.
 
     ``E2(t1, t2) = |Sigma - t1 A + t2 B|_F^2 / |Sigma|_F^2`` with
-    A = H Tr(HC) and B = HCH; quadratic in (t1, t2), so six inner products
-    determine it everywhere.
+    A = H Tr(HC) and B = HCH. ``coefficients`` holds the six Frobenius inner products of Sigma,
+    A and B (``"ss"``, ``"sa"``, ...): they go into ``se_error.json`` and give ``tau2_opt``.
+    ``e2`` and ``e2_opt`` come from the difference matrix instead (see :func:`se_fit_error`).
     """
 
     e2: float
@@ -571,14 +572,6 @@ class SeFitReport:
     tau2_opt: float      # minimizer of E2(1, .) on the tau1 = 1 line
     e2_opt: float
 
-    def evaluate(self, tau1: float, tau2: float) -> float:
-        c = self.coefficients
-        num = (
-            c["ss"] - 2.0 * tau1 * c["sa"] + 2.0 * tau2 * c["sb"]
-            + tau1**2 * c["aa"] - 2.0 * tau1 * tau2 * c["ab"] + tau2**2 * c["bb"]
-        )
-        return num / c["ss"]
-
     def as_dict(self) -> dict:
         return report_dict(self, e2="E2", tau2_opt="tau2_opt_on_tau1_eq_1", e2_opt="E2_opt")
 
@@ -587,8 +580,8 @@ def se_fit_error(problem: FeatureProblem, c_matrix: np.ndarray, tau1: float = 1.
     """Measure how spectrally expressible the exact noise term is for this problem.
 
     ``e2`` is formed from the difference matrix directly (the coefficient
-    expansion cancels catastrophically when the fit is nearly exact); the
-    coefficients back the quadratic-form view and the line minimizer.
+    expansion cancels catastrophically when the fit is nearly exact). E2 is undefined, and
+    AnalysisDomainError raised, when Sigma is zero up to rounding, as at one sample (N = 1).
     """
     sigma = exact_noise_covariance(problem, c_matrix)
     h = problem.hessian
@@ -597,8 +590,14 @@ def se_fit_error(problem: FeatureProblem, c_matrix: np.ndarray, tau1: float = 1.
     b = h @ c @ h
     terms = {"s": sigma, "a": a, "b": b}
     coef = {x + y: float(np.sum(terms[x] * terms[y])) for x, y in ("ss", "sa", "sb", "aa", "ab", "bb")}
-    if coef["ss"] <= 0.0:
-        raise AnalysisDomainError("exact noise covariance is zero; E2 is undefined")
+    # Sigma is the difference of two terms of norm at most m4 |C|_F, m4 the mean of |psi_i|^4. Where
+    # they cancel exactly (N = 1, or N equal samples) their rounding left |Sigma|_F below 0.93 (d + N)
+    # eps m4 |C|_F in over 1000 draws up to d = 256; real two-sample noise sat 1e8 times above that
+    psi = problem.features
+    m4 = float(np.mean(np.sum(psi * psi, axis=0) ** 2))
+    rounding = 16.0 * (problem.dim + problem.dataset_size) * np.finfo(float).eps * m4 * np.linalg.norm(c)
+    if math.sqrt(coef["ss"]) <= rounding:
+        raise AnalysisDomainError("exact noise covariance is zero up to rounding; E2 is undefined")
 
     def direct(t1: float, t2: float) -> float:
         diff = sigma - t1 * a + t2 * b

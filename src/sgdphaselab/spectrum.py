@@ -418,14 +418,13 @@ class FeatureProblem(_Frozen):
 class EigenDecomposition(NamedTuple):
     spectrum: Spectrum
     basis: np.ndarray  # (d, M) orthonormal eigenvectors, columns sorted with the spectrum
-    c0: np.ndarray
 
 
 def eigendecompose(problem: FeatureProblem) -> EigenDecomposition:
     """Symmetric eigendecomposition of H restricted to its numerically nonzero part.
 
-    Modes with ``lambda <= RANK_EPS * lambda_max`` are dropped; the initial
-    moments are the rank-one projections ``C_kk,0 = <u_k, w0 - w_star>^2``.
+    Returns ``(spectrum, basis)``. Modes with ``lambda <= RANK_EPS * lambda_max`` are dropped;
+    the start ``spectrum.c0`` is the rank-one projections ``C_kk,0 = <u_k, w0 - w_star>^2``.
     """
     h = problem.hessian
     eigvals, eigvecs = np.linalg.eigh(h)
@@ -435,11 +434,11 @@ def eigendecompose(problem: FeatureProblem) -> EigenDecomposition:
     keep = eigvals > RANK_EPS * lam_max
     lam = _readonly(eigvals[keep][::-1])
     basis = eigvecs[:, keep][:, ::-1]
-    c0 = _readonly((basis.T @ problem.deviation) ** 2)
+    c0 = (basis.T @ problem.deviation) ** 2
     spectrum = Spectrum.from_c0(
         lam, c0, dataset_size=problem.dataset_size, meta={"source": "eigendecomposition"}
     )
-    return EigenDecomposition(spectrum, _readonly(basis), c0)
+    return EigenDecomposition(spectrum, _readonly(basis))
 
 
 @dataclass(frozen=True)

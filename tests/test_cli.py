@@ -432,6 +432,22 @@ class TestExitCodes:
                    "--alpha", "0.01", "--gamma", "0.01", "--out", str(tmp_path / "y")])
         assert rc == 3
 
+    @pytest.mark.parametrize("source", [["--random-features", "1,1"], ["--random-features", "2,1"],
+                                        ["--torus", "1"]], ids=lambda s: s[1])
+    def test_se_error_without_sampling_noise_exits_3(self, source, tmp_path, capsys):
+        # one sample is a full batch: Sigma is zero, exactly on the torus, up to rounding otherwise
+        out = tmp_path / "se"
+        assert main(["se-error", *source, "--out", str(out)]) == 3
+        assert "E2 is undefined" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_se_error_reports_a_small_real_noise(self, tmp_path):
+        # d = 1, N = 2: Sigma = C (psi_1^2 - psi_2^2)^2 / 4, about 2.8e-7 in norm at seed 0
+        out = tmp_path / "se"
+        assert main(["se-error", "--random-features", "1,2", "--out", str(out)]) == 0
+        rep = json.loads((out / "se_error.json").read_text())
+        assert 0.0 < rep["coefficients"]["ss"] < 1e-12
+
     @pytest.mark.parametrize("argv", [
         ["stability-map", "--modes", "20", "--gamma", "0.5", "--grid-alpha", "0.1:1:2",
          "--grid-beta", "0:0.5:2", "--steps", "10"],

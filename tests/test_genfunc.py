@@ -755,7 +755,13 @@ class TestReconstructLoss:
         a = reconstruct_loss(GenFuncContext(spec, alpha, beta, gamma, tau2), 150)
         b = run_se(spec, SGDParams(alpha=alpha, beta=beta, gamma=gamma, tau2=tau2, steps=150))
         n = min(len(a.losses), len(b.losses))
-        assert max_rel_err(a.losses[:n], b.losses[:n]) <= 1e-10
+
+        def sides():  # a miss's message, which says which side the double-double reference takes
+            ref = se_reference(spec.lambdas, spec.lambda_c0, alpha, beta, gamma, 1.0, tau2, n - 1)[0]
+            return (f"against se_reference, reconstruct_loss errs by {max_rel_err(a.losses[:n], ref):.3g} "
+                    f"and run_se by {max_rel_err(b.losses[:n], ref):.3g}")
+
+        assert max_rel_err(a.losses[:n], b.losses[:n]) <= 1e-10, sides()
 
     # two draws of the test above, on 3 modes at tau2 = 1, where the oracle misses run_se by more
     # than 1e-10 (A by 1.3e-10, B by 3.5e-9): the double-double reference sides with run_se, within

@@ -228,18 +228,18 @@ class TestEigendecompose:
         n = 6
         prob = random_problem(rng, n, n)
         prob = prob.create(math.sqrt(n) * np.eye(n), prob.w_star, prob.w0)
-        spec, basis, c0 = eigendecompose(prob)
+        spec, _ = eigendecompose(prob)
         assert np.allclose(spec.lambdas, 1.0, rtol=1e-12)
 
     def test_zero_deviation(self, rng):
         prob = random_problem(rng, 5, 8)
         prob = prob.create(prob.features, prob.w0, prob.w0)  # w_star = w0
-        spec, _, c0 = eigendecompose(prob)
-        assert np.all(c0 == 0.0)
+        spec, _ = eigendecompose(prob)
+        assert np.all(spec.c0 == 0.0)
 
     def test_reconstruction_oracle(self, rng):
         prob = random_problem(rng, 8, 8)
-        spec, basis, _ = eigendecompose(prob)
+        spec, basis = eigendecompose(prob)
         h = prob.hessian
         rebuilt = (basis * spec.lambdas) @ basis.T
         rel = np.linalg.norm(h - rebuilt) / np.linalg.norm(h)
@@ -248,8 +248,8 @@ class TestEigendecompose:
 
     def test_rank_one_initial_moments(self, rng):
         prob = random_problem(rng, 6, 9)
-        spec, basis, c0 = eigendecompose(prob)
-        assert np.allclose(c0, (basis.T @ (prob.w0 - prob.w_star)) ** 2, rtol=1e-12)
+        spec, basis = eigendecompose(prob)
+        assert np.allclose(spec.c0, (basis.T @ (prob.w0 - prob.w_star)) ** 2, rtol=1e-12)
 
     def test_zero_matrix_rejected(self):
         from sgdphaselab import FeatureProblem
