@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import AnalysisDomainError, ValidationError
 from .genfunc import DivergenceReport, GenFuncContext, eval_U1, eval_V1
-from .numerics import bisect_monotone, gamma_fn
+from .numerics import bisect_monotone, from_log, gamma_fn
 from .serialize import report_dict
 from .spectrum import PowerLawFit, Spectrum
 
@@ -164,11 +164,11 @@ def loss_asymptote(ctx: GenFuncContext, fit: PowerLawFit) -> AsymptoteReport:
         raise AnalysisDomainError(f"U~(1) = {u1:.6g} >= 1: not convergent")
     v1 = eval_V1(ctx)
     base = 2.0 * ctx.alpha * fit.Lambda / (1.0 - ctx.beta)
-    c_signal = fit.K * gamma_fn(zeta + 1.0) / (2.0 * (1.0 - u1)) * base**-zeta
-    c_noise = (
-        ctx.gamma * v1 * gamma_fn(2.0 - 1.0 / nu)
-        / (8.0 * nu * (1.0 - u1) ** 2) * base ** (1.0 / nu)
+    c_signal = from_log(  # Gamma(zeta + 1) and base**-zeta may leave the double range where C_signal does not
+        lambda: fit.K * gamma_fn(zeta + 1.0) / (2.0 * (1.0 - u1)) * base**-zeta,
+        math.log(fit.K) + math.lgamma(zeta + 1.0) - zeta * math.log(base) - math.log(2.0 * (1.0 - u1)),
     )
+    c_noise = ctx.gamma * v1 * gamma_fn(2.0 - 1.0 / nu) / (8.0 * nu * (1.0 - u1) ** 2) * base ** (1.0 / nu)
     if phase is PhaseLabel.SIGNAL_DOMINATED:
         exponent, constant = -zeta, c_signal
     else:
@@ -183,9 +183,10 @@ def loss_asymptote(ctx: GenFuncContext, fit: PowerLawFit) -> AsymptoteReport:
         phase, exponent, constant, c_signal, c_noise, nu, zeta, u1, v1,
         None, xi, rec, alpha_opt, alpha_max,
     )
-    if phase is PhaseLabel.NOISE_DOMINATED and c_signal > 0 and c_noise > 0:
-        report = replace(report, t_trans=transition_time(report))
-    return report
+    try:
+        return replace(report, t_trans=transition_time(report))
+    except AnalysisDomainError:  # the signal phase, or a branch constant not finite and positive
+        return report
 
 
 def loss_approx(ctx: GenFuncContext, fit: PowerLawFit, t: float) -> float:
@@ -204,9 +205,11 @@ def transition_time(report: AsymptoteReport) -> float:
     """
     if report.phase is not PhaseLabel.NOISE_DOMINATED:
         raise AnalysisDomainError("transition time applies to the noise-dominated phase only")
-    if not (report.c_signal > 0 and report.c_noise > 0 and math.isfinite(report.c_signal)):
+    if not (0.0 < report.c_signal < math.inf and 0.0 < report.c_noise < math.inf):
         raise AnalysisDomainError("transition time needs both branch constants finite and positive")
-    return (report.c_signal / report.c_noise) ** (1.0 / (report.zeta - 2.0 + 1.0 / report.nu))
+    gap = report.zeta - 2.0 + 1.0 / report.nu  # small near the phase boundary: t_trans may pass the double range
+    return from_log(lambda: (report.c_signal / report.c_noise) ** (1.0 / gap),
+                    (math.log(report.c_signal) - math.log(report.c_noise)) / gap)
 
 
 @dataclass(frozen=True)

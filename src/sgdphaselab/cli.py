@@ -50,7 +50,6 @@ from .spectrum import (
     load_spectrum_csv,
 )
 
-COMMANDS = ("simulate", "stability-map", "asymptotics", "divergence", "phase-diagram", "fit", "se-error")
 REGIMES = ("se", "noiseless", "mc", "moments")
 
 
@@ -460,13 +459,8 @@ def _cmd_divergence(cfg: ExperimentConfig) -> list:
     files = [*_trajectory_files("se", cfg, traj, spectrum), ("divergence_report.json", _json(report))]
     if cfg.plot:
         ts, ls = _positive_series(traj.losses)
-        markers = []
-        if div.t_div < len(traj.losses):
-            markers.append(("t_div", div.t_div, float(np.interp(div.t_div, ts, ls))))
-        if "t_blowup" in report.get("blowup", {}):
-            tb = report["blowup"]["t_blowup"]
-            if tb < len(traj.losses):
-                markers.append(("t_blowup", tb, float(np.interp(tb, ts, ls))))
+        times = (("t_div", div.t_div), ("t_blowup", report["blowup"].get("t_blowup", math.inf)))
+        markers = [(name, t, float(np.interp(t, ts, ls))) for name, t in times if t < len(traj.losses)]
         files.append(("divergence.svg", svg.loglog_chart(
             [("se", ts, ls)],
             guides=[(-fit.zeta, 1.0, traj.losses[0], "early branch slope")],
@@ -514,20 +508,16 @@ def _cmd_asymptotics(cfg: ExperimentConfig) -> list:
 
 
 def _cmd_phase_diagram(cfg: ExperimentConfig) -> list:
-    zetas = np.linspace(0.125, 3.0, 24)
-    inv_nus = np.linspace(0.125, 3.0, 24)
+    grid = np.linspace(0.125, 3.0, 24)  # both axes: 1/nu and zeta
     lines = ["nu,zeta,phase,exponent,constant"]
-    for inv_nu in inv_nus:
+    for inv_nu in grid:
         nu = 1.0 / inv_nu
-        for zeta in zetas:
+        for zeta in grid:
             phase = classify_phase(nu, zeta)
-            exponent = math.nan
-            constant = math.nan
-            if phase is PhaseLabel.SIGNAL_DOMINATED:
-                exponent = -zeta
-            elif phase is PhaseLabel.NOISE_DOMINATED:
-                exponent = 1.0 / nu - 2.0
-            if phase in (PhaseLabel.SIGNAL_DOMINATED, PhaseLabel.NOISE_DOMINATED):
+            branches = {PhaseLabel.SIGNAL_DOMINATED: -zeta, PhaseLabel.NOISE_DOMINATED: 1.0 / nu - 2.0}
+            exponent = constant = math.nan
+            if phase in branches:
+                exponent = branches[phase]
                 spec = build_power_law(
                     PowerLawSpec(cfg.Lambda, nu, cfg.K, zeta * nu, cfg.modes, cfg.c0_mode)
                 )
@@ -584,10 +574,14 @@ _DISPATCH = {
 }
 
 
-def run_command(cfg: ExperimentConfig) -> int:
-    """Execute the configured command, then emit its files; returns the process exit code."""
+COMMANDS = tuple(_DISPATCH)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse the flags, run the command and emit its files; returns the process exit code."""
     start = time.monotonic()
     try:
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
         _check_out(Path(cfg.out))
         files = _DISPATCH[cfg.command](cfg)
     except ValidationError as exc:
@@ -602,16 +596,6 @@ def run_command(cfg: ExperimentConfig) -> int:
         return 4
     _emit(cfg, files, start)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        cfg = parse_config(argv)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run_command(cfg)
 
 
 if __name__ == "__main__":

@@ -309,10 +309,9 @@ def solve_divergence(ctx: GenFuncContext) -> DivergenceReport:
     at = _uv_at(ctx)
     r = bisect_monotone(lambda z: z * at(z) - 1.0, 1e-300, np.nextafter(1.0, 0.0))
     uv = at(r, full=True)
-    if not abs(r * uv.u - 1.0) <= 1e-12:  # large spectra: one ulp of r may move z U~ by more
-        tol = max(1e-12, 2.0 * math.ulp(r) * (uv.u + r * uv.du))
-        if not abs(r * uv.u - 1.0) <= tol:
-            raise AnalysisDomainError(f"r_L residual {r * uv.u - 1.0!r} out of tolerance {tol:.3g}")
+    tol = max(1e-12, 2.0 * math.ulp(r) * (uv.u + r * uv.du))  # large spectra: one ulp of r may move z U~ by more
+    if not abs(r * uv.u - 1.0) <= tol:
+        raise AnalysisDomainError(f"r_L residual {r * uv.u - 1.0!r} out of tolerance {tol:.3g}")
     return DivergenceReport(r, -1.0 / math.log(r), uv.v / (2.0 * (1.0 + r**2 * uv.du)))
 
 
@@ -340,9 +339,9 @@ def compute_UV_sequences(ctx: GenFuncContext, horizon: int):
         if not ctx.gamma * (ctx.alpha * ctx.spectrum.lambda_max) ** 2 * horizon > 1e-16:
             lam, lc = ctx.spectrum.lambdas, ctx.spectrum.lambda_c0
             seed, zero = lam * lam, np.zeros_like(lam)
+            jv = np.stack([seed, zero]), np.stack([seed, zero])
             sums = _se_run(*_se_kernel(*_se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau),
-                                       np.stack([seed, lc]), np.stack([seed, zero]),
-                                       np.stack([seed, zero])), horizon - 1, history=True)[4]
+                                       np.stack([seed, lc]), jv=jv), horizon - 1, history=True)[4]
         else:
             *nodes, bins = ctx.spectrum._nodes(True)
             trusted = _gauss_holds(bins, np.array([ctx.alpha]), np.array([ctx.beta]), horizon - 1)[0]

@@ -1,6 +1,6 @@
-"""Numerics: the bracketed root solver and the gamma function for the analysis modules, and
-the Gauss rules with which a large spectrum compresses to the nodes that the SE simulator steps
-and the generating functions sum over.
+"""Numerics: the bracketed root solver, the gamma function and :func:`from_log` for the analysis
+modules, and the Gauss rules with which a large spectrum compresses to the nodes that the SE
+simulator steps and the generating functions sum over.
 
 Every equation the analysis solves is monotone on a bracket. The solver shrinks the bracket
 to adjacent floats by interpolating steps, superlinear on the smooth spectral sums, that never
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AnalysisDomainError
 
-__all__ = ["bisect_monotone", "gamma_fn", "gauss_rules"]
+__all__ = ["bisect_monotone", "from_log", "gamma_fn", "gauss_rules"]
 
 RULE_CHECK = 1e-12  # largest miss, relative to the mass, of a rule's Chebyshev sums against its moments
 RULE_BLOCK = 2**12  # points whose Chebyshev polynomials one pass of gauss_rules evaluates
@@ -89,6 +89,18 @@ def gamma_fn(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         raise AnalysisDomainError(f"gamma pole at x={x!r}")
     return math.gamma(x)
+
+
+def from_log(direct: Callable[[], float], log_value: float) -> float:
+    """A positive quantity: ``direct()``, bit for bit, where it agrees with its logarithm ``log_value`` to
+    1e-9 (off only where a partial product leaves the double range, or loses digits as a subnormal),
+    else ``exp(log_value)``, inf or 0 past the double range. Neither warns."""
+    with np.errstate(all="ignore"):
+        try:
+            value = direct()
+        except OverflowError:  # math.gamma, or ** on Python floats
+            value = math.inf
+        return value if abs(np.log(value) - log_value) <= 1e-9 else np.exp(log_value)
 
 
 def gauss_rules(x, w, count, n: int):

@@ -206,9 +206,10 @@ def _se_run(engine, state, k, steps, threshold=None, history=False):
     return *out.T, diverged, sums
 
 
-def _se_kernel(table, r, c, j, v, source=None, track=False):
+def _se_kernel(table, r, c, source=None, track=False, jv=None):
     """The step-by-step engine of :func:`_se_run`, its state and round size ``_SE_BLOCK[1]``, on the
-    (cells, modes) moments c, j, v (None for a ``(m11,)`` table), which it advances in place.
+    (cells, modes) moments c and, but for a ``(m11,)`` table, j and v: ``jv``, else zeros. It advances
+    them in place.
 
     A step is ``(C, J, V) <- A_k (C, J, V) + w``, ``w = r_k S`` (``source_k`` if r is None), ``S =
     sum_k C_k`` (:func:`_se_step`); each S but S_0 follows one, so a run takes exactly ``steps``.
@@ -227,7 +228,8 @@ def _se_kernel(table, r, c, j, v, source=None, track=False):
                 low[:, i] = c.min(axis=1)
         return sums, low
 
-    return advance, [c, j, v, None, r, *table], _SE_BLOCK[1]
+    jv = (None, None) if len(table) == 1 else jv or (np.zeros_like(c), np.zeros_like(c))
+    return advance, [c, *jv, None, r, *table], _SE_BLOCK[1]
 
 
 def _se_step(table, c, j, v, w, t1, t2):
@@ -397,8 +399,7 @@ def _se_cells(points, threshold, alpha, beta, gamma, tau1, tau2, steps, k, histo
         if r is not None:
             r *= weight
         c = np.tile(c0, (table[0].shape[0], 1))
-        engine = (_se_blocked(table, r, c, k) if k
-                  else _se_kernel(table, r, c, np.zeros_like(c), np.zeros_like(c), track=not _psd(tau1, tau2)))
+        engine = _se_blocked(table, r, c, k) if k else _se_kernel(table, r, c, track=not _psd(tau1, tau2))
         return _se_run(*engine, steps, threshold, history)
 
 
@@ -773,7 +774,7 @@ def run_additive_noise(spectrum: Spectrum, params: SGDParams, g_diag) -> tuple[L
 
     # the noiseless SE step plus a constant injection, so G = 0 matches run_noiseless exactly
     table, _ = _se_table(lam, alpha, 0.0, 0.0, 1.0, 1.0)
-    engine = _se_kernel(table, None, spectrum.lambda_c0[None].copy(), None, None, alpha**2 * lam * g)
+    engine = _se_kernel(table, None, spectrum.lambda_c0[None].copy(), alpha**2 * lam * g)
     losses = 0.5 * _se_run(*engine, params.steps, history=True)[4][0]
 
     l_inf = 0.5 * float(np.sum(alpha * g / (2.0 - alpha * lam)))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import CsvParseError, ValidationError
 from .numerics import gauss_rules
+from .serialize import json_ready, report_dict
 
 __all__ = [
     "Spectrum",
@@ -552,11 +553,7 @@ class PowerLawFit:
         return self.kappa / self.nu
 
     def as_dict(self) -> dict:
-        return {
-            "Lambda": self.Lambda, "nu": self.nu, "K": self.K, "kappa": self.kappa,
-            "zeta": self.zeta, "tail_start": self.tail_start,
-            "residual": self.residual, "residual_weights": self.residual_weights,
-        }
+        return report_dict(self) | {"zeta": json_ready(self.zeta)}
 
 
 def _loglog_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,42 @@ class TestLossAsymptote:
         with pytest.raises(AnalysisDomainError):
             loss_asymptote(ctx, nominal_fit(0.75, 0.375))
 
+    @pytest.mark.parametrize("kappa, modes, alpha", [pytest.param(300.0, 10, 0.1, id="gamma"),
+                                                     pytest.param(150.0, 32, 0.001, id="product")])
+    def test_overflowing_signal_constant_is_inf(self, kappa, modes, alpha):
+        # C_signal past the double range: Gamma(201) (zeta = 200), or Gamma(101) times (2 alpha
+        # Lambda)**-100 at alpha = 0.001. The noise branch stays finite and rules; the transition
+        # time needs C_signal, so it is None
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, kappa, modes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = loss_asymptote(GenFuncContext(spec, alpha, 0.0, 0.1, 1.0), fit_power_law(spec, max(1, modes // 4)))
+        assert rep.phase is PhaseLabel.NOISE_DOMINATED
+        assert rep.c_signal == math.inf and rep.t_trans is None
+        assert math.isfinite(rep.c_noise) and rep.c_noise > 0
+        assert rep.constant == rep.c_noise and rep.exponent == pytest.approx(1 / 1.5 - 2)
+        assert rep.as_dict()["C_signal"] == "inf"
+
+    @pytest.mark.parametrize("kappa, alpha, beta, gamma", [
+        pytest.param(300.0, 1.5, 0.0, 0.1, id="gamma-overflows"),  # Gamma(201) * 3**-200 ~ 1e279
+        pytest.param(300.0, 2.5, 0.95, 0.01, id="power-underflows"),  # Gamma(201) * 100**-200 ~ 1e-25
+        pytest.param(240.0, 2.5, 0.95, 0.01, id="power-subnormal"),  # 100**-160: 4 digits of a subnormal
+    ])
+    def test_signal_constant_past_its_factors_range(self, kappa, alpha, beta, gamma):
+        # C_signal in range though Gamma(zeta + 1) or base**-zeta is not: it is its logarithm's
+        # exponential, with no warning, and the transition time follows from it
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, kappa, 10))
+        fit = fit_power_law(spec, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = loss_asymptote(GenFuncContext(spec, alpha, beta, gamma, 1.0), fit)
+        base = 2.0 * alpha * fit.Lambda / (1.0 - beta)
+        log_c = math.log(fit.K) + math.lgamma(fit.zeta + 1.0) - fit.zeta * math.log(base) - math.log(2 * (1 - rep.u1))
+        assert rep.phase is PhaseLabel.NOISE_DOMINATED
+        assert rep.c_signal == pytest.approx(math.exp(log_c), rel=1e-12)
+        gap = fit.zeta - 2.0 + 1.0 / fit.nu
+        assert rep.t_trans == pytest.approx((rep.c_signal / rep.c_noise) ** (1.0 / gap), rel=1e-12)
+
     def test_boundary_refused(self):
         spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 2.0 - 1 / 1.5, 200))
         ctx = GenFuncContext(spec, 0.1, 0.0, 0.5, 1.0)
@@ -108,6 +145,26 @@ class TestTransitionTime:
         rep = loss_asymptote(ctx, nominal_fit(1.5, 3.0))
         forced = type(rep)(**{**rep.__dict__, "c_signal": 2.0, "c_noise": 2.0})
         assert transition_time(forced) == 1.0
+
+    @pytest.mark.parametrize("constants", [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0), (2.0, 0.0)])
+    def test_needs_both_constants_finite_and_positive(self, constants):
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
+        rep = loss_asymptote(GenFuncContext(spec, 0.2, 0.0, 1.0, 1.0), nominal_fit(1.5, 3.0))
+        forced = type(rep)(**{**rep.__dict__, "c_signal": constants[0], "c_noise": constants[1]})
+        with pytest.raises(AnalysisDomainError, match="finite and positive"):
+            transition_time(forced)
+
+    @pytest.mark.parametrize("above", [1e-3, 1e-7])
+    def test_past_the_double_range_near_the_boundary(self, above):
+        # zeta just above 2 - 1/nu: the exponent 1/(zeta - 2 + 1/nu) carries a ratio of ~100 past
+        # the double range, so t_trans is inf, with no warning on Python or numpy floats
+        spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 300))
+        for kappa in (1.5 * (4 / 3 + above), np.float64(1.5 * (4 / 3 + above))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = loss_asymptote(GenFuncContext(spec, 0.2, 0.0, 0.1, 1.0), nominal_fit(1.5, kappa))
+            assert rep.phase is PhaseLabel.NOISE_DOMINATED and rep.c_signal / rep.c_noise > 100
+            assert rep.t_trans == math.inf
 
     def test_gamma_halving_scaling(self):
         # formula-differentiation oracle: C_noise is linear in gamma up to the

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,36 @@ class TestRunCommands:
                      "--gamma", "1", "--steps", "5", "--out", str(out)]) == 0
         rep = json.loads((out / "asymptote_report.json").read_text())
         assert rep["empirical"] == {"note": "trajectory diverged or window too short"}
+
+    @pytest.mark.parametrize("kappa, modes, alpha", [("300", "10", "0.1"), ("150", "32", "0.001"), ("300", "10", "1.5")],
+                             ids=["gamma", "product", "in-range"])
+    def test_asymptotics_with_overflowing_signal_constant(self, kappa, modes, alpha, tmp_path, capsys):
+        # a noise-phase report whose C_signal passes the double range: written as "inf", no t_trans;
+        # at alpha = 1.5 only Gamma(201) does, and C_signal ~ 2e279 and t_trans ~ 26 are finite
+        out = tmp_path / "asym"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["asymptotics", "--nu", "1.5", "--kappa", kappa, "--modes", modes, "--alpha", alpha,
+                         "--gamma", "0.1", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        rep = json.loads((out / "asymptote_report.json").read_text())
+        assert rep["phase"] == "noise_dominated"
+        assert rep["constant"] == rep["C_noise"] and math.isfinite(rep["C_noise"])
+        if alpha == "1.5":
+            assert 1e279 < rep["C_signal"] < 1e280 and 25 < rep["t_trans"] < 27
+        else:
+            assert rep["C_signal"] == "inf" and rep["t_trans"] is None
+
+    def test_asymptotics_near_the_boundary(self, tmp_path, capsys):
+        # zeta 1e-3 above 2 - 1/nu: t_trans passes the double range and is written as "inf"
+        out = tmp_path / "asym"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["asymptotics", "--nu", "1.5", "--kappa", "2.0015", "--modes", "400", "--alpha", "0.2",
+                         "--gamma", "0.1", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        rep = json.loads((out / "asymptote_report.json").read_text())
+        assert rep["phase"] == "noise_dominated" and rep["t_trans"] == "inf"
 
     def test_fit_command(self, tmp_path):
         out = tmp_path / "fit"

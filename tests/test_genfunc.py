@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -455,7 +456,7 @@ def stepped_uv(ctx, horizon, per_mode=False):
     table, _ = _se_table(lam, ctx.alpha, ctx.beta, ctx.gamma, 0.0, ctx.tau)
     out = []
     for c, jv in ((lam * lam, lam * lam), (ctx.spectrum.lambda_c0.reshape(lam.shape), np.zeros_like(lam))):
-        sums = _se_run(*_se_kernel(table, None, c.copy(), jv.copy(), jv.copy()), horizon - 1, history=True)[4]
+        sums = _se_run(*_se_kernel(table, None, c.copy(), jv=(jv.copy(), jv.copy())), horizon - 1, history=True)[4]
         out.append(np.abs(sums).sum(axis=0) if per_mode else sums[0])
     return out
 
@@ -946,12 +947,17 @@ class TestSerialization:
             "E2": r.e2, "tau1": r.tau1, "tau2": r.tau2, "coefficients": r.coefficients,
             "tau2_opt_on_tau1_eq_1": r.tau2_opt, "E2_opt": r.e2_opt,
         },
+        # the fit's fields, then the derived zeta (the CLI sorts its JSON keys, so no file shows the order)
+        "PowerLawFit": lambda r: {
+            "Lambda": r.Lambda, "nu": r.nu, "K": r.K, "kappa": r.kappa, "tail_start": r.tail_start,
+            "residual": r.residual, "residual_weights": r.residual_weights, "zeta": r.zeta,
+        },
     }
 
     def assert_reference_json(self, report):
         got, ref = report.as_dict(), json_ready(self.REFERENCE[type(report).__name__](report))
         assert list(got) == list(ref)
-        assert got == ref
+        assert got == ref and [type(v) for v in got.values()] == [type(v) for v in ref.values()]  # JSON types
 
     def test_stability_reports_match_reference(self):
         spec = random_spectrum(np.random.default_rng(2))
@@ -977,6 +983,11 @@ class TestSerialization:
         rep = asymptotics.loss_asymptote(GenFuncContext(spec, 0.2, 0.0, gamma, 1.0), fit)
         assert rep.phase.value == phase and (rep.t_trans is None) == (phase == "signal_dominated")
         self.assert_reference_json(rep)
+
+    def test_power_law_fit_matches_reference(self):
+        fit = spectrum.fit_power_law(build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 64)), 16)
+        self.assert_reference_json(fit)
+        self.assert_reference_json(dataclasses.replace(fit, kappa=math.nan))  # zeta "nan", as the fields
 
     def test_se_fit_report_matches_reference(self):
         problem = random_problem(np.random.default_rng(4), 6, 9)

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from sgdphaselab import AnalysisDomainError, GenFuncContext, PowerLawSpec, build_power_law
 from sgdphaselab.genfunc import _uv_at
-from sgdphaselab.numerics import N0, bisect_monotone, gamma_fn
+from sgdphaselab.numerics import N0, bisect_monotone, from_log, gamma_fn
 
 # reference values from 50-digit arithmetic
 GAMMA_TABLE = [
@@ -44,9 +45,30 @@ class TestGamma:
         assert gamma_fn(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-11)
 
     def test_poles_raise(self):
-        for x in (0.0, -0.0, -1.0, -7.0):
+        for x in (0.0, -0.0, -1.0, -7.0, -300.0):
             with pytest.raises(AnalysisDomainError):
                 gamma_fn(x)
+
+
+class TestFromLog:
+    def test_keeps_the_direct_bits_in_range(self):
+        x = np.float64(0.3)
+        direct = from_log(lambda: 7.0 * gamma_fn(3.5) / 3.0 * x**-2.5, math.log(7.0) + math.lgamma(3.5)
+                          - math.log(3.0) - 2.5 * math.log(x))
+        assert direct == 7.0 * gamma_fn(3.5) / 3.0 * x**-2.5
+
+    @pytest.mark.parametrize("direct, log_value, want", [
+        (lambda: math.gamma(201.0) * 3.0**-200, math.lgamma(201.0) - 200 * math.log(3.0), None),  # OverflowError
+        (lambda: np.float64(1e300) * 1e300 * 1e-300, math.log(1e300), 1e300),  # inf on the way
+        (lambda: np.float64(1e-200) * 1e-200 * 1e200, math.log(1e-200), 1e-200),  # 0 on the way
+        (lambda: np.float64(1e200) ** 2, 400 * math.log(10.0), math.inf),  # past the range
+        (lambda: np.float64(1e-200) ** 2, -400 * math.log(10.0), 0.0),
+    ])
+    def test_from_the_logarithm_past_the_range(self, direct, log_value, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = from_log(direct, log_value)
+        assert got == pytest.approx(math.exp(log_value) if want is None else want, rel=1e-12)
 
 
 class TestBisect:
