@@ -26,8 +26,10 @@ coupling solved by a Toeplitz inverse; the others, and
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -219,7 +221,7 @@ def _se_kernel(table, r, c, source=None, track=False, jv=None):
     def advance(state, t, n):
         c, j, v, s, r, *table = state
         sums, low = np.empty((c.shape[0], n)), np.empty((c.shape[0], n)) if track else None
-        t1, t2 = np.empty_like(c), np.empty_like(c)
+        t1, t2 = scratch[:, : c.shape[0]]  # the live rows' share: contiguous, like c
         for i in range(n):
             if t + i:
                 _se_step(table, c, j, v, source if r is None else np.multiply(r, s[:, None], out=t1), t1, t2)
@@ -229,6 +231,7 @@ def _se_kernel(table, r, c, source=None, track=False, jv=None):
         return sums, low
 
     jv = (None, None) if len(table) == 1 else jv or (np.zeros_like(c), np.zeros_like(c))
+    scratch = np.empty((2, *c.shape))
     return advance, [c, *jv, None, r, *table], _SE_BLOCK[1]
 
 
@@ -291,7 +294,8 @@ def _se_blocked(table, r, c, k):
     lag = np.subtract.outer(range(k), range(k))
     mix, rows, span = np.where(lag >= 0, w[:, lag], 0.0), rows.reshape(cells, k, d * m), _SE_PREMIX // (k * k)
     # rows_i <- sum_j w_{i-j} rows_j, a GEMM per span of columns, so no thread count changes a bit
-    rows = np.concatenate([mix @ rows[:, :, i : i + span] for i in range(0, d * m, span)], axis=2)
+    rows = mix @ rows if span >= d * m else np.concatenate(
+        [mix @ rows[:, :, i : i + span] for i in range(0, d * m, span)], axis=2)
     s0, x = c.sum(axis=1), np.zeros((cells, d, m))
     x[:, 0] = c
 
@@ -449,8 +453,9 @@ def run_se_grid(spectrum: Spectrum, alphas: Sequence[float], betas: Sequence[flo
     if it needs more batches than there are workers. Cells are dealt to the batches round-robin
     in grid order, which spreads the early-diverging large-alpha cells; a diverged cell leaves
     its batch. The batches run on up to ``SGDPHASELAB_THREADS`` forked worker processes where
-    :func:`_map_batches` can fork, else here one after another. A job carries its cells' points (the
-    nodes built here, before any fork) and threshold, not the spectrum. A cell's arithmetic does not
+    :func:`_map_batches` can fork, else here one after another. A job holds its cells' points (the
+    nodes built here, before any fork) and threshold, not the spectrum; the workers inherit the jobs
+    and pickle back only their results. A cell's arithmetic does not
     depend on its batch, so each cell is bitwise its :func:`run_se` run whatever the split or the
     worker count. Every value is checked as
     :class:`SGDParams` checks it. Returns final/min losses, divergence steps (-1 = never) and the
@@ -517,19 +522,73 @@ def _map_batches(fn, jobs: list[tuple], workers: int) -> list:
     ``fn`` calls BLAS (:func:`_se_blocked`), and OpenBLAS's atfork handler joins its pool, so the
     process forks from one OS thread, the count Python 3.12 checks for its fork-with-threads
     warning, and the child starts a pool of its own. An OpenMP pool has no such handler. Elsewhere
-    the jobs run here, to the same bits. Workers are forked, not spawned, so they start without
-    importing anything; ``fn`` must be a module-level function. Jobs go in chunks, not one by one.
+    the jobs run here, to the same bits.
+
+    The parent forks the workers, then writes the job numbers into one pipe, 4 bytes each, in
+    writes of at most 512 bytes, POSIX's least PIPE_BUF, so each write lands whole and each 4-byte
+    read takes one number; it runs no job itself. A worker (:func:`_work`) takes the jobs one by
+    one until EOF, on the ``fn`` and arguments it inherited, so no job is pickled and ``fn`` may be
+    any callable, and pickles back ``[(number, result), ...]``, or the exception of a job that
+    raised, through a pipe of its own. The parent places each result by its number, re-raises a
+    worker's exception, raises a one-line RuntimeError for a worker that died, and reaps every
+    worker, killing those left after a failure.
     """
     workers = min(workers, len(jobs))
     name, build = _BLAS
     forks = "openblas" in name and not {"USE_OPENMP", "USE_OPENMP=1"} & set(build)
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or not forks:
         return [fn(*job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    read, write = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))  # the job queue
+    live, results = {}, {}  # live: each unreaped worker's pid and its results' pipe
+    try:
+        for _ in range(workers):
+            out, into = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            with into:
+                if not (pid := os.fork()):
+                    _work(fn, jobs, read, write, into)
+            live[pid] = out
+        read.close()  # so a write fails, not blocks, once no worker reads
+        with write, contextlib.suppress(BrokenPipeError):  # no worker left: their pipes say why
+            numbers = np.arange(len(jobs), dtype="<u4").tobytes()
+            for i in range(0, len(numbers), 512):
+                write.write(numbers[i : i + 512])
+        for pid in list(live):
+            done, code = live[pid].read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.pop(pid).close()
+            if code:
+                cause = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"a grid worker died ({cause})")
+            done = pickle.loads(done)
+            if isinstance(done, BaseException):
+                raise done
+            results.update(done)
+        return [results[i] for i in range(len(jobs))]
+    finally:
+        for pid, out in live.items():  # after a failure: end and reap the workers left
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            out.close()
+        read.close()
+        write.close()
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * workers))))
+
+def _work(fn, jobs, read, write, into):
+    """A worker of :func:`_map_batches`: run the jobs whose numbers it reads until EOF, then pickle
+    ``[(number, result), ...]``, or the exception of the job that raised, into its pipe; never returns."""
+    try:
+        write.close()
+        done = []
+        try:
+            while number := read.read(4):
+                i = int.from_bytes(number, "little")
+                done.append((i, fn(*jobs[i])))
+        except Exception as exc:
+            done = exc
+        pickle.dump(done, into, pickle.HIGHEST_PROTOCOL)
+        into.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def exact_noise_covariance(problem: FeatureProblem, c_matrix: np.ndarray) -> np.ndarray:

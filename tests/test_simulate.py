@@ -362,7 +362,7 @@ spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
 assert points[0] is spec.lambdas and (k, size) == (16, 6), (k, size)
 made.clear()
 grid = run_se_grid(spec, np.linspace(0.1, 4.0, 10), np.linspace(0.0, 0.95, 5), 0.1, 1.0, 1.0, 300)
-assert len(made) == 1 and (grid["diverged_at"] >= 0).any() and (grid["diverged_at"] < 0).any(), made
+assert len(made) == 2 and (grid["diverged_at"] >= 0).any() and (grid["diverged_at"] < 0).any(), made
 out += [grid[key].astype(float) for key in sorted(grid)]
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 16000))
 params = SGDParams(alpha=0.3, beta=0.5, gamma=0.1, steps=2000)
@@ -548,19 +548,30 @@ class TestRoundLoop:
 
 
 # Runs a script in a fresh interpreter in the default environment, where run_se_grid may fork;
-# any DeprecationWarning or RuntimeWarning fails it. ``made`` lists the process pools the
-# script constructed.
+# any DeprecationWarning or RuntimeWarning fails it. ``made`` holds, for each os.fork the script
+# made, the process's OS threads just after it, as Python 3.12 counts them for its
+# fork-with-threads warning (0 where /proc does not tell).
 POOL_PRELUDE = """
 import os, threading
-import concurrent.futures as cf
 import numpy as np
 from sgdphaselab import PowerLawSpec, SGDParams, build_power_law, run_se, run_se_grid, simulate
-made = []
-class CountedPool(cf.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        made.append(args)
-        super().__init__(*args, **kwargs)
-cf.ProcessPoolExecutor = CountedPool
+made, fork = [], os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        try:
+            with open("/proc/self/status") as fh:
+                made.append(int(next(line for line in fh if line.startswith("Threads:")).split()[1]))
+        except OSError:
+            made.append(0)
+    return pid
+os.fork = counted_fork
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 """
 
 
@@ -580,12 +591,12 @@ class TestGridBatches:
 spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 alphas, betas = np.linspace(0.2, 3.5, 12), [0.0, 0.3, 0.6, 0.9]
 for tau1 in (0.1, 1.0):  # every cell on the kernel, then all but three blocked
-    made.clear()
     grids = []
     for workers in ("1", "2", "3"):
         os.environ["SGDPHASELAB_THREADS"] = workers
+        made.clear()
         grids.append(run_se_grid(spec, alphas, betas, 0.5, tau1, 1.0, 400))
-        assert [pool[0] for pool in made] == [2, 3][: int(workers) - 1], made  # a pool of 2, then of 3
+        assert len(made) == [0, 2, 3][int(workers) - 1], made  # no fork, then 2, then 3
     for grid in grids[1:]:
         assert grid.keys() == grids[0].keys()
         for key, x in grid.items():
@@ -634,7 +645,7 @@ for workers in ("1", "2"):
     calls.clear()
     made.clear()
     grids.append(run_se_grid(spec, alphas, betas, 0.5, 1.0, 1.0, 400))
-    assert calls == [(spec, True)] and len(made) == int(workers) - 1, (calls, made)
+    assert calls == [(spec, True)] and len(made) == 2 * (workers == "2"), (calls, made)
     run_se_grid(spec, alphas, betas, 0.5, 1.0, 1.0, 400)
     assert len(calls) == 1, calls
 assert all(np.array_equal(x, grids[0][key]) for key, x in grids[1].items())
@@ -687,7 +698,7 @@ for workers in ("1", "2"):
     os.environ["SGDPHASELAB_THREADS"] = workers
     made.clear()
     grids.append(run_se_grid(spec, alphas, betas, 0.3, 1.0, 1.0, steps))
-    assert len(made) == int(workers) - 1, made
+    assert len(made) == 2 * (workers == "2"), made
 assert engines == {(False, 0), (False, 64), (True, 0), (True, 64)}, engines
 assert all(np.array_equal(x, grids[0][key]) for key, x in grids[1].items())
 grid = grids[0]
@@ -716,7 +727,68 @@ from sgdphaselab.cli import main
 os.environ["SGDPHASELAB_THREADS"] = "2"
 assert main(["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "1000", "--batch", "10",
              "--steps", "100", "--out", {str(tmp_path)!r}]) == 0
-assert len(made) == 1, made
+assert len(made) == 2 and max(made) <= 1, made  # one OS thread after each fork, the parent's own
+assert no_child_left()
+""")
+
+    def test_job_that_raises_in_a_worker_raises_here(self, tmp_path):
+        # the worker sends the exception back; a MemoryError in one batch of a pooled map still
+        # exits 4 and writes nothing
+        run_fresh(f"""
+import contextlib, io
+from sgdphaselab import cli
+def job(i):
+    if i == 3:
+        raise ValueError(f"bad job {{i}} in {{os.getpid()}}")
+    return i
+parent = os.getpid()
+try:
+    simulate._map_batches(job, [(i,) for i in range(8)], 2)
+    raise AssertionError("no error")
+except ValueError as exc:
+    assert str(exc).startswith("bad job 3 in ") and str(exc) != f"bad job 3 in {{parent}}", exc
+assert len(made) == 2 and no_child_left(), made
+argv = ["stability-map", "--nu", "1.5", "--kappa", "3", "--modes", "200", "--batch", "10", "--steps", "100"]
+alphas, betas = cli._stability_grids(cli.parse_config(argv))
+cells = simulate._se_cells
+def starved(points, threshold, alpha, beta, *args, **kwargs):
+    if os.getpid() != parent and alpha[0] == alphas[0] and beta[0] == betas[0]:  # the batch of the first cell
+        raise MemoryError()
+    return cells(points, threshold, alpha, beta, *args, **kwargs)
+simulate._se_cells = starved
+os.environ["SGDPHASELAB_THREADS"] = "2"
+made.clear()
+out, err = {str(tmp_path / "map")!r}, io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert cli.main([*argv, "--out", out]) == 4
+assert len(err.getvalue().splitlines()) == 1 and not os.path.exists(out), err.getvalue()
+assert len(made) == 2 and no_child_left(), made
+""")
+
+    def test_worker_killed_mid_grid_raises_here(self):
+        # a job sends its own worker SIGKILL: one line in the parent, no hang, no child left; also
+        # where every worker dies while the parent still fills the queue
+        run_fresh("""
+import signal
+def job(i, doomed):  # doomed: a lambda, as jobs are inherited, not pickled
+    if doomed(i):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+for workers, jobs, doomed in ((2, 40, lambda i: i == 5), (3, 40, lambda i: i == 5), (2, 20000, lambda i: True)):
+    made.clear()
+    try:
+        simulate._map_batches(job, [(i, doomed) for i in range(jobs)], workers)
+        raise AssertionError("no error")
+    except RuntimeError as exc:
+        assert str(exc) == "a grid worker died (signal 9)", exc
+    assert len(made) == workers and no_child_left(), made
+""")
+
+    def test_more_jobs_than_the_queue_holds_come_back_in_order(self):
+        # 20000 job numbers are 80 000 bytes, more than a 64 KiB pipe holds; any fn goes, a lambda too
+        run_fresh("""
+assert simulate._map_batches(lambda i: i * i, [(i,) for i in range(20000)], 3) == [i * i for i in range(20000)]
+assert len(made) == 3 and no_child_left(), made
 """)
 
     def test_grid_runs_in_process_while_another_thread_lives(self):
@@ -725,11 +797,10 @@ spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
 os.environ["SGDPHASELAB_THREADS"] = "2"
 pooled = run_se_grid(*args)
-assert len(made) == 1, made
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("forked while another thread was alive")
-cf.ProcessPoolExecutor = NoPool
+assert len(made) == 2, made
+def no_fork():
+    raise AssertionError("forked while another thread was alive")
+os.fork = no_fork
 release = threading.Event()
 other = threading.Thread(target=release.wait)
 other.start()
@@ -751,10 +822,10 @@ spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 2000))
 args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
 os.environ["SGDPHASELAB_THREADS"] = "2"
 pooled = run_se_grid(*args)
-assert len(made) == 1, made
+assert len(made) == 2, made
 os.environ["SGDPHASELAB_THREADS"] = "1"
 alone = run_se_grid(*args)
-assert len(made) == 1, made
+assert len(made) == 2, made
 assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key, x in pooled.items())
 """)
 
@@ -766,16 +837,16 @@ spec = build_power_law(PowerLawSpec(1.0, 1.5, 1.0, 3.0, 200))
 args = (spec, np.linspace(0.2, 3.5, 6), [0.0, 0.5, 0.9], 0.5, 1.0, 1.0, 100)
 os.environ["SGDPHASELAB_THREADS"] = "2"
 pooled = run_se_grid(*args)
-assert len(made) == 1, (made, simulate._BLAS)
+assert len(made) == 2, (made, simulate._BLAS)
 for blas in (("mkl-sdl", []), ("accelerate", []), ("scipy-openblas", "OpenBLAS 0.3.27 USE_OPENMP Haswell".split()),
              ("openblas", "USE_64BITINT=1 NO_AFFINITY=1 USE_OPENMP=1 HASWELL".split())):
     simulate._BLAS = blas
     alone = run_se_grid(*args)
-    assert len(made) == 1, (blas, made)
+    assert len(made) == 2, (blas, made)
     assert all(x.dtype == alone[key].dtype and np.array_equal(alone[key], x) for key, x in pooled.items())
 simulate._BLAS = ("openblas64", "USE_64BITINT=1 NO_AFFINITY=1 USE_OPENMP= HASWELL".split())  # numpy 1.26's wheels
 run_se_grid(*args)
-assert len(made) == 2, made
+assert len(made) == 4, made
 """)
 
     def test_worker_count(self, monkeypatch):
